@@ -11,30 +11,57 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# displacement table shared by the Gram stencil and neighbor indexing:
-# 27 offsets in {-1,0,1}^3, slot index = (dx+1)*9 + (dy+1)*3 + (dz+1)
-NBR_OFFSETS = np.array(
-    [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
-    dtype=np.int64,
-)
-CENTER_SLOT = 13
+# magic-bit interleaving of 21-bit words: each (shift, mask) step halves the
+# bit groups and spreads them apart, ending with bit i at bit 3i
+_SPREAD_STEPS = [(32, 0x001F00000000FFFF), (16, 0x001F0000FF0000FF),
+                 (8, 0x100F00F00F00F00F), (4, 0x10C30C30C30C30C3),
+                 (2, 0x1249249249249249)]
+# the same steps undone, widest groups last
+_COMPACT_STEPS = [(2, 0x10C30C30C30C30C3), (4, 0x100F00F00F00F00F),
+                  (8, 0x001F0000FF0000FF), (16, 0x001F00000000FFFF),
+                  (32, 0x1FFFFF)]
+_X_BITS = 0x1249249249249249    # bits 0, 3, 6, ...: where a key keeps x
+
+
+def _spread3(v):
+    """Move bit i of each uint64 in v (i < 21) to bit 3i."""
+    v = v & np.uint64(0x1FFFFF)
+    for shift, mask in _SPREAD_STEPS:
+        v |= v << np.uint64(shift)
+        v &= np.uint64(mask)
+    return v
+
+
+def _compact3(v):
+    """Inverse of _spread3: gather bits 0, 3, 6, ... of v into bits 0..20."""
+    v = v & np.uint64(_X_BITS)
+    for shift, mask in _COMPACT_STEPS:
+        v ^= v >> np.uint64(shift)
+        v &= np.uint64(mask)
+    return v
 
 
 def morton_key(coords, bits):
     """Interleave bits of (x,y,z) into a single uint64 Z-order key.
 
-    Bit i of x lands at position 3i, y at 3i+1, z at 3i+2.
+    Bit i of x lands at position 3i, y at 3i+1, z at 3i+2; bits at or above
+    `bits` are ignored.
     """
     coords = np.asarray(coords, dtype=np.uint64)
     if coords.ndim == 1:
         coords = coords[None, :]
     if bits * 3 > 63:
         raise ValueError("morton key overflow: bits=%d" % bits)
-    key = np.zeros(len(coords), dtype=np.uint64)
-    for i in range(bits):
-        for ax in range(3):
-            key |= ((coords[:, ax] >> np.uint64(i)) & np.uint64(1)) << np.uint64(3 * i + ax)
-    return key
+    low = coords & np.uint64((1 << bits) - 1)
+    return (_spread3(low[:, 0]) | (_spread3(low[:, 1]) << np.uint64(1))
+            | (_spread3(low[:, 2]) << np.uint64(2)))
+
+
+def morton_decode(keys):
+    """(N,3) int64 coordinates of Morton keys; inverse of morton_key."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    return np.stack([_compact3(keys >> np.uint64(ax)) for ax in range(3)],
+                    axis=1).astype(np.int64)
 
 
 def morton_sort(coords, bits):
@@ -64,13 +91,17 @@ class PointCloud:
 
 @dataclass
 class LevelGeometry:
+    """The nodes of one level in Morton order, and their links to level+1.
+
+    The link arrays are None at the finest level.
+    """
     level: int
     nodes: np.ndarray        # (N,3) int64, Morton-sorted
+    keys: np.ndarray         # (N,) uint64 Morton keys of nodes, strictly increasing
     # flat parent->child link arrays (one row per (parent, child, d) triple)
     link_parent: np.ndarray = field(default=None)  # (E,) int64 indices into this level
     link_child: np.ndarray = field(default=None)   # (E,) int64 indices into level+1
     link_d: np.ndarray = field(default=None)       # (E,3) int64, d = m - 2n
-    neighbor_index: np.ndarray = field(default=None)  # (N,27) int64, -1 where absent
 
     def __len__(self):
         return len(self.nodes)
@@ -224,124 +255,70 @@ def voxelize(cloud, depth):
     np.add.at(attrs, inverse, cloud.attributes)
     np.add.at(counts, inverse, 1)
     attrs /= counts[:, None]
-    # decode voxel coords back from the sorted unique keys
-    out_pos = np.zeros((n, 3), dtype=np.int64)
-    for i in range(depth):
-        for ax in range(3):
-            out_pos[:, ax] |= ((uniq >> np.uint64(3 * i + ax)) & np.uint64(1)).astype(np.int64) << i
-    out = PointCloud(positions=out_pos, attributes=attrs, depth=depth,
+    out = PointCloud(positions=morton_decode(uniq), attributes=attrs, depth=depth,
                      channels=cloud.attributes.shape[1])
     out.validate()
     return out
 
 
-def _parents_per_axis(c, order):
-    """Per-axis candidate parent coords (lo, hi); lo==hi when only one exists."""
+def _coarsen(child, order):
+    """Parent level of `child` under stencil(order), with its links.
+
+    Per axis a child coordinate c has the parent candidates c>>1 and, for
+    order 2 and odd c, (c+1)>>1.  Every valid candidate is a link; the
+    candidates' keys, laid out child-major and stably sorted, come out
+    grouped by parent in Morton order with children ascending inside each
+    group, which is the canonical link order.
+    """
+    n = len(child)
+    lo = child.keys >> np.uint64(3)          # key of (c >> 1) on every axis
     if order == 1:
-        lo = c >> 1
-        return lo, lo
-    odd = c & 1
-    return (c - odd) >> 1, (c + odd) >> 1
-
-
-def _parent_set(child_nodes, order):
-    """All parent coords reachable from child_nodes under stencil(order)."""
-    lo = np.empty_like(child_nodes)
-    hi = np.empty_like(child_nodes)
-    for ax in range(3):
-        lo[:, ax], hi[:, ax] = _parents_per_axis(child_nodes[:, ax], order)
-    if order == 1:
-        return np.unique(lo, axis=0)
-    cands = []
-    for sx in (0, 1):
-        for sy in (0, 1):
-            for sz in (0, 1):
-                pick = np.stack([
-                    hi[:, 0] if sx else lo[:, 0],
-                    hi[:, 1] if sy else lo[:, 1],
-                    hi[:, 2] if sz else lo[:, 2],
-                ], axis=1)
-                cands.append(pick)
-    return np.unique(np.concatenate(cands, axis=0), axis=0)
-
-
-def _stencil_offsets(order):
-    if order == 1:
-        return np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)],
-                        dtype=np.int64)
-    return NBR_OFFSETS.copy()
-
-
-def _build_links(parent_nodes, child_nodes, order, bits):
-    """Flat (parent, child, d) triples with d = m - 2n in stencil(order)."""
-    pkeys = morton_key(parent_nodes, bits)
-    parents, children, dvecs = [], [], []
-    for d in _stencil_offsets(order):
-        cand = child_nodes - d[None, :]
-        valid = np.all(cand % 2 == 0, axis=1)
-        cand = cand >> 1
-        valid &= np.all(cand >= 0, axis=1)
-        idx_child = np.nonzero(valid)[0]
-        if len(idx_child) == 0:
-            continue
-        ckeys = morton_key(cand[idx_child], bits)
-        pos = np.searchsorted(pkeys, ckeys)
-        pos = np.clip(pos, 0, len(pkeys) - 1)
-        hit = pkeys[pos] == ckeys
-        idx_child = idx_child[hit]
-        if len(idx_child) == 0:
-            continue
-        parents.append(pos[hit])
-        children.append(idx_child)
-        dvecs.append(np.broadcast_to(d, (len(idx_child), 3)))
-    parent = np.concatenate(parents)
-    child = np.concatenate(children)
-    dvec = np.concatenate(dvecs).astype(np.int64)
-    # canonical order: by parent, then child (both already Morton-ranked indices)
-    order_ix = np.lexsort((child, parent))
-    return parent[order_ix], child[order_ix], dvec[order_ix]
-
-
-def _build_neighbor_index(nodes, bits):
-    keys = morton_key(nodes, bits)
-    n = len(nodes)
-    out = np.full((n, 27), -1, dtype=np.int64)
-    for slot, d in enumerate(NBR_OFFSETS):
-        cand = nodes + d[None, :]
-        valid = np.all(cand >= 0, axis=1)
-        ckeys = morton_key(np.where(valid[:, None], cand, 0), bits)
-        pos = np.searchsorted(keys, ckeys)
-        pos = np.clip(pos, 0, n - 1)
-        hit = valid & (keys[pos] == ckeys)
-        out[hit, slot] = pos[hit]
-    return out
+        keys, link_child = lo, np.arange(n, dtype=np.int64)
+    else:
+        odd = (child.nodes & 1).astype(bool)
+        # per axis: that axis's key bits for the lower and upper candidate
+        parts = [(lo & (np.uint64(_X_BITS) << np.uint64(ax)),
+                  _spread3(((child.nodes[:, ax] >> 1) + 1).astype(np.uint64))
+                  << np.uint64(ax)) for ax in range(3)]
+        cand = np.empty((n, 8), dtype=np.uint64)
+        valid = np.empty((n, 8), dtype=bool)
+        for j, up in enumerate(np.ndindex(2, 2, 2)):
+            cand[:, j] = parts[0][up[0]] | parts[1][up[1]] | parts[2][up[2]]
+            valid[:, j] = np.all(odd | ~np.array(up, dtype=bool), axis=1)
+        keys = cand[valid]
+        link_child = np.nonzero(valid)[0]
+    perm = np.argsort(keys, kind="stable")
+    keys, link_child = keys[perm], link_child[perm]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    parent = LevelGeometry(level=child.level - 1, nodes=morton_decode(keys[first]),
+                           keys=keys[first])
+    parent.link_parent = np.cumsum(first) - 1
+    parent.link_child = link_child
+    parent.link_d = child.nodes[link_child] - 2 * parent.nodes[parent.link_parent]
+    return parent
 
 
 def build_hierarchy(cloud, order):
     """Build the level-of-detail hierarchy for a voxelized cloud.
 
-    Constructs N_L from the voxel positions, each coarser N_ell by the
-    child-closure rule, all parent-child links with their stencil offsets,
-    and the 27-neighborhood index at every level.
+    Level L holds the voxels, which must be distinct and in Morton order;
+    each coarser level is the child-closure of the one below it, and every
+    level but the finest carries its parent-child links with their stencil
+    offsets.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     cloud.validate()
     L = cloud.depth
-    nodes, _ = morton_sort(cloud.positions.astype(np.int64), L + 1)
-    if not np.array_equal(nodes, cloud.positions):
-        raise ValueError("cloud positions must be Morton-sorted (voxelize does this)")
+    keys = morton_key(cloud.positions, L + 1)
+    if not np.all(keys[1:] > keys[:-1]):
+        raise ValueError("cloud positions must be distinct and Morton-sorted "
+                         "(voxelize does this)")
     levels = [None] * (L + 1)
-    levels[L] = LevelGeometry(level=L, nodes=nodes)
+    levels[L] = LevelGeometry(level=L, nodes=cloud.positions.astype(np.int64),
+                              keys=keys)
     for ell in range(L - 1, -1, -1):
-        parents = _parent_set(levels[ell + 1].nodes, order)
-        parents, _ = morton_sort(parents, ell + 2)
-        levels[ell] = LevelGeometry(level=ell, nodes=parents)
-    for ell in range(L):
-        lp, lc, ld = _build_links(levels[ell].nodes, levels[ell + 1].nodes, order, ell + 2)
-        levels[ell].link_parent, levels[ell].link_child, levels[ell].link_d = lp, lc, ld
-    for ell in range(L + 1):
-        levels[ell].neighbor_index = _build_neighbor_index(levels[ell].nodes, ell + 2)
+        levels[ell] = _coarsen(levels[ell + 1], order)
     return Hierarchy(levels=levels, order=order, depth=L)
 
 

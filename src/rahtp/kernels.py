@@ -4,15 +4,15 @@ kernel_weight gives the two-scale coefficients a(d) linking a parent basis
 function to its children: order 1 (box) has unit weights on d in {0,1}^3,
 order 2 (tri-linear hat) has 2^(-|d|_1) on d in {-1,0,1}^3.
 
-The Gram tensor holds the basis inner products per node as a 27-slot stencil
-over the node's {-1,0,1}^3 neighborhood; it is the identity at the finest
-level and is propagated coarser by G_ell = A_ell G_{ell+1} A_ell^T.
+The Gram tensor holds the basis inner products between the nodes of one
+level as a canonical CSR matrix; it is the identity at the finest level and
+is propagated coarser by G_ell = A_ell G_{ell+1} A_ell^T.  Basis supports
+only overlap between nodes in each other's {-1,0,1}^3 neighborhood, so each
+row has at most 27 entries.
 """
 
 import numpy as np
 import scipy.sparse as sp
-
-from .geometry import NBR_OFFSETS, CENTER_SLOT
 
 # below this node count, stencil operators are applied as dense arrays
 # (measured crossover vs csr dispatch overhead for (N,3) right-hand sides)
@@ -42,43 +42,37 @@ def kernel_weights(order, dvecs):
 
 
 class GramTensor:
-    """Per-node 27-stencil storage of the inner-product operator at one level.
+    """The inner-product operator at one level, g(i,j) = <phi_i, phi_j>.
 
-    entries[i, s] is the inner product between node i and its neighbor at
-    displacement NBR_OFFSETS[s]; structurally zero where no neighbor exists.
+    Stored as one CSR matrix in canonical form: sorted column indices and no
+    explicit zeros, so the nonzeros are exactly the overlapping basis pairs.
     """
 
-    def __init__(self, level, entries, neighbor_index):
+    def __init__(self, level, csr):
         self.level = level
-        self.entries = entries              # (N, 27) float64
-        self.neighbor_index = neighbor_index  # (N, 27) int64, -1 absent
+        self.csr = csr
         self._mat = None
         self._iter = None
 
     def __len__(self):
-        return len(self.entries)
+        return self.csr.shape[0]
 
     @property
     def diagonal(self):
-        return self.entries[:, CENTER_SLOT]
+        return self.csr.diagonal()
 
     def to_csr(self):
-        n = len(self.entries)
-        mask = self.neighbor_index >= 0
-        rows = np.repeat(np.arange(n, dtype=np.int64), mask.sum(axis=1))
-        cols = self.neighbor_index[mask]
-        vals = self.entries[mask]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        """The canonical CSR matrix itself; callers must not modify it."""
+        return self.csr
 
     def scaled(self, d_self):
         """Return D^-1/2 G D^-1/2 with D = diag(d_self), as a new GramTensor."""
         s = 1.0 / np.sqrt(d_self)
-        ent = self.entries.copy()
-        nbr = self.neighbor_index
-        mask = nbr >= 0
-        ent[mask] *= s[np.clip(nbr, 0, None)][mask]
-        ent *= s[:, None]
-        return GramTensor(self.level, ent, nbr)
+        csr = self.csr
+        data = csr.data * s[csr.indices]
+        data *= np.repeat(s, np.diff(csr.indptr))
+        return GramTensor(self.level, sp.csr_matrix(
+            (data, csr.indices, csr.indptr), shape=csr.shape))
 
     def _backing(self):
         """Materialized operator: dense below DENSE_CUTOFF, csr above.
@@ -88,12 +82,12 @@ class GramTensor:
         round identically.
         """
         if self._mat is None:
-            csr = self.to_csr()
-            self._mat = csr.toarray() if csr.shape[0] <= DENSE_CUTOFF else csr
+            n = len(self)
+            self._mat = self.csr.toarray() if n <= DENSE_CUTOFF else self.csr
         return self._mat
 
     def matvec(self, x):
-        """Apply the stencil operator: out_i = sum_j g(i,j) x_j."""
+        """Apply the operator: out_i = sum_j g(i,j) x_j."""
         return self._backing() @ np.asarray(x)
 
     def iteration_matrix(self, tau):
@@ -110,36 +104,30 @@ class GramTensor:
 
     def gershgorin(self):
         """Max absolute row sum; an eigenvalue upper bound for the operator."""
-        mask = self.neighbor_index >= 0
-        return float(np.abs(np.where(mask, self.entries, 0.0)).sum(axis=1).max())
+        return float(abs(self.csr).sum(axis=1).max())
 
 
 def gram_init(level_geom):
     """Identity Gram at the finest level (bases are voxel indicators there)."""
-    n = len(level_geom)
-    entries = np.zeros((n, 27), dtype=np.float64)
-    entries[:, CENTER_SLOT] = 1.0
-    return GramTensor(level_geom.level, entries, level_geom.neighbor_index)
+    return GramTensor(level_geom.level,
+                      sp.identity(len(level_geom), dtype=np.float64, format="csr"))
 
 
 def gram_downsample(gram, parent_geom, child_geom, order):
     """Propagate the Gram one level coarser: G_parent = A G_child A^T.
 
-    The product is accumulated in sparse form and scattered back into the
-    27-stencil; any mass outside the {-1,0,1}^3 neighborhood violates the
-    closure property and raises.
+    Parent bases only overlap within the {-1,0,1}^3 neighborhood; a nonzero
+    between nodes further apart violates the closure property and raises.
     """
     A = build_a_matrix(parent_geom, child_geom, order)
-    prod = (A @ gram.to_csr() @ A.T).tocoo()
-    n = len(parent_geom)
-    d = parent_geom.nodes[prod.col] - parent_geom.nodes[prod.row]
-    keep = prod.data != 0.0
-    if np.abs(d[keep]).max(initial=0) > 1:
+    prod = (A @ gram.csr @ A.T).tocsr()
+    prod.eliminate_zeros()
+    prod.sort_indices()
+    rows = np.repeat(np.arange(prod.shape[0]), np.diff(prod.indptr))
+    d = parent_geom.nodes[prod.indices] - parent_geom.nodes[rows]
+    if np.abs(d).max(initial=0) > 1:
         raise AssertionError("Gram entry escaped the 27-neighbor stencil")
-    slot = (d[:, 0] + 1) * 9 + (d[:, 1] + 1) * 3 + (d[:, 2] + 1)
-    entries = np.zeros((n, 27), dtype=np.float64)
-    entries[prod.row[keep], slot[keep]] = prod.data[keep]
-    return GramTensor(parent_geom.level, entries, parent_geom.neighbor_index)
+    return GramTensor(parent_geom.level, prod)
 
 
 def build_a_matrix(parent_geom, child_geom, order):

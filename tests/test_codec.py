@@ -5,6 +5,7 @@ import rahtp
 from rahtp.codec import (BitReader, BitWriter, CorruptStream, bt709_to_rgb,
                          decode, dequantize, encode, quantize, rgb_to_bt709,
                          rlgr_decode, rlgr_encode)
+from rahtp.evalcli import builtin_clouds
 from rahtp.transform import ApproxRoles, TransformConfig
 
 from _helpers import random_cloud
@@ -122,6 +123,21 @@ def test_decode_rejects_tampered_stream():
         decode(b"JUNK" + blob[4:], cl)
     with pytest.raises(CorruptStream):
         decode(blob[:20], cl)
+
+
+def test_encode_and_decode_reject_duplicate_voxels():
+    cl = builtin_clouds()["sphere200"]
+    dup = rahtp.PointCloud(
+        positions=np.insert(cl.positions, 10, cl.positions[10], axis=0),
+        attributes=np.insert(cl.attributes, 10, cl.attributes[10] + 100.0, axis=0),
+        depth=cl.depth, channels=cl.channels)
+    cfg = _codec_config()
+    with pytest.raises(ValueError, match="distinct"):
+        encode(dup, cfg, 1.0)
+    # the geometry is checked before the stream's node count is
+    blob, _ = encode(cl, cfg, 1.0)
+    with pytest.raises(ValueError, match="distinct"):
+        decode(blob, dup)
 
 
 def test_encode_validates_steps():

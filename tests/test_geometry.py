@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp.geometry import (CENTER_SLOT, geometry_digest, morton_key,
+from rahtp.geometry import (geometry_digest, morton_decode, morton_key,
                             morton_sort)
 
 from _helpers import random_cloud
@@ -19,6 +19,29 @@ def test_morton_key_monotone_in_each_axis():
         bumped = np.array([[2, 3, 1]])
         bumped[0, axis] += 4
         assert morton_key(bumped, 4)[0] > base
+
+
+def _morton_key_per_bit(coords, bits):
+    key = np.zeros(len(coords), dtype=np.uint64)
+    for i in range(bits):
+        for ax in range(3):
+            bit = (coords[:, ax].astype(np.uint64) >> np.uint64(i)) & np.uint64(1)
+            key |= bit << np.uint64(3 * i + ax)
+    return key
+
+
+def test_morton_key_matches_per_bit_reference_and_decodes():
+    rng = np.random.default_rng(21)
+    for bits in range(1, 22):
+        coords = rng.integers(0, 2 ** bits, (200, 3)).astype(np.int64)
+        keys = morton_key(coords, bits)
+        assert np.array_equal(keys, _morton_key_per_bit(coords, bits)), bits
+        assert np.array_equal(morton_decode(keys), coords), bits
+
+
+def test_morton_key_rejects_overflowing_bits():
+    with pytest.raises(ValueError):
+        morton_key(np.zeros((1, 3), dtype=np.int64), 22)
 
 
 def test_morton_sort_orders_and_is_stable_under_permutation():
@@ -98,12 +121,13 @@ def test_hierarchy_levels_cover_children_both_orders():
                 assert found >= 1
 
 
-def test_hierarchy_neighbor_index_center_is_self():
+def test_hierarchy_level_keys_strictly_increasing():
     cl = random_cloud(5, 60, 2)
     h = rahtp.build_hierarchy(cl, 2)
-    for geom in h.levels:
-        n = len(geom.nodes)
-        assert np.array_equal(geom.neighbor_index[:, CENTER_SLOT], np.arange(n))
+    for ell, geom in enumerate(h.levels):
+        keys = morton_key(geom.nodes, ell + 2)
+        assert np.array_equal(geom.keys, keys)
+        assert np.all(keys[1:] > keys[:-1])
 
 
 def test_geometry_digest_invariant_to_input_order():
@@ -111,6 +135,20 @@ def test_geometry_digest_invariant_to_input_order():
     perm = np.random.default_rng(0).permutation(len(cl.positions))
     assert geometry_digest(cl.positions, 3) == geometry_digest(cl.positions[perm], 3)
     assert geometry_digest(cl.positions, 3) != geometry_digest(cl.positions, 4)
+
+
+def test_hierarchy_rejects_duplicate_and_unsorted_voxels():
+    cl = random_cloud(7, 40, 3)
+    dup = rahtp.PointCloud(positions=np.insert(cl.positions, 5, cl.positions[5], axis=0),
+                           attributes=np.insert(cl.attributes, 5, cl.attributes[5], axis=0),
+                           depth=3, channels=3)
+    swapped = rahtp.PointCloud(positions=cl.positions[::-1].copy(),
+                               attributes=cl.attributes[::-1].copy(),
+                               depth=3, channels=3)
+    for bad in (dup, swapped):
+        for order in (1, 2):
+            with pytest.raises(ValueError):
+                rahtp.build_hierarchy(bad, order)
 
 
 def test_pointcloud_validate_rejects_mismatched_rows():

@@ -1,0 +1,46 @@
+"""Frozen encode output: any change to the bytes of a stream shows here.
+
+The digests pin the streams of format VERSION 1.  A change that is meant to
+alter the bytes must bump VERSION and record the digests again.
+"""
+
+import hashlib
+
+import pytest
+
+from rahtp.codec import encode
+from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
+from rahtp.transform import TransformConfig
+
+GOLDEN = {
+    ("sphere200", 1, "overcomplete"):
+        "7dd431428791b3536efc135811741e9a93e91389acb84a7d778614a4ea4d655d",
+    ("sphere200", 1, "critical"):
+        "7dd431428791b3536efc135811741e9a93e91389acb84a7d778614a4ea4d655d",
+    ("sphere200", 2, "overcomplete"):
+        "2e4277f023354e4849d4bf0d52462ba4eabc8d5cca1a1e11b2e53341708d7fce",
+    ("sphere200", 2, "critical"):
+        "2e4277f023354e4849d4bf0d52462ba4eabc8d5cca1a1e11b2e53341708d7fce",
+    ("torus3000", 1, "overcomplete"):
+        "aa67a4ca7905325b75462a13991e808a66876e5345fd54e87676a2b61ad07fa2",
+    ("torus3000", 1, "critical"):
+        "aa67a4ca7905325b75462a13991e808a66876e5345fd54e87676a2b61ad07fa2",
+    ("torus3000", 2, "overcomplete"):
+        "21a41543e2f5c15bb1d0c91a22072a2f11f9c204fd0ebe3abd4f1c3aa81b97f6",
+    ("torus3000", 2, "critical"):
+        "21a41543e2f5c15bb1d0c91a22072a2f11f9c204fd0ebe3abd4f1c3aa81b97f6",
+}
+
+
+def _cloud(name):
+    if name == "sphere200":
+        return builtin_clouds()["sphere200"]
+    return make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+
+
+@pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
+def test_encode_bytes_frozen(name, order, mode):
+    cloud = _cloud(name)
+    config = TransformConfig(order=order, depth=cloud.depth, residual_mode=mode)
+    blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]

@@ -81,7 +81,7 @@ def test_gram_tensor_matvec_matches_csr():
     h = rahtp.build_hierarchy(cl, 2)
     rng = np.random.default_rng(0)
     for g in gram_levels(h):
-        x = rng.standard_normal((g.entries.shape[0], 3))
+        x = rng.standard_normal((len(g), 3))
         assert np.abs(g.matvec(x) - g.to_csr() @ x).max() < 1e-12
 
 
@@ -95,7 +95,17 @@ def test_scaled_gram_has_unit_diagonal():
             if order == 1:
                 # box bases at distinct nodes never overlap
                 assert np.abs(gs.to_csr().toarray()
-                              - np.eye(gs.entries.shape[0])).max() < 1e-12
+                              - np.eye(len(gs))).max() < 1e-12
+
+
+def test_gram_csr_is_canonical():
+    cl = random_cloud(19, 150, 3)
+    for order in (1, 2):
+        h = rahtp.build_hierarchy(cl, order)
+        for g in gram_levels(h):
+            csr = g.to_csr()
+            assert csr.nnz == csr.count_nonzero()
+            assert csr.has_sorted_indices
 
 
 def test_gershgorin_bounds_spectrum():
