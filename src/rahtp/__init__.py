@@ -5,8 +5,8 @@ from .geometry import (Hierarchy, LevelGeometry, PointCloud, build_hierarchy,
                        voxelize)
 from .kernels import GramTensor, build_a_matrix, gram_levels, kernel_weight
 from .sparse_ops import ASplit, SplitError, ZtildeOp, build_split
-from .spectral import (ApproxConfig, SeriesDivergence, apply_series,
-                       eigen_bound, series_coefficients)
+from .spectral import (ApproxConfig, Operator, SeriesDivergence,
+                       apply_series, eigen_bound, series_coefficients)
 from .transform import (ApproxRoles, CoeffSet, TransformConfig, TransformPlan,
                         analyze, apply_basis_scaling, synthesize,
                         truncate_to_level)
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxConfig", "ApproxRoles", "ASplit", "CoeffSet", "CorruptStream",
-    "GramTensor", "Hierarchy", "LevelGeometry", "Metrics", "PointCloud",
-    "SeriesDivergence", "SplitError", "TransformConfig", "TransformPlan",
+    "GramTensor", "Hierarchy", "LevelGeometry", "Metrics", "Operator",
+    "PointCloud", "SeriesDivergence", "SplitError", "TransformConfig", "TransformPlan",
     "ZtildeOp", "analyze", "apply_basis_scaling", "apply_series",
     "build_a_matrix", "build_hierarchy", "build_split", "builtin_clouds",
     "compute_metrics", "decode", "dequantize", "eigen_bound", "encode",

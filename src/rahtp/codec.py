@@ -18,6 +18,7 @@ import struct
 import numpy as np
 
 from .geometry import build_hierarchy, geometry_digest
+from .spectral import SeriesDivergence
 from .transform import ApproxRoles, CoeffSet, TransformConfig, analyze, synthesize
 
 KP_INIT = 32
@@ -37,110 +38,13 @@ class CorruptStream(ValueError):
     """Malformed or mismatched bitstream."""
 
 
-class BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write_bits(self, value, n):
-        if n == 0:
-            return
-        self.acc = (self.acc << n) | (value & ((1 << n) - 1))
-        nb = self.nbits + n
-        if nb >= 8:
-            drop = nb & 7
-            self.buf += (self.acc >> drop).to_bytes(nb >> 3, "big")
-            self.acc &= (1 << drop) - 1
-            nb = drop
-        self.nbits = nb
-
-    def write_unary(self, q):
-        while q >= 32:
-            self.write_bits(0xFFFFFFFF, 32)
-            q -= 32
-        self.write_bits((1 << (q + 1)) - 2, q + 1)   # q ones then a zero
-
-    def getvalue(self):
-        if self.nbits:
-            pad = 8 - self.nbits
-            return bytes(self.buf) + bytes([(self.acc << pad) & 0xFF])
-        return bytes(self.buf)
-
-
-class BitReader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0          # bit position
-
-    def read_bits(self, n):
-        if n == 0:
-            return 0
-        end = self.pos + n
-        stop = (end + 7) >> 3
-        if stop > len(self.data):
-            raise CorruptStream("bitstream truncated")
-        chunk = int.from_bytes(self.data[self.pos >> 3:stop], "big")
-        self.pos = end
-        return (chunk >> ((stop << 3) - end)) & ((1 << n) - 1)
-
-    def read_unary(self):
-        data = self.data
-        nbytes = len(data)
-        pos = self.pos
-        q = 0
-        while True:
-            byte = pos >> 3
-            if byte >= nbytes:
-                raise CorruptStream("bitstream truncated in unary code")
-            width = 8 - (pos & 7)
-            rest = data[byte] & ((1 << width) - 1)   # unread bits of this byte
-            inv = rest ^ ((1 << width) - 1)
-            if inv == 0:         # all ones, keep scanning
-                q += width
-                pos += width
-                continue
-            ones = width - inv.bit_length()
-            self.pos = pos + ones + 1                # consume the zero too
-            return q + ones
-
-
-def _interleave(x):
-    return 2 * x if x >= 0 else -2 * x - 1
-
-
-def _deinterleave(u):
-    return (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
-
-
-def _gr_write(w, u, k):
-    q = u >> k
-    if q < Q_CAP:
-        # q ones, the zero, then k remainder bits as a single emission
-        w.write_bits((((1 << q) - 1) << (k + 1)) | (u & ((1 << k) - 1)),
-                     q + 1 + k)
-        return q
-    w.write_unary(Q_CAP)
-    if u >= (1 << ESCAPE_BITS):
-        raise ValueError("coefficient magnitude exceeds escape range")
-    w.write_bits(u, ESCAPE_BITS)
-    # adaptation must see the same capped quotient the decoder computes
-    return Q_CAP
-
-
-def _gr_read(r, k):
-    q = r.read_unary()
-    if q < Q_CAP:
-        return (q << k) | r.read_bits(k), q
-    return r.read_bits(ESCAPE_BITS), Q_CAP
-
-
 def _gr_scan(data, pad, bit, bits_total, k):
     """Windowed GR read used by the decoder hot loop; returns (u, q, bit).
 
     One 72-bit window from the current byte covers the typical code (unary
     quotient, terminator, remainder); longer-than-window unary runs and
-    escape payloads fall back to byte stepping.  Equivalent to _gr_read.
+    escape payloads fall back to byte stepping.  A quotient of Q_CAP is the
+    escape: ESCAPE_BITS of raw value follow instead of k remainder bits.
     """
     byte = bit >> 3
     avail = 72 - (bit & 7)
@@ -192,9 +96,8 @@ def rlgr_encode(values):
 
     The symbol loop is fully inlined (bit accumulator, zigzag, GR emission,
     parameter adaptation): per-symbol helper calls double the runtime on
-    million-coefficient planes.  _gr_write/_gr_read stay as the readable
-    reference of the same code and BitWriter/BitReader serve everything
-    outside this loop; all of them must stay in step with this body.
+    million-coefficient planes.  This body and rlgr_decode are the format;
+    they must stay in step with each other.
     """
     vals = np.asarray(values, dtype=np.int64).tolist()  # plain ints are much
     buf = bytearray()                                   # faster to index
@@ -454,7 +357,13 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     return bytes(header) + bytes(payload), stats
 
 
-def _parse_header(data):
+def parse_header(data):
+    """Validate the container header; returns (header dict, payload offset).
+
+    Fields outside the range an encoder writes (order, scaling flag,
+    colorspace, modes, tau, steps) raise CorruptStream instead of steering
+    the decoder; an altered value inside its range is not detected here.
+    """
     base = struct.calcsize("<4sBBBBBB")
     if len(data) < base:
         raise CorruptStream("stream shorter than fixed header")
@@ -464,6 +373,10 @@ def _parse_header(data):
         raise CorruptStream("bad magic")
     if version != VERSION:
         raise CorruptStream("unsupported version %d" % version)
+    if order not in (1, 2):
+        raise CorruptStream("unsupported spline order %d" % order)
+    if scaling > 1:
+        raise CorruptStream("bad scaling flag %d" % scaling)
     if cspace not in COLORSPACE_NAMES:
         raise CorruptStream("unknown colorspace id %d" % cspace)
     off = base
@@ -480,6 +393,10 @@ def _parse_header(data):
         off += struct.calcsize("<IQ")
     except struct.error:
         raise CorruptStream("stream shorter than its header") from None
+    if not 0.0 <= tau < np.inf:
+        raise CorruptStream("series step tau must be finite and >= 0")
+    if not np.all((steps > 0.0) & (steps < np.inf)):
+        raise CorruptStream("quantization steps must be finite and positive")
     return {"order": order, "depth": depth, "scaling": bool(scaling),
             "channels": channels, "colorspace": COLORSPACE_NAMES[cspace],
             "modes": modes, "k": k_order, "tau": tau, "steps": steps,
@@ -492,7 +409,7 @@ def decode(data, cloud):
     cloud supplies the voxel positions (attributes ignored); they must hash
     to the digest in the header.  Returns (attributes, header dict).
     """
-    head, off = _parse_header(data)
+    head, off = parse_header(data)
     hierarchy = build_hierarchy(cloud, head["order"])
     if hierarchy.depth != head["depth"]:
         raise CorruptStream("geometry depth %d does not match stream depth %d"
@@ -527,11 +444,19 @@ def decode(data, cloud):
             q = rlgr_decode(data[off:off + blen], len(plane))
             off += blen
             plane[:, ch] = dequantize(q, head["steps"][ch])
+    if off != len(data):
+        raise CorruptStream("%d trailing bytes after the last plane"
+                            % (len(data) - off))
 
     coeffs = CoeffSet(order=head["order"], depth=head["depth"], channels=nch,
                       lowpass=planes[0], highpass=planes[1:],
                       modes=head["modes"])
-    attrs = synthesize(hierarchy, coeffs, config)
+    try:
+        attrs = synthesize(hierarchy, coeffs, config)
+    except SeriesDivergence as exc:
+        # with the encoder's tau, or the default 1/bound, every series
+        # contracts; divergence means the header's tau was altered
+        raise CorruptStream("series diverged: %s" % exc) from None
     if head["colorspace"] == "bt709":
         attrs = bt709_to_rgb(attrs)
     return attrs, head

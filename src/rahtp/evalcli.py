@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CorruptStream, decode, encode, rgb_to_bt709
+from .codec import decode, encode, parse_header, rgb_to_bt709
 from .geometry import PointCloud, load_ply, save_ply, voxelize
 from .transform import (ApproxRoles, TransformConfig, analyze, synthesize,
                         truncate_to_level, TransformPlan)
@@ -119,8 +119,8 @@ def _load_voxelized(path, depth):
     return voxelize(cloud, depth)
 
 
-def _config(order, mode, k, scaling, tau=None, tolerance=None):
-    mk = lambda: ApproxConfig(order=k, step=tau, tolerance=tolerance)
+def _config(order, mode, k, scaling, tolerance=None):
+    mk = lambda: ApproxConfig(order=k, tolerance=tolerance)
     return TransformConfig(order=order, residual_mode=mode,
                            approx=ApproxRoles(encoder=mk(), decoder=mk(),
                                               split=mk()),
@@ -157,10 +157,8 @@ def cmd_encode(args):
 def cmd_decode(args):
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 7:
-        raise CorruptStream("stream shorter than fixed header")
-    depth = blob[6]      # depth byte position is fixed by the header layout
-    geom = _load_voxelized(args.geometry, depth)
+    head, _ = parse_header(blob)
+    geom = _load_voxelized(args.geometry, head["depth"])
     attrs, head = decode(blob, geom)
     save_ply(args.output, geom.positions, attrs)
     print("decoded %d voxels, %d channels, colorspace %s"

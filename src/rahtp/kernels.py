@@ -5,18 +5,17 @@ function to its children: order 1 (box) has unit weights on d in {0,1}^3,
 order 2 (tri-linear hat) has 2^(-|d|_1) on d in {-1,0,1}^3.
 
 The Gram tensor holds the basis inner products between the nodes of one
-level as a canonical CSR matrix; it is the identity at the finest level and
-is propagated coarser by G_ell = A_ell G_{ell+1} A_ell^T.  Basis supports
-only overlap between nodes in each other's {-1,0,1}^3 neighborhood, so each
-row has at most 27 entries.
+level as a canonical CSR matrix; it is a spectral.Operator, the one operator
+type the series run on.  It is the identity at the finest level and is
+propagated coarser by G_ell = A_ell G_{ell+1} A_ell^T.  Basis supports only
+overlap between nodes in each other's {-1,0,1}^3 neighborhood, so each row
+has at most 27 entries.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-# below this node count, stencil operators are applied as dense arrays
-# (measured crossover vs csr dispatch overhead for (N,3) right-hand sides)
-DENSE_CUTOFF = 256
+from .spectral import Operator
 
 
 def kernel_weight(order, d):
@@ -41,76 +40,36 @@ def kernel_weights(order, dvecs):
     raise ValueError("order must be 1 or 2")
 
 
-class GramTensor:
+class GramTensor(Operator):
     """The inner-product operator at one level, g(i,j) = <phi_i, phi_j>.
 
-    Stored as one CSR matrix in canonical form: sorted column indices and no
-    explicit zeros, so the nonzeros are exactly the overlapping basis pairs.
+    An Operator over one CSR matrix in canonical form: sorted column indices
+    and no explicit zeros, so the nonzeros are exactly the overlapping basis
+    pairs.
     """
-
-    def __init__(self, level, csr):
-        self.level = level
-        self.csr = csr
-        self._mat = None
-        self._iter = None
-
-    def __len__(self):
-        return self.csr.shape[0]
 
     @property
     def diagonal(self):
-        return self.csr.diagonal()
+        return self.mat.diagonal()
 
     def to_csr(self):
         """The canonical CSR matrix itself; callers must not modify it."""
-        return self.csr
+        return self.mat
 
     def scaled(self, d_self):
         """Return D^-1/2 G D^-1/2 with D = diag(d_self), as a new GramTensor."""
         s = 1.0 / np.sqrt(d_self)
-        csr = self.csr
+        csr = self.mat
         data = csr.data * s[csr.indices]
         data *= np.repeat(s, np.diff(csr.indptr))
-        return GramTensor(self.level, sp.csr_matrix(
+        return GramTensor(sp.csr_matrix(
             (data, csr.indices, csr.indptr), shape=csr.shape))
-
-    def _backing(self):
-        """Materialized operator: dense below DENSE_CUTOFF, csr above.
-
-        BLAS beats per-call sparse dispatch overhead on small levels, and
-        the cutoff depends only on the node count so encoder and decoder
-        round identically.
-        """
-        if self._mat is None:
-            n = len(self)
-            self._mat = self.csr.toarray() if n <= DENSE_CUTOFF else self.csr
-        return self._mat
-
-    def matvec(self, x):
-        """Apply the operator: out_i = sum_j g(i,j) x_j."""
-        return self._backing() @ np.asarray(x)
-
-    def iteration_matrix(self, tau):
-        """Cached L = I - tau*G in the backing's format; series hot path."""
-        if self._iter is None or self._iter[0] != tau:
-            mat = self._backing()
-            if isinstance(mat, np.ndarray):
-                lm = np.eye(mat.shape[0]) - tau * mat
-            else:
-                lm = (sp.identity(mat.shape[0], format="csr")
-                      - mat.multiply(tau)).tocsr()
-            self._iter = (tau, lm)
-        return self._iter[1]
-
-    def gershgorin(self):
-        """Max absolute row sum; an eigenvalue upper bound for the operator."""
-        return float(abs(self.csr).sum(axis=1).max())
 
 
 def gram_init(level_geom):
     """Identity Gram at the finest level (bases are voxel indicators there)."""
-    return GramTensor(level_geom.level,
-                      sp.identity(len(level_geom), dtype=np.float64, format="csr"))
+    return GramTensor(sp.identity(len(level_geom), dtype=np.float64,
+                                  format="csr"))
 
 
 def gram_downsample(gram, parent_geom, child_geom, order):
@@ -120,14 +79,14 @@ def gram_downsample(gram, parent_geom, child_geom, order):
     between nodes further apart violates the closure property and raises.
     """
     A = build_a_matrix(parent_geom, child_geom, order)
-    prod = (A @ gram.csr @ A.T).tocsr()
+    prod = (A @ gram.mat @ A.T).tocsr()
     prod.eliminate_zeros()
     prod.sort_indices()
     rows = np.repeat(np.arange(prod.shape[0]), np.diff(prod.indptr))
     d = parent_geom.nodes[prod.indices] - parent_geom.nodes[rows]
     if np.abs(d).max(initial=0) > 1:
         raise AssertionError("Gram entry escaped the 27-neighbor stencil")
-    return GramTensor(parent_geom.level, prod)
+    return GramTensor(prod)
 
 
 def build_a_matrix(parent_geom, child_geom, order):

@@ -1,4 +1,4 @@
-"""Sparse level-transfer operators and the high-pass lifting operator.
+"""Injective level splits and the high-pass lifting operator.
 
 A level pair (parent, child) is connected by the two-scale matrix A
 (parents x children, entries = kernel weights).  Splitting the children
@@ -13,28 +13,16 @@ SPD product M = A^a (A^a)^T and a truncated Neumann series for M^-1:
     (A^a)^-T x = M^-1 (A^a x)        (A^a)^-1 y = (A^a)^T M^-1 y
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import LevelGeometry
-from .kernels import DENSE_CUTOFF
-from .spectral import ApproxConfig, apply_series
+from .spectral import DENSE_CUTOFF, ApproxConfig, Operator, apply_series
 
 
 class SplitError(RuntimeError):
     """No injective parent->child assignment exists at this level."""
-
-
-def downsample(a_mat, x):
-    """Aggregate child features to parents: one matvec with A."""
-    return a_mat @ np.asarray(x, dtype=np.float64)
-
-
-def upsample(a_mat, x):
-    """Spread parent features to children: one matvec with A^T."""
-    return a_mat.T @ np.asarray(x, dtype=np.float64)
 
 
 @dataclass
@@ -43,14 +31,11 @@ class ASplit:
 
     a_indices[i] is the child column claimed by parent row i, so
     A[:, a_indices] is square; b_indices lists the other children in
-    ascending (Morton) order.  diag_dominant records whether A^a passed
-    a strict row diagonal-dominance check (a sufficient, not necessary,
-    invertibility certificate).
+    ascending (Morton) order.
     """
     level: int
     a_indices: np.ndarray
     b_indices: np.ndarray
-    diag_dominant: bool = False
 
 
 def _offset_priority(order):
@@ -112,20 +97,12 @@ def build_split(parent_geom, child_geom, order):
     return ASplit(parent_geom.level, a_idx, b_idx)
 
 
-def check_diag_dominance(a_mat, split):
-    """Strict row diagonal dominance of A^a = A[:, a_indices]."""
-    aa = a_mat[:, split.a_indices]
-    diag = np.abs(aa.diagonal())
-    rowsum = np.asarray(np.abs(aa).sum(axis=1)).ravel()
-    return bool(np.all(diag > rowsum - diag - 1e-15))
-
-
 class ZtildeOp:
     """Matrix-free Ztilde and Ztilde^T for one level pair.
 
-    Holds A, the split, the SPD product M = A^a A^a^T (explicit CSR, so the
-    Gershgorin bound is exact and deterministic) and the series config used
-    for all M^-1 solves.
+    Holds A, the split, the SPD product M = A^a A^a^T as an Operator over
+    explicit CSR (so the Gershgorin bound is exact and deterministic) and
+    the series config used for all M^-1 solves.
     """
 
     def __init__(self, a_mat, split, approx=None):
@@ -133,18 +110,15 @@ class ZtildeOp:
         self.split = split
         self.aa = self.a_mat[:, split.a_indices].tocsr()
         self.ab = self.a_mat[:, split.b_indices].tocsr()
-        self.m_mat = (self.aa @ self.aa.T).tocsr()
+        self._m_op = Operator((self.aa @ self.aa.T).tocsr())
         self.approx = approx if approx is not None else ApproxConfig()
-        bound = float(np.asarray(np.abs(self.m_mat).sum(axis=1)).max())
+        bound = self._m_op.gershgorin()
         self._m_bound = bound if bound > 0 else 1.0
-        split.diag_dominant = check_diag_dominance(self.a_mat, split)
         if self.aa.shape[0] <= DENSE_CUTOFF:
-            # small levels run dense; cutoff is a pure function of the node
-            # count so encoder and decoder round identically
+            # small levels run dense, as M does; the cutoff is a pure
+            # function of the node count so encoder and decoder agree
             self.aa = self.aa.toarray()
             self.ab = self.ab.toarray()
-            self.m_mat = self.m_mat.toarray()
-        self._m_op = _MatOperator(self.m_mat)
 
     @property
     def n_parent(self):
@@ -195,36 +169,3 @@ class ZtildeOp:
             sq = (sp.diags(1.0 / diag) @ self.ab).power(2)
             col = np.asarray(sq.sum(axis=0)).ravel()
         return 1.0 + col
-
-
-class _MatOperator:
-    """matvec protocol wrapper for either a CSR matrix or a dense array."""
-
-    def __init__(self, mat):
-        self.mat = mat
-        self._iter = None
-
-    def matvec(self, x):
-        return self.mat @ x
-
-    def iteration_matrix(self, tau):
-        """Cached L = I - tau*M in the matrix's own format."""
-        if self._iter is None or self._iter[0] != tau:
-            if isinstance(self.mat, np.ndarray):
-                lm = np.eye(self.mat.shape[0]) - tau * self.mat
-            else:
-                lm = (sp.identity(self.mat.shape[0], format="csr")
-                      - self.mat.multiply(tau)).tocsr()
-            self._iter = (tau, lm)
-        return self._iter[1]
-
-    def gershgorin(self):
-        return float(np.asarray(np.abs(self.mat).sum(axis=1)).max())
-
-    def __len__(self):
-        return self.mat.shape[0]
-
-
-def csr_operator(mat):
-    """Wrap a scipy CSR matrix in the matvec protocol used by apply_series."""
-    return _MatOperator(mat.tocsr())

@@ -8,11 +8,20 @@ so one matvec per term and no eigen-decomposition anywhere.  With
 tau <= 1/lambda_max the iteration matrix L has spectrum in [0, 1) on the
 range of X and the partial sums converge geometrically at rate
 1 - tau*lambda_min.
+
+Every X is an Operator: an explicit matrix (Grams, the lifting product M)
+with a cached iteration matrix and a Gershgorin bound, or a matrix-free
+callable (the critical-mode W composite) bounded by power iteration.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+# below this row count, sparse operators are applied as dense arrays
+# (measured crossover vs csr dispatch overhead for (N,3) right-hand sides)
+DENSE_CUTOFF = 256
 
 
 class SeriesDivergence(RuntimeError):
@@ -22,10 +31,7 @@ class SeriesDivergence(RuntimeError):
 @dataclass
 class ApproxConfig:
     order: int = 16                 # K, number of series terms beyond the 0th
-    step: float = None              # explicit tau; default 1/eigen_bound
-    bound_method: str = "gershgorin"
-    power_iters: int = 24
-    safety: float = 1.05            # multiplier on the power-iteration estimate
+    step: float = None              # explicit tau; default 1/gershgorin
     tolerance: float = None         # optional early stop on term norm
 
     def __post_init__(self):
@@ -33,8 +39,6 @@ class ApproxConfig:
             raise ValueError("series order K must be >= 0")
         if self.step is not None and self.step <= 0:
             raise ValueError("step tau must be positive")
-        if self.bound_method not in ("gershgorin", "power_iteration"):
-            raise ValueError("unknown bound method %r" % self.bound_method)
 
 
 _COEFF_CACHE = {}
@@ -74,49 +78,63 @@ def _series_scale(h, tau):
     return 1.0 / np.sqrt(tau)
 
 
-class DenseOperator:
-    """Adapter giving dense arrays the operator protocol used here."""
+class Operator:
+    """A symmetric PSD operator X: an explicit matrix or a callable.
 
-    def __init__(self, mat):
-        self.mat = np.asarray(mat, dtype=np.float64)
+    An explicit matrix (ndarray or scipy sparse) is kept in the form it was
+    given, and gershgorin sums the rows of that form.  A sparse matrix of at
+    most DENSE_CUTOFF rows is applied as a dense array: BLAS beats per-call
+    sparse dispatch on small levels, and the cutoff depends only on the row
+    count so encoder and decoder round identically.  A callable fn(x) of a
+    given dimension is matrix-free: it has no iteration matrix and only
+    power iteration can bound it.
+    """
+
+    def __init__(self, source, dim=None):
         self._iter = None
-
-    def matvec(self, x):
-        return self.mat @ x
-
-    def iteration_matrix(self, tau):
-        """Cached L = I - tau*X; lets the series run one gemm per term."""
-        if self._iter is None or self._iter[0] != tau:
-            self._iter = (tau, np.eye(self.mat.shape[0]) - tau * self.mat)
-        return self._iter[1]
-
-    def gershgorin(self):
-        return float(np.abs(self.mat).sum(axis=1).max())
-
-    def __len__(self):
-        return self.mat.shape[0]
-
-
-class CallableOperator:
-    """Adapter for matrix-free composites; only power iteration can bound it."""
-
-    def __init__(self, fn, dim):
-        self.fn = fn
-        self.dim = dim
-
-    def matvec(self, x):
-        return self.fn(x)
+        if callable(source):
+            self.mat = None
+            self.dim = dim
+            self._fn = source
+            return
+        if not sp.issparse(source):
+            source = np.asarray(source, dtype=np.float64)
+        self.mat = source
+        self.dim = source.shape[0]
+        small = sp.issparse(source) and self.dim <= DENSE_CUTOFF
+        self._applied = source.toarray() if small else source
 
     def __len__(self):
         return self.dim
 
+    def matvec(self, x):
+        if self.mat is None:
+            return self._fn(x)
+        return self._applied @ np.asarray(x)
 
-def as_operator(op):
-    if isinstance(op, np.ndarray):
-        return DenseOperator(op)
-    if hasattr(op, "matvec"):
-        return op
-    raise TypeError("operator must expose matvec or be a dense array")
+    def iteration_matrix(self, tau):
+        """Cached L = I - tau*X in the applied form; None for a callable.
+
+        Lets the series run one matrix product per term.
+        """
+        if self.mat is None:
+            return None
+        if self._iter is None or self._iter[0] != tau:
+            mat = self._applied
+            if isinstance(mat, np.ndarray):
+                lm = np.eye(self.dim) - tau * mat
+            else:
+                lm = (sp.identity(self.dim, format="csr")
+                      - mat.multiply(tau)).tocsr()
+            self._iter = (tau, lm)
+        return self._iter[1]
+
+    def gershgorin(self):
+        """Max absolute row sum; an eigenvalue upper bound for the operator."""
+        if self.mat is None:
+            raise ValueError("gershgorin bound needs explicit entries; "
+                             "use power_iteration for matrix-free composites")
+        return float(np.asarray(abs(self.mat).sum(axis=1)).max())
 
 
 def eigen_bound(op, method="gershgorin", iters=24, safety=1.05):
@@ -126,12 +144,8 @@ def eigen_bound(op, method="gershgorin", iters=24, safety=1.05):
     power_iteration runs a fixed, deterministic iteration from the all-ones
     vector and inflates the final Rayleigh quotient by the safety factor.
     """
-    op = as_operator(op)
     if method == "gershgorin":
-        if not hasattr(op, "gershgorin"):
-            raise ValueError("gershgorin bound needs explicit entries; "
-                             "use power_iteration for matrix-free composites")
-        return float(op.gershgorin())
+        return op.gershgorin()
     if method != "power_iteration":
         raise ValueError("unknown bound method %r" % method)
     n = len(op)
@@ -155,16 +169,15 @@ def apply_series(op, v, h, cfg, lam_max=None):
     """Evaluate c * sum b_k (I - tau X)^k v by iterated matvec.
 
     tau comes from cfg.step when given, else 1/lam_max with lam_max either
-    passed in or bounded via cfg.bound_method.  A zero operator bound is only
+    passed in or the Gershgorin bound.  A zero operator bound is only
     consistent with v = 0 for the inverse-like functions.
     """
-    op = as_operator(op)
     v = np.asarray(v, dtype=np.float64)
     if cfg.step is not None:
         tau = float(cfg.step)
     else:
         if lam_max is None:
-            lam_max = eigen_bound(op, cfg.bound_method, cfg.power_iters, cfg.safety)
+            lam_max = eigen_bound(op)
         if lam_max <= 0.0:
             if np.all(v == 0.0):
                 return v.copy()
@@ -182,12 +195,9 @@ def apply_series(op, v, h, cfg, lam_max=None):
     stop2 = None
     if cfg.tolerance is not None:
         stop2 = (cfg.tolerance * (1.0 + scale0)) ** 2
-    # long-lived operators expose L = I - tau X directly; one matmul per
+    # explicit operators expose L = I - tau X directly; one matmul per
     # term there instead of matvec + scale + subtract
-    lmat = None
-    getl = getattr(op, "iteration_matrix", None)
-    if getl is not None:
-        lmat = getl(tau)
+    lmat = op.iteration_matrix(tau)
     dense_l = isinstance(lmat, np.ndarray)
     nxt = np.empty_like(term) if dense_l else None
     tmp = np.empty_like(term)

@@ -22,9 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Hierarchy
-from .kernels import GramTensor, build_a_matrix, gram_levels
+from .kernels import build_a_matrix, gram_levels
 from .sparse_ops import SplitError, ZtildeOp, build_split
-from .spectral import ApproxConfig, CallableOperator, apply_series, eigen_bound
+from .spectral import ApproxConfig, Operator, apply_series, eigen_bound
 
 # accept a critical plane only when the decoder reproduces the residual to
 # this relative tolerance; with attribute scales near 255 and up to ~8
@@ -81,7 +81,6 @@ class CoeffSet:
     lowpass: np.ndarray
     highpass: list
     modes: str
-    scalers: dict = None
 
     def total_coeffs(self):
         return len(self.lowpass) + sum(len(h) for h in self.highpass)
@@ -157,9 +156,7 @@ class TransformPlan:
             bound = 0.0
         else:
             # composite operator: only power iteration applies, per design
-            bound = eigen_bound(w_op, "power_iteration",
-                                iters=self.config.approx.decoder.power_iters,
-                                safety=self.config.approx.decoder.safety)
+            bound = eigen_bound(w_op, "power_iteration")
         self._critical[level] = (zop, dpsi, w_op, bound)
         return self._critical[level]
 
@@ -174,7 +171,7 @@ class TransformPlan:
             y = apply_series(gram, y, "inv", cfg, lam_max=gb)
             return dis[:, None] * zop.mul(y)
 
-        return CallableOperator(w_mv, zop.n_high)
+        return Operator(w_mv, zop.n_high)
 
     # per-plane forward/backward maps; the decoder-side maps are the ones
     # the encoder feeds back into its state
@@ -269,15 +266,8 @@ def analyze(hierarchy, attributes, config, plan=None):
         highpass.append(plane)
         state = pred + decoded
 
-    scalers = None
-    if config.scaling:
-        scalers = {"d_phi": plan.d_phi,
-                   "d_psi": {l: plan._critical[l][1]
-                             for l in plan._critical
-                             if plan._critical[l] is not None and modes[l] == "c"}}
     return CoeffSet(order=hierarchy.order, depth=depth, channels=v.shape[1],
-                    lowpass=lowpass, highpass=highpass, modes="".join(modes),
-                    scalers=scalers)
+                    lowpass=lowpass, highpass=highpass, modes="".join(modes))
 
 
 def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
@@ -323,5 +313,5 @@ def truncate_to_level(coeffs: CoeffSet, level):
             planes.append(np.zeros_like(h))
     out = CoeffSet(order=coeffs.order, depth=coeffs.depth,
                    channels=coeffs.channels, lowpass=coeffs.lowpass.copy(),
-                   highpass=planes, modes=coeffs.modes, scalers=coeffs.scalers)
+                   highpass=planes, modes=coeffs.modes)
     return out, kept

@@ -185,8 +185,8 @@ def test_criterion4_orthogonality_identities():
 def test_criterion5_series_convergence():
     """Inverse-series error contracts by >= 2x per order doubling (8->16->32)
     on level Grams of a 200-point cloud, and the diagonal example is exact."""
-    from rahtp.spectral import DenseOperator
-    out = apply_series(DenseOperator(np.diag([2.0, 4.0])), np.ones((2, 1)),
+    from rahtp.spectral import Operator
+    out = apply_series(Operator(np.diag([2.0, 4.0])), np.ones((2, 1)),
                        "inv", ApproxConfig(order=3, step=0.25))
     assert out[:, 0].tolist() == [0.46875, 0.25]
 

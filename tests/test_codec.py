@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 import rahtp
-from rahtp.codec import (BitReader, BitWriter, CorruptStream, bt709_to_rgb,
-                         decode, dequantize, encode, quantize, rgb_to_bt709,
-                         rlgr_decode, rlgr_encode)
+from rahtp.codec import (CorruptStream, bt709_to_rgb, decode, dequantize,
+                         encode, quantize, rgb_to_bt709, rlgr_decode,
+                         rlgr_encode)
 from rahtp.evalcli import builtin_clouds
 from rahtp.transform import ApproxRoles, TransformConfig
 
@@ -16,27 +18,17 @@ def _codec_config(order=1, mode="overcomplete", k=16):
                            approx=ApproxRoles.uniform(k), scaling=True)
 
 
-def test_bit_io_roundtrip():
-    w = BitWriter()
-    w.write_bits(0b1011, 4)
-    w.write_unary(5)
-    w.write_bits(0xABCD, 16)
-    w.write_unary(0)
-    data = w.getvalue()
-    r = BitReader(data)
-    assert r.read_bits(4) == 0b1011
-    assert r.read_unary() == 5
-    assert r.read_bits(16) == 0xABCD
-    assert r.read_unary() == 0
-
-
-def test_bit_reader_truncation_raises():
-    r = BitReader(b"\xff")
-    r.read_bits(8)
-    with pytest.raises(CorruptStream):
-        r.read_bits(1)
-    with pytest.raises(CorruptStream):
-        BitReader(b"\xff\xff").read_unary()
+def test_rlgr_decode_truncation_raises():
+    rng = np.random.default_rng(4)
+    vals = np.round(rng.laplace(0.0, 3.0, 2000)).astype(np.int64)
+    data = rlgr_encode(vals)
+    cases = [(data[:-1], len(vals)),
+             (data[:len(data) // 2], len(vals)),
+             (b"\xff\xff", 1),          # a unary run with no terminator
+             (b"", 5)]
+    for cut, count in cases:
+        with pytest.raises(CorruptStream):
+            rlgr_decode(cut, count)
 
 
 def test_rlgr_roundtrip_distributions():
@@ -155,3 +147,32 @@ def test_bt709_colorspace_flag_roundtrip():
     recon, head = decode(blob, cl)
     assert head["colorspace"] == "bt709"
     assert np.abs(recon - cl.attributes).max() < 1.0
+
+
+def _patched(blob, fmt, offset, value):
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("field", [
+    "step=0", "step=-1", "step=nan", "step=inf", "tau=nan", "tau=-0.5",
+    "tau=inf", "tau=100", "order=3", "scaling=7", "trailing"])
+def test_decode_rejects_hostile_header_fields(field):
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(), 1.0)
+    depth = blob[6]
+    tau_at = 12 + depth            # after the mode bytes and the u16 K
+    name, _, value = field.partition("=")
+    if name == "step":
+        bad = _patched(blob, "<d", tau_at + 8, float(value))
+    elif name == "tau":
+        bad = _patched(blob, "<d", tau_at, float(value))
+    elif name == "order":
+        bad = _patched(blob, "<B", 5, int(value))
+    elif name == "scaling":
+        bad = _patched(blob, "<B", 7, int(value))
+    else:
+        bad = blob + b"\x00"
+    with pytest.raises(CorruptStream):
+        decode(bad, cl)

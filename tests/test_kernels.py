@@ -3,8 +3,9 @@ import pytest
 
 import rahtp
 from rahtp import oracle
-from rahtp.kernels import (GramTensor, build_a_matrix, gram_downsample,
-                           gram_init, gram_levels, kernel_weight)
+from rahtp.kernels import (build_a_matrix, gram_downsample, gram_init,
+                           gram_levels, kernel_weight)
+from rahtp.spectral import DENSE_CUTOFF
 
 from _helpers import pair_cloud, random_cloud
 
@@ -77,12 +78,26 @@ def test_a_matrix_box_partitions_children():
 
 
 def test_gram_tensor_matvec_matches_csr():
-    cl = random_cloud(14, 200, 3)
-    h = rahtp.build_hierarchy(cl, 2)
+    # the second cloud's finer levels exceed DENSE_CUTOFF, so both the
+    # dense and the CSR backing are exercised
     rng = np.random.default_rng(0)
-    for g in gram_levels(h):
-        x = rng.standard_normal((len(g), 3))
-        assert np.abs(g.matvec(x) - g.to_csr() @ x).max() < 1e-12
+    sizes = set()
+    for cl in (random_cloud(14, 200, 3), random_cloud(14, 700, 4)):
+        h = rahtp.build_hierarchy(cl, 2)
+        for g in gram_levels(h):
+            sizes.add(len(g) > DENSE_CUTOFF)
+            csr = g.to_csr()
+            x = rng.standard_normal((len(g), 3))
+            assert np.abs(g.matvec(x) - csr @ x).max() < 1e-12
+            tau = 1.0 / g.gershgorin()
+            lm = g.iteration_matrix(tau)
+            lm = lm if isinstance(lm, np.ndarray) else lm.toarray()
+            assert np.array_equal(lm, np.eye(len(g)) - tau * csr.toarray())
+            # row sums in CSR index order, as the bound has always summed
+            rows = [sum(abs(v) for v in csr.data[a:b])
+                    for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
+            assert g.gershgorin() == max(rows)
+    assert sizes == {False, True}
 
 
 def test_scaled_gram_has_unit_diagonal():

@@ -4,9 +4,8 @@ import pytest
 import rahtp
 from rahtp import oracle
 from rahtp.kernels import gram_levels
-from rahtp.spectral import (ApproxConfig, CallableOperator, DenseOperator,
-                            SeriesDivergence, apply_series, eigen_bound,
-                            series_coefficients)
+from rahtp.spectral import (ApproxConfig, Operator, SeriesDivergence,
+                            apply_series, eigen_bound, series_coefficients)
 
 from _helpers import random_cloud
 
@@ -31,7 +30,7 @@ def test_unknown_function_rejected():
 def test_inverse_series_diag_example_exact():
     # X = diag(2,4), tau = 1/4: geometric sums over (1 - x/4)
     # x=2: 0.25 * (1 + .5 + .25 + .125) = 0.46875;  x=4: exact after k=1
-    op = DenseOperator(np.diag([2.0, 4.0]))
+    op = Operator(np.diag([2.0, 4.0]))
     out = apply_series(op, np.ones((2, 1)), "inv",
                        ApproxConfig(order=3, step=0.25))
     assert out[:, 0].tolist() == [0.46875, 0.25]
@@ -46,16 +45,16 @@ def test_series_converges_to_matrix_functions():
     lam = np.linalg.eigvalsh(mat).max() * 1.01
     for h in ("inv", "invsqrt", "sqrt"):
         ref = oracle.matfun_exact(mat, h) @ v
-        out = apply_series(DenseOperator(mat), v, h, cfg, lam_max=lam)
+        out = apply_series(Operator(mat), v, h, cfg, lam_max=lam)
         assert np.abs(out - ref).max() < 1e-9, h
 
 
 def test_eigen_bound_gershgorin_identity():
-    assert eigen_bound(DenseOperator(np.eye(4))) == 1.0
+    assert eigen_bound(Operator(np.eye(4))) == 1.0
 
 
 def test_eigen_bound_power_iteration_diag():
-    bound = eigen_bound(DenseOperator(np.diag([2.0, 4.0])), "power_iteration")
+    bound = eigen_bound(Operator(np.diag([2.0, 4.0])), "power_iteration")
     assert 4.0 <= bound <= 4.2
 
 
@@ -63,7 +62,7 @@ def test_power_iteration_deterministic():
     rng = np.random.default_rng(1)
     b = rng.standard_normal((8, 8))
     mat = b @ b.T
-    op = DenseOperator(mat)
+    op = Operator(mat)
     b1 = eigen_bound(op, "power_iteration")
     b2 = eigen_bound(op, "power_iteration")
     assert b1 == b2
@@ -71,7 +70,7 @@ def test_power_iteration_deterministic():
 
 
 def test_gershgorin_refused_for_matrix_free():
-    op = CallableOperator(lambda x: x, 3)
+    op = Operator(lambda x: x, 3)
     with pytest.raises(ValueError):
         eigen_bound(op, "gershgorin")
 
@@ -102,14 +101,14 @@ def test_error_halves_when_order_doubles():
 
 
 def test_divergence_guard_raises():
-    op = DenseOperator(np.diag([2.0, 4.0]))
+    op = Operator(np.diag([2.0, 4.0]))
     with pytest.raises(SeriesDivergence):
         apply_series(op, np.ones((2, 1)), "inv",
                      ApproxConfig(order=32), lam_max=0.1)
 
 
 def test_zero_bound_semantics():
-    op = DenseOperator(np.zeros((2, 2)))
+    op = Operator(np.zeros((2, 2)))
     z = np.zeros((2, 1))
     v = np.ones((2, 1))
     cfg = ApproxConfig(order=4)
@@ -125,9 +124,9 @@ def test_tolerance_early_stop_matches_full_run():
     mat = b @ b.T + 2.0 * np.eye(5)
     v = rng.standard_normal((5, 1))
     lam = np.linalg.eigvalsh(mat).max() * 1.01
-    full = apply_series(DenseOperator(mat), v, "invsqrt",
+    full = apply_series(Operator(mat), v, "invsqrt",
                         ApproxConfig(order=2000), lam_max=lam)
-    early = apply_series(DenseOperator(mat), v, "invsqrt",
+    early = apply_series(Operator(mat), v, "invsqrt",
                          ApproxConfig(order=2000, tolerance=1e-14), lam_max=lam)
     assert np.abs(full - early).max() < 1e-10
 
@@ -135,7 +134,7 @@ def test_tolerance_early_stop_matches_full_run():
 def test_identity_returning_operator_is_not_corrupted():
     # an operator that hands back its input array must not be clobbered by
     # the in-place update loop
-    op = CallableOperator(lambda x: x, 3)
+    op = Operator(lambda x: x, 3)
     v = np.ones((3, 1))
     out = apply_series(op, v, "inv", ApproxConfig(order=200), lam_max=1.0)
     assert np.abs(out - 1.0).max() < 1e-12
@@ -146,5 +145,3 @@ def test_config_validation():
         ApproxConfig(order=-1)
     with pytest.raises(ValueError):
         ApproxConfig(step=0.0)
-    with pytest.raises(ValueError):
-        ApproxConfig(bound_method="exact")
