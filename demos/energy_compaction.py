@@ -9,20 +9,18 @@ order 1 on smooth content.  `rahtp compaction` writes this to CSV.
 
 import numpy as np
 
-from rahtp import (ApproxConfig, ApproxRoles, TransformConfig, TransformPlan,
-                   analyze, build_hierarchy, make_synthetic_cloud, synthesize,
+from rahtp import (ApproxConfig, TransformConfig, TransformPlan, analyze,
+                   build_hierarchy, make_synthetic_cloud, synthesize,
                    truncate_to_level)
 
 
 def main():
     cloud = make_synthetic_cloud("sphere", count=10000, depth=6, seed=0)
     print("cloud: %d voxels, depth %d" % (len(cloud.positions), cloud.depth))
-    mk = lambda: ApproxConfig(order=1024, tolerance=1e-12)
+    series = ApproxConfig(order=1024, tolerance=1e-12)
     for order in (1, 2):
         config = TransformConfig(order=order, residual_mode="overcomplete",
-                                 approx=ApproxRoles(encoder=mk(), decoder=mk(),
-                                                    split=mk()),
-                                 scaling=True)
+                                 approx=series, scaling=True)
         hierarchy = build_hierarchy(cloud, order)
         plan = TransformPlan(hierarchy, config)
         coeffs = analyze(hierarchy, cloud.attributes, config, plan=plan)

@@ -6,7 +6,7 @@ rate-distortion trade on smooth attribute fields, most visibly at low rates.
 The `rahtp rd` subcommand writes the same sweep to CSV for real inputs.
 """
 
-from rahtp import (ApproxRoles, TransformConfig, compute_metrics, decode,
+from rahtp import (ApproxConfig, TransformConfig, compute_metrics, decode,
                    encode, make_synthetic_cloud)
 from rahtp.codec import rgb_to_bt709
 
@@ -25,7 +25,7 @@ def main():
         cells = []
         for order in (1, 2):
             config = TransformConfig(order=order, residual_mode="critical",
-                                     approx=ApproxRoles.uniform(32),
+                                     approx=ApproxConfig(order=32),
                                      scaling=True)
             blob, stats = encode(cloud, config, step, colorspace="bt709")
             rec, _ = decode(blob, cloud)

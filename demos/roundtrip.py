@@ -15,7 +15,7 @@ neighbors too strongly for the truncated-series gate at this tolerance.
 
 import numpy as np
 
-from rahtp import (ApproxRoles, PointCloud, TransformConfig, analyze,
+from rahtp import (ApproxConfig, PointCloud, TransformConfig, analyze,
                    build_hierarchy, decode, encode, make_synthetic_cloud,
                    synthesize, voxelize)
 
@@ -35,7 +35,7 @@ def main():
         hierarchy = build_hierarchy(cloud, order)
         for mode in ("overcomplete", "critical"):
             config = TransformConfig(order=order, residual_mode=mode,
-                                     approx=ApproxRoles.uniform(64),
+                                     approx=ApproxConfig(order=64),
                                      scaling=True)
             coeffs = analyze(hierarchy, cloud.attributes, config)
             rec = synthesize(hierarchy, coeffs, config)
@@ -48,7 +48,7 @@ def main():
     print("\nbitstream round trip, smooth cloud of %d voxels (step 0.25)" % ns)
     for order in (1, 2):
         config = TransformConfig(order=order, residual_mode="critical",
-                                 approx=ApproxRoles.uniform(32), scaling=True)
+                                 approx=ApproxConfig(order=32), scaling=True)
         blob, stats = encode(smooth, config, 0.25)
         rec, _ = decode(blob, smooth)
         err = np.abs(rec - smooth.attributes).max()

@@ -11,6 +11,9 @@ Container layout (little endian):
   | colorspace u8 | modes (depth bytes, 'c'/'o') | K u16 | tau f64
   | quant steps (channels x f64) | node_count u32 | geometry digest u64
   | per channel, per plane (lowpass then each level): u32 length + payload
+
+The tau slot is reserved and always 0.0: every series runs at tau = 1/bound,
+with the bound recomputed from the geometry on both sides.
 """
 
 import struct
@@ -18,8 +21,8 @@ import struct
 import numpy as np
 
 from .geometry import build_hierarchy, geometry_digest
-from .spectral import SeriesDivergence
-from .transform import ApproxRoles, CoeffSet, TransformConfig, analyze, synthesize
+from .spectral import ApproxConfig, SeriesDivergence
+from .transform import CoeffSet, TransformConfig, analyze, synthesize
 
 KP_INIT = 32
 KP_MAX = 384
@@ -297,27 +300,24 @@ def bt709_to_rgb(yuv):
     return np.stack([r, g, b], axis=1)
 
 
-def _uniform_k(config: TransformConfig):
-    ks = {config.approx.encoder.order, config.approx.decoder.order,
-          config.approx.split.order}
-    if len(ks) != 1:
-        raise ValueError("bitstream carries a single K; use uniform approx roles")
-    taus = {config.approx.encoder.step, config.approx.decoder.step,
-            config.approx.split.step}
-    if len(taus) != 1:
-        raise ValueError("bitstream carries a single tau; use uniform roles")
-    return ks.pop(), taus.pop()
-
-
 def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     """Encode voxelized cloud attributes; returns (blob, stats dict).
 
     steps is one quantization step per channel (a scalar broadcasts).
     Geometry itself is not coded; the header stores a digest so decode can
-    verify it was handed the same voxel set.
+    verify it was handed the same voxel set.  The header carries the series
+    order K as a u16 but no early-stop tolerance, so config.approx.tolerance
+    must be None: a decoder running the full series would not match the
+    encoder's closed loop.
     """
     if colorspace not in COLORSPACES:
         raise ValueError("unknown colorspace %r" % colorspace)
+    if config.approx.tolerance is not None:
+        raise ValueError("the stream carries no series tolerance; "
+                         "encode with approx.tolerance=None")
+    if config.approx.order > 0xFFFF:
+        raise ValueError("the stream carries K as a u16; %d is too large"
+                         % config.approx.order)
     hierarchy = build_hierarchy(cloud, config.order)
     attrs = cloud.attributes
     if colorspace == "bt709":
@@ -329,13 +329,12 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     if np.any(steps <= 0):
         raise ValueError("quantization step must be positive")
     coeffs = analyze(hierarchy, attrs, config)
-    k_order, tau = _uniform_k(config)
 
     header = struct.pack("<4sBBBBBB", MAGIC, VERSION, config.order,
                          hierarchy.depth, int(config.scaling), cloud.channels,
                          COLORSPACES[colorspace])
     header += coeffs.modes.encode("ascii")
-    header += struct.pack("<Hd", k_order, 0.0 if tau is None else tau)
+    header += struct.pack("<Hd", config.approx.order, 0.0)
     header += struct.pack("<%dd" % cloud.channels, *steps)
     header += struct.pack("<IQ", hierarchy.num_points,
                           geometry_digest(cloud.positions, hierarchy.depth))
@@ -361,8 +360,9 @@ def parse_header(data):
     """Validate the container header; returns (header dict, payload offset).
 
     Fields outside the range an encoder writes (order, scaling flag,
-    colorspace, modes, tau, steps) raise CorruptStream instead of steering
-    the decoder; an altered value inside its range is not detected here.
+    colorspace, modes, steps) raise CorruptStream instead of steering the
+    decoder, and so does any tau but 0.0: the slot is reserved.  An altered
+    value inside its range is not detected here.
     """
     base = struct.calcsize("<4sBBBBBB")
     if len(data) < base:
@@ -393,13 +393,13 @@ def parse_header(data):
         off += struct.calcsize("<IQ")
     except struct.error:
         raise CorruptStream("stream shorter than its header") from None
-    if not 0.0 <= tau < np.inf:
-        raise CorruptStream("series step tau must be finite and >= 0")
+    if tau != 0.0:
+        raise CorruptStream("reserved tau slot holds %r, not 0.0" % tau)
     if not np.all((steps > 0.0) & (steps < np.inf)):
         raise CorruptStream("quantization steps must be finite and positive")
     return {"order": order, "depth": depth, "scaling": bool(scaling),
             "channels": channels, "colorspace": COLORSPACE_NAMES[cspace],
-            "modes": modes, "k": k_order, "tau": tau, "steps": steps,
+            "modes": modes, "k": k_order, "steps": steps,
             "node_count": node_count, "digest": digest}, off
 
 
@@ -419,12 +419,9 @@ def decode(data, cloud):
     if geometry_digest(cloud.positions, head["depth"]) != head["digest"]:
         raise CorruptStream("geometry digest mismatch")
 
-    config = TransformConfig(
-        order=head["order"], depth=head["depth"],
-        residual_mode="overcomplete",
-        approx=ApproxRoles.uniform(head["k"],
-                                   None if head["tau"] == 0.0 else head["tau"]),
-        scaling=head["scaling"])
+    config = TransformConfig(order=head["order"],
+                             approx=ApproxConfig(order=head["k"]),
+                             scaling=head["scaling"])
     counts = [len(hierarchy.levels[0].nodes)]
     for l, mode in enumerate(head["modes"]):
         n_child = len(hierarchy.levels[l + 1].nodes)
@@ -454,8 +451,8 @@ def decode(data, cloud):
     try:
         attrs = synthesize(hierarchy, coeffs, config)
     except SeriesDivergence as exc:
-        # with the encoder's tau, or the default 1/bound, every series
-        # contracts; divergence means the header's tau was altered
+        # at tau = 1/bound every series contracts on encoder-written planes;
+        # divergence means the planes or steps were altered
         raise CorruptStream("series diverged: %s" % exc) from None
     if head["colorspace"] == "bt709":
         attrs = bt709_to_rgb(attrs)

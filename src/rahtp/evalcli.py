@@ -15,7 +15,7 @@ import numpy as np
 
 from .codec import decode, encode, parse_header, rgb_to_bt709
 from .geometry import PointCloud, load_ply, save_ply, voxelize
-from .transform import (ApproxRoles, TransformConfig, analyze, synthesize,
+from .transform import (TransformConfig, analyze, synthesize,
                         truncate_to_level, TransformPlan)
 from .geometry import build_hierarchy
 from . import oracle
@@ -120,10 +120,8 @@ def _load_voxelized(path, depth):
 
 
 def _config(order, mode, k, scaling, tolerance=None):
-    mk = lambda: ApproxConfig(order=k, tolerance=tolerance)
     return TransformConfig(order=order, residual_mode=mode,
-                           approx=ApproxRoles(encoder=mk(), decoder=mk(),
-                                              split=mk()),
+                           approx=ApproxConfig(order=k, tolerance=tolerance),
                            scaling=scaling)
 
 

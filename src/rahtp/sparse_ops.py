@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .spectral import DENSE_CUTOFF, ApproxConfig, Operator, apply_series
+from .spectral import DENSE_CUTOFF, Operator, apply_series
 
 
 class SplitError(RuntimeError):
@@ -105,13 +105,13 @@ class ZtildeOp:
     the series config used for all M^-1 solves.
     """
 
-    def __init__(self, a_mat, split, approx=None):
+    def __init__(self, a_mat, split, approx):
         self.a_mat = a_mat.tocsr()
         self.split = split
         self.aa = self.a_mat[:, split.a_indices].tocsr()
         self.ab = self.a_mat[:, split.b_indices].tocsr()
         self._m_op = Operator((self.aa @ self.aa.T).tocsr())
-        self.approx = approx if approx is not None else ApproxConfig()
+        self.approx = approx
         bound = self._m_op.gershgorin()
         self._m_bound = bound if bound > 0 else 1.0
         if self.aa.shape[0] <= DENSE_CUTOFF:

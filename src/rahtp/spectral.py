@@ -4,10 +4,10 @@ Everything is a truncated series around 1/tau:
 
     h(X) v  ~=  c * sum_{k=0..K} b_k L^k v,   L = I - tau X,
 
-so one matvec per term and no eigen-decomposition anywhere.  With
-tau <= 1/lambda_max the iteration matrix L has spectrum in [0, 1) on the
-range of X and the partial sums converge geometrically at rate
-1 - tau*lambda_min.
+so one matvec per term and no eigen-decomposition anywhere.  tau is
+1/lambda_max for an upper bound lambda_max on the spectrum of X; then the
+iteration matrix L has spectrum in [0, 1) on the range of X and the partial
+sums converge geometrically at rate 1 - tau*lambda_min.
 
 Every X is an Operator: an explicit matrix (Grams, the lifting product M)
 with a cached iteration matrix and a Gershgorin bound, or a matrix-free
@@ -23,6 +23,12 @@ import scipy.sparse as sp
 # (measured crossover vs csr dispatch overhead for (N,3) right-hand sides)
 DENSE_CUTOFF = 256
 
+# power iteration for matrix-free bounds: fixed step count from a fixed
+# start vector (so encoder and decoder agree) and the inflation of its
+# final Rayleigh quotient
+POWER_ITERS = 24
+POWER_SAFETY = 1.05
+
 
 class SeriesDivergence(RuntimeError):
     """Raised when series terms blow up (bad step, indefinite operator...)."""
@@ -31,14 +37,11 @@ class SeriesDivergence(RuntimeError):
 @dataclass
 class ApproxConfig:
     order: int = 16                 # K, number of series terms beyond the 0th
-    step: float = None              # explicit tau; default 1/gershgorin
     tolerance: float = None         # optional early stop on term norm
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("series order K must be >= 0")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step tau must be positive")
 
 
 _COEFF_CACHE = {}
@@ -133,27 +136,24 @@ class Operator:
         """Max absolute row sum; an eigenvalue upper bound for the operator."""
         if self.mat is None:
             raise ValueError("gershgorin bound needs explicit entries; "
-                             "use power_iteration for matrix-free composites")
+                             "use eigen_bound for matrix-free composites")
         return float(np.asarray(abs(self.mat).sum(axis=1)).max())
 
 
-def eigen_bound(op, method="gershgorin", iters=24, safety=1.05):
+def eigen_bound(op):
     """Upper bound on the top eigenvalue of a symmetric PSD operator.
 
-    gershgorin uses explicit stencil/matrix row sums (never underestimates);
-    power_iteration runs a fixed, deterministic iteration from the all-ones
-    vector and inflates the final Rayleigh quotient by the safety factor.
+    Runs POWER_ITERS deterministic power steps from the all-ones vector and
+    inflates the final Rayleigh quotient by POWER_SAFETY.  Works through
+    matvec alone, so it also bounds matrix-free composites; an explicit
+    matrix has the cheaper, never-underestimating Operator.gershgorin.
     """
-    if method == "gershgorin":
-        return op.gershgorin()
-    if method != "power_iteration":
-        raise ValueError("unknown bound method %r" % method)
     n = len(op)
     if n == 0:
         return 0.0
     q = np.full((n, 1), 1.0 / np.sqrt(n))
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         z = op.matvec(q)
         lam = float((q[:, 0] @ z[:, 0]))
         nz = float(np.linalg.norm(z))
@@ -162,29 +162,24 @@ def eigen_bound(op, method="gershgorin", iters=24, safety=1.05):
         q = z / nz
     if not np.isfinite(lam) or lam < 0:
         raise SeriesDivergence("power iteration produced a non-PSD estimate")
-    return safety * lam
+    return POWER_SAFETY * lam
 
 
-def apply_series(op, v, h, cfg, lam_max=None):
+def apply_series(op, v, h, cfg, lam_max):
     """Evaluate c * sum b_k (I - tau X)^k v by iterated matvec.
 
-    tau comes from cfg.step when given, else 1/lam_max with lam_max either
-    passed in or the Gershgorin bound.  A zero operator bound is only
-    consistent with v = 0 for the inverse-like functions.
+    tau = 1/lam_max, with lam_max an upper bound on the spectrum of X.  A
+    zero operator bound is only consistent with v = 0 for the inverse-like
+    functions.
     """
     v = np.asarray(v, dtype=np.float64)
-    if cfg.step is not None:
-        tau = float(cfg.step)
-    else:
-        if lam_max is None:
-            lam_max = eigen_bound(op)
-        if lam_max <= 0.0:
-            if np.all(v == 0.0):
-                return v.copy()
-            if h == "sqrt":
-                return np.zeros_like(v)
-            raise SeriesDivergence("zero operator bound with nonzero input")
-        tau = 1.0 / lam_max
+    if lam_max <= 0.0:
+        if np.all(v == 0.0):
+            return v.copy()
+        if h == "sqrt":
+            return np.zeros_like(v)
+        raise SeriesDivergence("zero operator bound with nonzero input")
+    tau = 1.0 / lam_max
     b = series_coefficients(h, cfg.order)
     c = _series_scale(h, tau)
     term = v.copy()

@@ -34,37 +34,28 @@ from .spectral import ApproxConfig, Operator, apply_series, eigen_bound
 GATE_RTOL = 1e-10
 
 
-@dataclass
 class ApproxRoles:
-    """Series configs by operator role; decoder ops are shared by the
-    encoder's state updates so both sides stay bit-identical."""
-    encoder: ApproxConfig = field(default_factory=ApproxConfig)
-    decoder: ApproxConfig = field(default_factory=ApproxConfig)
-    split: ApproxConfig = field(default_factory=ApproxConfig)
-
-    @classmethod
-    def uniform(cls, order, step=None):
-        mk = lambda: ApproxConfig(order=order, step=step)
-        return cls(encoder=mk(), decoder=mk(), split=mk())
+    """Compatibility name: ApproxRoles.uniform(k) is ApproxConfig(order=k)."""
+    @staticmethod
+    def uniform(order):
+        return ApproxConfig(order=order)
 
 
 @dataclass
 class TransformConfig:
-    order: int = 1
-    depth: int = 1
-    residual_mode: str = "overcomplete"   # critical | overcomplete | per-level seq
-    approx: ApproxRoles = field(default_factory=ApproxRoles)
-    scaling: bool = True
-    gate_rtol: float = GATE_RTOL
+    """One series config drives every operator: encoder, decoder and split.
 
-    def mode_for(self, level):
-        if isinstance(self.residual_mode, str):
-            m = self.residual_mode
-        else:
-            m = self.residual_mode[level]
-        if m not in ("critical", "overcomplete"):
-            raise ValueError("unknown residual mode %r" % m)
-        return "c" if m == "critical" else "o"
+    The bitstream carries its order K, so encoder and decoder run the same
+    series and stay bit-identical.
+    """
+    order: int = 1
+    residual_mode: str = "overcomplete"   # critical | overcomplete
+    approx: ApproxConfig = field(default_factory=ApproxConfig)
+    scaling: bool = True
+
+    def __post_init__(self):
+        if self.residual_mode not in ("critical", "overcomplete"):
+            raise ValueError("unknown residual mode %r" % (self.residual_mode,))
 
 
 @dataclass
@@ -86,7 +77,7 @@ class CoeffSet:
         return len(self.lowpass) + sum(len(h) for h in self.highpass)
 
 
-def apply_basis_scaling(hierarchy, grams, a_mats):
+def apply_basis_scaling(grams, a_mats):
     """Unit-norm diagonal preconditioning of the basis.
 
     Returns (d_phi per level, scaled A list, scaled Gram list) with
@@ -121,24 +112,25 @@ class TransformPlan:
                              % (config.order, hierarchy.order))
         self.hierarchy = hierarchy
         self.config = config
-        self.grams_raw = gram_levels(hierarchy)
-        self.a_raw = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
-                                     hierarchy.order)
-                      for l in range(hierarchy.depth)]
+        grams = gram_levels(hierarchy)
+        a_mats = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
+                                 hierarchy.order)
+                  for l in range(hierarchy.depth)]
         if config.scaling:
             self.d_phi, self.a_mats, self.grams = apply_basis_scaling(
-                hierarchy, self.grams_raw, self.a_raw)
+                grams, a_mats)
         else:
-            self.d_phi = [g.diagonal.copy() for g in self.grams_raw]
-            self.a_mats = self.a_raw
-            self.grams = self.grams_raw
+            self.d_phi = [g.diagonal.copy() for g in grams]
+            self.a_mats = a_mats
+            self.grams = grams
         self.g_bounds = [max(g.gershgorin(), np.finfo(np.float64).tiny)
                          for g in self.grams]
         self._critical = {}
 
     def critical_ops(self, level):
-        """(ZtildeOp, dpsi, w_bound) for one level step, or None when no
-        injective split exists there."""
+        """(zop, dpsi, w_op, bound) for one level step: the ZtildeOp, the
+        high-pass diagonal scale, the matrix-free W operator and its
+        eigenvalue bound; None when no injective split exists there."""
         if level in self._critical:
             return self._critical[level]
         try:
@@ -148,22 +140,22 @@ class TransformPlan:
         except SplitError:
             self._critical[level] = None
             return None
-        zop = ZtildeOp(self.a_mats[level], split, approx=self.config.approx.split)
+        zop = ZtildeOp(self.a_mats[level], split, approx=self.config.approx)
         dpsi = zop.dpsi_estimate()
         w_op = self._w_operator(level, zop, dpsi)
         n_b = zop.n_high
         if n_b == 0:
             bound = 0.0
         else:
-            # composite operator: only power iteration applies, per design
-            bound = eigen_bound(w_op, "power_iteration")
+            # composite operator: only power iteration applies
+            bound = eigen_bound(w_op)
         self._critical[level] = (zop, dpsi, w_op, bound)
         return self._critical[level]
 
     def _w_operator(self, level, zop, dpsi):
         gram = self.grams[level + 1]
         gb = self.g_bounds[level + 1]
-        cfg = self.config.approx.decoder
+        cfg = self.config.approx
         dis = 1.0 / np.sqrt(dpsi)
 
         def w_mv(x):
@@ -179,28 +171,28 @@ class TransformPlan:
     def forward_over(self, level, df):
         gram = self.grams[level + 1]
         return apply_series(gram, gram.matvec(df), "invsqrt",
-                            self.config.approx.encoder,
+                            self.config.approx,
                             lam_max=self.g_bounds[level + 1])
 
     def decode_over(self, level, plane):
         gram = self.grams[level + 1]
         return apply_series(gram, plane, "invsqrt",
-                            self.config.approx.decoder,
+                            self.config.approx,
                             lam_max=self.g_bounds[level + 1])
 
     def forward_critical(self, level, df, ops):
         zop, dpsi, w_op, bound = ops
         z = zop.mul(df) / np.sqrt(dpsi)[:, None]
-        return apply_series(w_op, z, "invsqrt",
-                            self.config.approx.encoder, lam_max=bound)
+        return apply_series(w_op, z, "invsqrt", self.config.approx,
+                            lam_max=bound)
 
     def decode_critical(self, level, plane, ops):
         zop, dpsi, w_op, bound = ops
-        y = apply_series(w_op, plane, "invsqrt",
-                         self.config.approx.decoder, lam_max=bound)
+        y = apply_series(w_op, plane, "invsqrt", self.config.approx,
+                         lam_max=bound)
         x = zop.mul_t(y / np.sqrt(dpsi)[:, None])
         return apply_series(self.grams[level + 1], x, "inv",
-                            self.config.approx.decoder,
+                            self.config.approx,
                             lam_max=self.g_bounds[level + 1])
 
 
@@ -226,28 +218,28 @@ def analyze(hierarchy, attributes, config, plan=None):
     if len(v) != hierarchy.num_points:
         raise ValueError("attribute rows do not match point count")
     depth = hierarchy.depth
-    enc = config.approx.encoder
-    dec = config.approx.decoder
+    cfg = config.approx
 
     f_dual = [None] * (depth + 1)
     f_dual[depth] = v / np.sqrt(plan.d_phi[depth])[:, None] if config.scaling else v.copy()
     for l in range(depth - 1, -1, -1):
         f_dual[l] = plan.a_mats[l] @ f_dual[l + 1]
-    f_ideal = [apply_series(plan.grams[l], f_dual[l], "inv", enc,
+    f_ideal = [apply_series(plan.grams[l], f_dual[l], "inv", cfg,
                             lam_max=plan.g_bounds[l])
                for l in range(depth + 1)]
 
-    lowpass = apply_series(plan.grams[0], f_ideal[0], "sqrt", enc,
+    lowpass = apply_series(plan.grams[0], f_ideal[0], "sqrt", cfg,
                            lam_max=plan.g_bounds[0])
-    state = apply_series(plan.grams[0], lowpass, "invsqrt", dec,
+    state = apply_series(plan.grams[0], lowpass, "invsqrt", cfg,
                          lam_max=plan.g_bounds[0])
 
+    requested = "c" if config.residual_mode == "critical" else "o"
     modes = []
     highpass = []
     for l in range(depth):
         pred = plan.a_mats[l].T @ state
         df = f_ideal[l + 1] - pred
-        mode = config.mode_for(l)
+        mode = requested
         plane = decoded = None
         if mode == "c":
             ops = plan.critical_ops(l)
@@ -256,7 +248,7 @@ def analyze(hierarchy, attributes, config, plan=None):
             else:
                 plane = plan.forward_critical(l, df, ops)
                 decoded = plan.decode_critical(l, plane, ops)
-                gate = config.gate_rtol * (1.0 + np.abs(df).max(initial=0.0))
+                gate = GATE_RTOL * (1.0 + np.abs(df).max(initial=0.0))
                 if np.abs(df - decoded).max(initial=0.0) > gate:
                     mode = "o"
         if mode == "o":
@@ -275,9 +267,8 @@ def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
     decoded residual, following the per-level modes recorded at encode."""
     if plan is None:
         plan = TransformPlan(hierarchy, config)
-    dec = config.approx.decoder
     state = apply_series(plan.grams[0], _as_features(coeffs.lowpass), "invsqrt",
-                         dec, lam_max=plan.g_bounds[0])
+                         config.approx, lam_max=plan.g_bounds[0])
     for l, mode in enumerate(coeffs.modes):
         pred = plan.a_mats[l].T @ state
         plane = _as_features(coeffs.highpass[l])

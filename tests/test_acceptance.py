@@ -21,8 +21,8 @@ from rahtp.evalcli import make_synthetic_cloud
 from rahtp.kernels import build_a_matrix, gram_levels
 from rahtp.sparse_ops import SplitError, build_split
 from rahtp.spectral import ApproxConfig, apply_series
-from rahtp.transform import (ApproxRoles, TransformConfig, TransformPlan,
-                             analyze, synthesize, truncate_to_level)
+from rahtp.transform import (TransformConfig, TransformPlan, analyze,
+                             synthesize, truncate_to_level)
 
 from _helpers import pair_cloud
 
@@ -46,7 +46,7 @@ def test_criterion1_perfect_reconstruction():
     """Round trip <= 1e-6 on 20 clouds, both bases, both residual modes,
     scaling on, series order 64, within 30 s total."""
     t0 = time.perf_counter()
-    roles = ApproxRoles.uniform(64)
+    series = ApproxConfig(order=64)
     worst = 0.0
     for ci, cl in enumerate(_sweep_clouds()):
         for order in (1, 2):
@@ -54,7 +54,7 @@ def test_criterion1_perfect_reconstruction():
             plan = None
             for mode in ("critical", "overcomplete"):
                 cfg = TransformConfig(order=order, residual_mode=mode,
-                                      approx=roles, scaling=True)
+                                      approx=series, scaling=True)
                 if plan is None:
                     plan = TransformPlan(h, cfg)
                 co = analyze(h, cl.attributes, cfg, plan=plan)
@@ -86,9 +86,7 @@ def test_criterion2_projection_equivalence():
     for order in (1, 2):
         h = rahtp.build_hierarchy(cl, order)
         cfg = TransformConfig(order=order, scaling=False,
-                              approx=ApproxRoles(encoder=cfg_series,
-                                                 decoder=cfg_series,
-                                                 split=cfg_series))
+                              approx=cfg_series)
         plan = TransformPlan(h, cfg)
         f_dual = cl.attributes.astype(np.float64)
         duals = [f_dual]
@@ -112,12 +110,12 @@ def _parseval_error(order):
     encoding with requested critical mode in the production configuration
     (levels the gate rejects emit overcomplete planes, which also carry
     exactly the residual function's energy when the operators are exact)."""
-    roles = ApproxRoles.uniform(64)
+    series = ApproxConfig(order=64)
     worst = 0.0
     for cl in _sweep_clouds():
         h = rahtp.build_hierarchy(cl, order)
         cfg = TransformConfig(order=order, residual_mode="critical",
-                              approx=roles, scaling=True)
+                              approx=series, scaling=True)
         co = analyze(h, cl.attributes, cfg)
         signal = float((cl.attributes ** 2).sum())
         coeff = float((co.lowpass ** 2).sum())
@@ -187,7 +185,7 @@ def test_criterion5_series_convergence():
     on level Grams of a 200-point cloud, and the diagonal example is exact."""
     from rahtp.spectral import Operator
     out = apply_series(Operator(np.diag([2.0, 4.0])), np.ones((2, 1)),
-                       "inv", ApproxConfig(order=3, step=0.25))
+                       "inv", ApproxConfig(order=3), lam_max=4.0)
     assert out[:, 0].tolist() == [0.46875, 0.25]
 
     rng = np.random.default_rng(5)
@@ -270,7 +268,7 @@ def test_criterion6_classical_equivalence():
     cl = pair_cloud(3.0, 11.0)
     h = rahtp.build_hierarchy(cl, 1)
     cfg = TransformConfig(order=1, residual_mode="critical",
-                          approx=ApproxRoles.uniform(64), scaling=True)
+                          approx=ApproxConfig(order=64), scaling=True)
     co = analyze(h, cl.attributes, cfg)
     assert co.modes == "c"
     assert abs(co.lowpass[0, 0] - 14.0 / np.sqrt(2)) < 1e-10
@@ -289,7 +287,7 @@ def test_criterion6_classical_equivalence():
             cl.positions, cl.attributes, depth)
         h = rahtp.build_hierarchy(cl, 1)
         cfg = TransformConfig(order=1, residual_mode="overcomplete",
-                              approx=ApproxRoles.uniform(64), scaling=True)
+                              approx=ApproxConfig(order=64), scaling=True)
         co = analyze(h, cl.attributes, cfg)
         worst = max(worst, np.abs(co.lowpass[0] - dc_ref).max())
         for lev in range(depth):
@@ -330,8 +328,7 @@ def _compaction_curve(cl, order):
     h = rahtp.build_hierarchy(cl, order)
     series = ApproxConfig(order=1024, tolerance=1e-12)
     cfg = TransformConfig(order=order, residual_mode="overcomplete",
-                          approx=ApproxRoles(encoder=series, decoder=series,
-                                             split=series), scaling=True)
+                          approx=series, scaling=True)
     plan = TransformPlan(h, cfg)
     co = analyze(h, cl.attributes, cfg, plan=plan)
     curve = []
@@ -381,7 +378,7 @@ def test_criterion8_rate_distortion_optional_dataset():
         pts = []
         for step in (16.0, 8.0, 4.0, 2.0, 1.0):
             cfg = TransformConfig(order=order, residual_mode="overcomplete",
-                                  approx=ApproxRoles.uniform(64), scaling=True)
+                                  approx=ApproxConfig(order=64), scaling=True)
             blob, stats = encode(cl, cfg, steps=[step] * 3, colorspace="bt709")
             recon, _ = decode(blob, cl)
             mse = float(np.mean((recon - cl.attributes) ** 2))
@@ -407,7 +404,7 @@ def test_criterion9_bitstream_determinism():
     cl = rahtp.voxelize(rahtp.PointCloud(positions=pos, attributes=attrs,
                                          depth=4, channels=3), 4)
     cfg = TransformConfig(order=2, residual_mode="critical",
-                          approx=ApproxRoles.uniform(32), scaling=True)
+                          approx=ApproxConfig(order=32), scaling=True)
     b1, _ = encode(cl, cfg, steps=[0.5, 0.5, 0.5])
     b2, _ = encode(cl, cfg, steps=[0.5, 0.5, 0.5])
     assert b1 == b2

@@ -8,14 +8,15 @@ from rahtp.codec import (CorruptStream, bt709_to_rgb, decode, dequantize,
                          encode, quantize, rgb_to_bt709, rlgr_decode,
                          rlgr_encode)
 from rahtp.evalcli import builtin_clouds
-from rahtp.transform import ApproxRoles, TransformConfig
+from rahtp.spectral import ApproxConfig
+from rahtp.transform import TransformConfig
 
 from _helpers import random_cloud
 
 
 def _codec_config(order=1, mode="overcomplete", k=16):
     return TransformConfig(order=order, residual_mode=mode,
-                           approx=ApproxRoles.uniform(k), scaling=True)
+                           approx=ApproxConfig(order=k), scaling=True)
 
 
 def test_rlgr_decode_truncation_raises():
@@ -140,6 +141,16 @@ def test_encode_validates_steps():
         encode(cl, _codec_config(), steps=[1.0, -1.0, 1.0])
 
 
+def test_encode_rejects_series_config_the_stream_cannot_carry():
+    # the stream carries K as a u16 and no tolerance: a decoder running the
+    # full series would not match an encoder that stopped early
+    cl = random_cloud(57, 120, 3)
+    for approx, what in ((ApproxConfig(order=64, tolerance=1e-2), "tolerance"),
+                         (ApproxConfig(order=0x10000), "u16")):
+        with pytest.raises(ValueError, match=what):
+            encode(cl, TransformConfig(order=2, approx=approx), 1.0)
+
+
 def test_bt709_colorspace_flag_roundtrip():
     cl = random_cloud(56, 120, 3)
     blob, _ = encode(cl, _codec_config(), steps=[0.1, 0.1, 0.1],
@@ -157,7 +168,7 @@ def _patched(blob, fmt, offset, value):
 
 @pytest.mark.parametrize("field", [
     "step=0", "step=-1", "step=nan", "step=inf", "tau=nan", "tau=-0.5",
-    "tau=inf", "tau=100", "order=3", "scaling=7", "trailing"])
+    "tau=inf", "tau=100", "tau=1e-300", "order=3", "scaling=7", "trailing"])
 def test_decode_rejects_hostile_header_fields(field):
     cl = builtin_clouds()["sphere200"]
     blob, _ = encode(cl, _codec_config(), 1.0)

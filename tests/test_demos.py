@@ -1,0 +1,48 @@
+"""The demos build configs through the public API; run them so an API change
+cannot leave one broken.
+
+rate_distortion takes about 20 s, so it is only imported.
+"""
+
+import importlib.util
+import re
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("demo_" + name,
+                                                  DEMOS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_roundtrip_demo(capsys):
+    _load("roundtrip").main()
+    out = capsys.readouterr().out
+    errs = [float(e) for e in re.findall(r"coeffs  max err (\S+)", out)]
+    assert len(errs) == 4
+    assert max(errs) < 1e-6
+    assert out.count("payload bytes") == 2
+
+
+def test_series_convergence_demo(capsys):
+    _load("series_convergence").main()
+    out = capsys.readouterr().out
+    assert "box-basis Gram" in out and "hat-basis Gram" in out
+
+
+def test_energy_compaction_demo(capsys):
+    _load("energy_compaction").main()
+    out = capsys.readouterr().out
+    # keeping every plane reconstructs exactly in both orders
+    blocks = out.split("\norder ")[1:]
+    assert len(blocks) == 2
+    for block in blocks:
+        assert block.strip().splitlines()[-1].split()[-1] == "-100.00"
+
+
+def test_rate_distortion_demo_imports():
+    assert callable(_load("rate_distortion").main)

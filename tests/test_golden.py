@@ -41,6 +41,6 @@ def _cloud(name):
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
 def test_encode_bytes_frozen(name, order, mode):
     cloud = _cloud(name)
-    config = TransformConfig(order=order, depth=cloud.depth, residual_mode=mode)
+    config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]

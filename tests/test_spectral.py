@@ -32,7 +32,7 @@ def test_inverse_series_diag_example_exact():
     # x=2: 0.25 * (1 + .5 + .25 + .125) = 0.46875;  x=4: exact after k=1
     op = Operator(np.diag([2.0, 4.0]))
     out = apply_series(op, np.ones((2, 1)), "inv",
-                       ApproxConfig(order=3, step=0.25))
+                       ApproxConfig(order=3), lam_max=4.0)
     assert out[:, 0].tolist() == [0.46875, 0.25]
 
 
@@ -50,11 +50,11 @@ def test_series_converges_to_matrix_functions():
 
 
 def test_eigen_bound_gershgorin_identity():
-    assert eigen_bound(Operator(np.eye(4))) == 1.0
+    assert Operator(np.eye(4)).gershgorin() == 1.0
 
 
 def test_eigen_bound_power_iteration_diag():
-    bound = eigen_bound(Operator(np.diag([2.0, 4.0])), "power_iteration")
+    bound = eigen_bound(Operator(np.diag([2.0, 4.0])))
     assert 4.0 <= bound <= 4.2
 
 
@@ -63,8 +63,8 @@ def test_power_iteration_deterministic():
     b = rng.standard_normal((8, 8))
     mat = b @ b.T
     op = Operator(mat)
-    b1 = eigen_bound(op, "power_iteration")
-    b2 = eigen_bound(op, "power_iteration")
+    b1 = eigen_bound(op)
+    b2 = eigen_bound(op)
     assert b1 == b2
     assert b1 >= np.linalg.eigvalsh(mat).max()
 
@@ -72,7 +72,7 @@ def test_power_iteration_deterministic():
 def test_gershgorin_refused_for_matrix_free():
     op = Operator(lambda x: x, 3)
     with pytest.raises(ValueError):
-        eigen_bound(op, "gershgorin")
+        op.gershgorin()
 
 
 def test_error_halves_when_order_doubles():
@@ -143,5 +143,3 @@ def test_identity_returning_operator_is_not_corrupted():
 def test_config_validation():
     with pytest.raises(ValueError):
         ApproxConfig(order=-1)
-    with pytest.raises(ValueError):
-        ApproxConfig(step=0.0)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp.transform import (ApproxRoles, CoeffSet, TransformConfig,
-                             TransformPlan, analyze, apply_basis_scaling,
-                             synthesize, truncate_to_level)
+from rahtp.spectral import ApproxConfig
+from rahtp.transform import (ApproxRoles, TransformConfig, TransformPlan,
+                             analyze, synthesize, truncate_to_level)
 
 from _helpers import pair_cloud, random_cloud
 
@@ -12,7 +12,7 @@ from _helpers import pair_cloud, random_cloud
 def _roundtrip(cloud, order, mode, k=32, scaling=True):
     h = rahtp.build_hierarchy(cloud, order)
     cfg = TransformConfig(order=order, residual_mode=mode,
-                          approx=ApproxRoles.uniform(k), scaling=scaling)
+                          approx=ApproxConfig(order=k), scaling=scaling)
     co = analyze(h, cloud.attributes, cfg)
     back = synthesize(h, co, cfg)
     return co, np.abs(back - cloud.attributes).max()
@@ -44,7 +44,7 @@ def test_two_point_classical_values():
     for mode in ("critical", "overcomplete"):
         h = rahtp.build_hierarchy(cl, 1)
         cfg = TransformConfig(order=1, residual_mode=mode,
-                              approx=ApproxRoles.uniform(64), scaling=True)
+                              approx=ApproxConfig(order=64), scaling=True)
         co = analyze(h, cl.attributes, cfg)
         assert co.lowpass[0, 0] == pytest.approx(14.0 / np.sqrt(2), abs=1e-12)
         # detail sign convention: (second - first) in Morton order
@@ -61,7 +61,7 @@ def test_constant_field_concentrates_in_dc():
     cl.attributes[:] = 5.0
     h = rahtp.build_hierarchy(cl, 1)
     cfg = TransformConfig(order=1, residual_mode="critical",
-                          approx=ApproxRoles.uniform(32), scaling=True)
+                          approx=ApproxConfig(order=32), scaling=True)
     co = analyze(h, cl.attributes, cfg)
     n = len(cl.positions)
     assert co.lowpass[0, 0] == pytest.approx(5.0 * np.sqrt(n), rel=1e-12)
@@ -75,29 +75,20 @@ def test_structural_fallback_to_overcomplete():
                           attributes=np.array([[9.0]]), depth=1, channels=1)
     h = rahtp.build_hierarchy(cl, 2)
     cfg = TransformConfig(order=2, residual_mode="critical",
-                          approx=ApproxRoles.uniform(32))
+                          approx=ApproxConfig(order=32))
     co = analyze(h, cl.attributes, cfg)
     assert co.modes == "o"
     back = synthesize(h, co, cfg)
     assert np.abs(back - cl.attributes).max() < 1e-9
 
 
-def test_per_level_mode_sequence():
-    cl = random_cloud(44, 120, 3)
-    h = rahtp.build_hierarchy(cl, 1)
-    cfg = TransformConfig(order=1,
-                          residual_mode=["overcomplete", "critical", "critical"],
-                          approx=ApproxRoles.uniform(32))
-    co = analyze(h, cl.attributes, cfg)
-    assert co.modes[0] == "o"
-    back = synthesize(h, co, cfg)
-    assert np.abs(back - cl.attributes).max() < 1e-6
-
-
-def test_mode_for_rejects_unknown():
-    cfg = TransformConfig(order=1, residual_mode="hybrid")
+def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        cfg.mode_for(0)
+        TransformConfig(order=1, residual_mode="hybrid")
+
+
+def test_approx_roles_uniform_is_one_series_config():
+    assert ApproxConfig(order=32) == ApproxConfig(order=32)
 
 
 def test_plan_rejects_order_mismatch():
@@ -128,7 +119,7 @@ def test_truncate_to_level_counts_and_distortion():
     cl = random_cloud(48, 200, 3)
     h = rahtp.build_hierarchy(cl, 1)
     cfg = TransformConfig(order=1, residual_mode="overcomplete",
-                          approx=ApproxRoles.uniform(64))
+                          approx=ApproxConfig(order=64))
     co = analyze(h, cl.attributes, cfg)
     with pytest.raises(ValueError):
         truncate_to_level(co, co.depth + 1)
@@ -144,11 +135,11 @@ def test_truncate_to_level_counts_and_distortion():
 def test_shared_plan_reuse_across_modes():
     cl = random_cloud(49, 100, 3)
     h = rahtp.build_hierarchy(cl, 2)
-    roles = ApproxRoles.uniform(32)
-    cfg_c = TransformConfig(order=2, residual_mode="critical", approx=roles)
+    series = ApproxConfig(order=32)
+    cfg_c = TransformConfig(order=2, residual_mode="critical", approx=series)
     plan = TransformPlan(h, cfg_c)
     co_c = analyze(h, cl.attributes, cfg_c, plan=plan)
-    cfg_o = TransformConfig(order=2, residual_mode="overcomplete", approx=roles)
+    cfg_o = TransformConfig(order=2, residual_mode="overcomplete", approx=series)
     co_o = analyze(h, cl.attributes, cfg_o, plan=plan)
     assert set(co_o.modes) == {"o"}
     for cfg, co in ((cfg_c, co_c), (cfg_o, co_o)):
