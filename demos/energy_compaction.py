@@ -20,7 +20,7 @@ def main():
     series = ApproxConfig(order=1024, tolerance=1e-12)
     for order in (1, 2):
         config = TransformConfig(order=order, residual_mode="overcomplete",
-                                 approx=series, scaling=True)
+                                 approx=series)
         hierarchy = build_hierarchy(cloud, order)
         plan = TransformPlan(hierarchy, config)
         coeffs = analyze(hierarchy, cloud.attributes, config, plan=plan)

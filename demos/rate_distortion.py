@@ -25,8 +25,7 @@ def main():
         cells = []
         for order in (1, 2):
             config = TransformConfig(order=order, residual_mode="critical",
-                                     approx=ApproxConfig(order=32),
-                                     scaling=True)
+                                     approx=ApproxConfig(order=32))
             blob, stats = encode(cloud, config, step, colorspace="bt709")
             rec, _ = decode(blob, cloud)
             m = compute_metrics(ref_yuv, rgb_to_bt709(rec),

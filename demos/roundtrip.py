@@ -35,8 +35,7 @@ def main():
         hierarchy = build_hierarchy(cloud, order)
         for mode in ("overcomplete", "critical"):
             config = TransformConfig(order=order, residual_mode=mode,
-                                     approx=ApproxConfig(order=64),
-                                     scaling=True)
+                                     approx=ApproxConfig(order=64))
             coeffs = analyze(hierarchy, cloud.attributes, config)
             rec = synthesize(hierarchy, coeffs, config)
             err = np.abs(rec - cloud.attributes).max()
@@ -48,7 +47,7 @@ def main():
     print("\nbitstream round trip, smooth cloud of %d voxels (step 0.25)" % ns)
     for order in (1, 2):
         config = TransformConfig(order=order, residual_mode="critical",
-                                 approx=ApproxConfig(order=32), scaling=True)
+                                 approx=ApproxConfig(order=32))
         blob, stats = encode(smooth, config, 0.25)
         rec, _ = decode(blob, smooth)
         err = np.abs(rec - smooth.attributes).max()

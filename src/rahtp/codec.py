@@ -7,13 +7,15 @@ bits.  All constants below are part of the format; changing any of them
 breaks stream compatibility, so they are asserted by regression tests.
 
 Container layout (little endian):
-  magic "RAHT" | version u8 | order u8 | depth u8 | scaling u8 | channels u8
+  magic "RAHT" | version u8 | order u8 | depth u8 | reserved u8 | channels u8
   | colorspace u8 | modes (depth bytes, 'c'/'o') | K u16 | tau f64
   | quant steps (channels x f64) | node_count u32 | geometry digest u64
   | per channel, per plane (lowpass then each level): u32 length + payload
 
-The tau slot is reserved and always 0.0: every series runs at tau = 1/bound,
-with the bound recomputed from the geometry on both sides.
+The reserved u8 (byte 7) is always 1: it flagged the unit-diagonal basis
+scaling, which is now the only basis.  The tau slot is reserved and always
+0.0: every series runs at tau = 1/bound, with the bound recomputed from the
+geometry on both sides.
 """
 
 import struct
@@ -331,7 +333,7 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     coeffs = analyze(hierarchy, attrs, config)
 
     header = struct.pack("<4sBBBBBB", MAGIC, VERSION, config.order,
-                         hierarchy.depth, int(config.scaling), cloud.channels,
+                         hierarchy.depth, 1, cloud.channels,
                          COLORSPACES[colorspace])
     header += coeffs.modes.encode("ascii")
     header += struct.pack("<Hd", config.approx.order, 0.0)
@@ -359,24 +361,24 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
 def parse_header(data):
     """Validate the container header; returns (header dict, payload offset).
 
-    Fields outside the range an encoder writes (order, scaling flag,
-    colorspace, modes, steps) raise CorruptStream instead of steering the
-    decoder, and so does any tau but 0.0: the slot is reserved.  An altered
+    Fields outside the range an encoder writes (order, colorspace, modes,
+    steps) raise CorruptStream instead of steering the decoder, and so do
+    the reserved slots: byte 7 must hold 1 and tau must be 0.0.  An altered
     value inside its range is not detected here.
     """
     base = struct.calcsize("<4sBBBBBB")
     if len(data) < base:
         raise CorruptStream("stream shorter than fixed header")
-    magic, version, order, depth, scaling, channels, cspace = struct.unpack_from(
-        "<4sBBBBBB", data, 0)
+    fields = struct.unpack_from("<4sBBBBBB", data, 0)
+    magic, version, order, depth, reserved, channels, cspace = fields
     if magic != MAGIC:
         raise CorruptStream("bad magic")
     if version != VERSION:
         raise CorruptStream("unsupported version %d" % version)
     if order not in (1, 2):
         raise CorruptStream("unsupported spline order %d" % order)
-    if scaling > 1:
-        raise CorruptStream("bad scaling flag %d" % scaling)
+    if reserved != 1:
+        raise CorruptStream("reserved byte 7 holds %d, not 1" % reserved)
     if cspace not in COLORSPACE_NAMES:
         raise CorruptStream("unknown colorspace id %d" % cspace)
     off = base
@@ -397,9 +399,9 @@ def parse_header(data):
         raise CorruptStream("reserved tau slot holds %r, not 0.0" % tau)
     if not np.all((steps > 0.0) & (steps < np.inf)):
         raise CorruptStream("quantization steps must be finite and positive")
-    return {"order": order, "depth": depth, "scaling": bool(scaling),
-            "channels": channels, "colorspace": COLORSPACE_NAMES[cspace],
-            "modes": modes, "k": k_order, "steps": steps,
+    return {"order": order, "depth": depth, "channels": channels,
+            "colorspace": COLORSPACE_NAMES[cspace], "modes": modes,
+            "k": k_order, "steps": steps,
             "node_count": node_count, "digest": digest}, off
 
 
@@ -420,8 +422,7 @@ def decode(data, cloud):
         raise CorruptStream("geometry digest mismatch")
 
     config = TransformConfig(order=head["order"],
-                             approx=ApproxConfig(order=head["k"]),
-                             scaling=head["scaling"])
+                             approx=ApproxConfig(order=head["k"]))
     counts = [len(hierarchy.levels[0].nodes)]
     for l, mode in enumerate(head["modes"]):
         n_child = len(hierarchy.levels[l + 1].nodes)

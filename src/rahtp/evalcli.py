@@ -119,10 +119,9 @@ def _load_voxelized(path, depth):
     return voxelize(cloud, depth)
 
 
-def _config(order, mode, k, scaling, tolerance=None):
+def _config(order, mode, k, tolerance=None):
     return TransformConfig(order=order, residual_mode=mode,
-                           approx=ApproxConfig(order=k, tolerance=tolerance),
-                           scaling=scaling)
+                           approx=ApproxConfig(order=k, tolerance=tolerance))
 
 
 def _fallback_levels(requested, actual):
@@ -133,8 +132,7 @@ def _fallback_levels(requested, actual):
 
 def cmd_encode(args):
     cloud = _load_voxelized(args.input, args.depth)
-    config = _config(args.order, args.mode, args.taylor_k,
-                     args.scaling == "on")
+    config = _config(args.order, args.mode, args.taylor_k)
     t0 = time.perf_counter()
     blob, stats = encode(cloud, config, args.step, colorspace=args.colorspace)
     dt = time.perf_counter() - t0
@@ -164,8 +162,8 @@ def cmd_decode(args):
     return 0
 
 
-def _rd_point(cloud, order, mode, step, k, scaling, colorspace, ref_yuv):
-    config = _config(order, mode, k, scaling)
+def _rd_point(cloud, order, mode, step, k, colorspace, ref_yuv):
+    config = _config(order, mode, k)
     blob, stats = encode(cloud, config, step, colorspace=colorspace)
     attrs, _ = decode(blob, cloud)
     rec_yuv = rgb_to_bt709(attrs)
@@ -186,7 +184,7 @@ def cmd_rd(args):
     rows = []
     with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
         futs = [pool.submit(_rd_point, cloud, o, m, s, args.taylor_k,
-                            args.scaling == "on", args.colorspace, ref_yuv)
+                            args.colorspace, ref_yuv)
                 for o, m, s in configs]
         rows = [f.result() for f in futs]
     with open(args.output, "w", newline="") as fh:
@@ -205,8 +203,7 @@ def cmd_compaction(args):
         for mode in args.modes:
             # truncated reconstructions are meaningful only with converged
             # projections, so compaction runs a long series with early stop
-            config = _config(order, mode, args.taylor_k, args.scaling == "on",
-                             tolerance=1e-12)
+            config = _config(order, mode, args.taylor_k, tolerance=1e-12)
             hierarchy = build_hierarchy(cloud, order)
             plan = TransformPlan(hierarchy, config)
             coeffs = analyze(hierarchy, cloud.attributes, config, plan=plan)
@@ -229,7 +226,7 @@ def _selftest_checks():
     checks = []
 
     def roundtrip(name, cloud, order, mode):
-        config = _config(order, mode, 64, True)
+        config = _config(order, mode, 64)
         hierarchy = build_hierarchy(cloud, order)
         coeffs = analyze(hierarchy, cloud.attributes, config)
         rec = synthesize(hierarchy, coeffs, config)
@@ -285,7 +282,7 @@ def _selftest_checks():
 
     def codec_roundtrip():
         cloud = clouds["sphere200"]
-        config = _config(1, "overcomplete", 16, True)
+        config = _config(1, "overcomplete", 16)
         blob, _ = encode(cloud, config, 1e-3)
         attrs, _ = decode(blob, cloud)
         err = float(np.abs(attrs - cloud.attributes).max())
@@ -333,7 +330,6 @@ def _add_common(p):
     p.add_argument("--mode", choices=("critical", "overcomplete"),
                    default="overcomplete")
     p.add_argument("--taylor-k", type=int, default=16)
-    p.add_argument("--scaling", choices=("on", "off"), default="on")
     p.add_argument("--colorspace", choices=("raw", "bt709"), default="raw")
 
 

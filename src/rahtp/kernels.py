@@ -72,14 +72,14 @@ def gram_init(level_geom):
                                   format="csr"))
 
 
-def gram_downsample(gram, parent_geom, child_geom, order):
+def gram_downsample(gram, parent_geom, a):
     """Propagate the Gram one level coarser: G_parent = A G_child A^T.
 
-    Parent bases only overlap within the {-1,0,1}^3 neighborhood; a nonzero
-    between nodes further apart violates the closure property and raises.
+    a is A_ell from build_a_matrix.  Parent bases only overlap within the
+    {-1,0,1}^3 neighborhood; a nonzero between nodes further apart violates
+    the closure property and raises.
     """
-    A = build_a_matrix(parent_geom, child_geom, order)
-    prod = (A @ gram.mat @ A.T).tocsr()
+    prod = (a @ gram.mat @ a.T).tocsr()
     prod.eliminate_zeros()
     prod.sort_indices()
     rows = np.repeat(np.arange(prod.shape[0]), np.diff(prod.indptr))
@@ -100,13 +100,15 @@ def build_a_matrix(parent_geom, child_geom, order):
     )
 
 
-def gram_levels(hierarchy):
-    """All Gram tensors, finest to coarsest, as a list indexed by level."""
-    L = hierarchy.depth
-    grams = [None] * (L + 1)
-    grams[L] = gram_init(hierarchy.levels[L])
-    for ell in range(L - 1, -1, -1):
-        grams[ell] = gram_downsample(
-            grams[ell + 1], hierarchy.levels[ell], hierarchy.levels[ell + 1],
-            hierarchy.order)
+def gram_levels(hierarchy, a_mats=None):
+    """All Gram tensors, finest to coarsest, as a list indexed by level.
+
+    a_mats[l] is A_l, from level l+1 to level l; built here unless passed.
+    """
+    levels = hierarchy.levels
+    grams = [gram_init(levels[-1])]
+    for ell in range(hierarchy.depth - 1, -1, -1):
+        a = (a_mats[ell] if a_mats is not None else
+             build_a_matrix(levels[ell], levels[ell + 1], hierarchy.order))
+        grams.insert(0, gram_downsample(grams[0], levels[ell], a))
     return grams

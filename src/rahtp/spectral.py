@@ -186,10 +186,13 @@ def apply_series(op, v, h, cfg, lam_max):
     acc = b[0] * term
     flat0 = v.ravel()
     scale0 = float(np.sqrt(flat0 @ flat0)) if flat0.size else 0.0
-    blow2 = (1e9 * (1.0 + scale0)) ** 2
+    # squared by product: ** 2 raises OverflowError past a ~1e145 norm
+    blow = 1e9 * (1.0 + scale0)
+    blow2 = blow * blow
     stop2 = None
     if cfg.tolerance is not None:
-        stop2 = (cfg.tolerance * (1.0 + scale0)) ** 2
+        stop = cfg.tolerance * (1.0 + scale0)
+        stop2 = stop * stop
     # explicit operators expose L = I - tau X directly; one matmul per
     # term there instead of matvec + scale + subtract
     lmat = op.iteration_matrix(tau)

@@ -35,7 +35,8 @@ GATE_RTOL = 1e-10
 
 
 class ApproxRoles:
-    """Compatibility name: ApproxRoles.uniform(k) is ApproxConfig(order=k)."""
+    """Compatibility name kept for perfbench/run.py: ApproxRoles.uniform(k)
+    is ApproxConfig(order=k)."""
     @staticmethod
     def uniform(order):
         return ApproxConfig(order=order)
@@ -51,11 +52,14 @@ class TransformConfig:
     order: int = 1
     residual_mode: str = "overcomplete"   # critical | overcomplete
     approx: ApproxConfig = field(default_factory=ApproxConfig)
+    # True only: kept because perfbench/run.py passes scaling=True
     scaling: bool = True
 
     def __post_init__(self):
         if self.residual_mode not in ("critical", "overcomplete"):
             raise ValueError("unknown residual mode %r" % (self.residual_mode,))
+        if self.scaling is not True:
+            raise ValueError("scaling must be True: the basis is always scaled")
 
 
 @dataclass
@@ -80,22 +84,23 @@ class CoeffSet:
 def apply_basis_scaling(grams, a_mats):
     """Unit-norm diagonal preconditioning of the basis.
 
-    Returns (d_phi per level, scaled A list, scaled Gram list) with
+    Returns (scaled A list, scaled Gram list) with D = diag(G) per level,
     A'_l = D_l^-1/2 A_l D_{l+1}^1/2 and G' = D^-1/2 G D^-1/2, so scaled
     Grams have unit diagonal and the series steps are well conditioned.
+    The finest G is the identity, so the finest level needs no rescale.
     """
-    d_phi = []
+    norm2 = []      # squared basis norms, the Gram diagonals
     for g in grams:
-        d = g.diagonal.copy()
+        d = g.diagonal
         assert np.all(d > 0), "zero-norm basis column; node set is not a closure"
-        d_phi.append(d)
+        norm2.append(d)
     scaled_a = []
     for lvl, a in enumerate(a_mats):
-        left = sp.diags(1.0 / np.sqrt(d_phi[lvl]))
-        right = sp.diags(np.sqrt(d_phi[lvl + 1]))
+        left = sp.diags(1.0 / np.sqrt(norm2[lvl]))
+        right = sp.diags(np.sqrt(norm2[lvl + 1]))
         scaled_a.append((left @ a @ right).tocsr())
-    scaled_g = [g.scaled(d) for g, d in zip(grams, d_phi)]
-    return d_phi, scaled_a, scaled_g
+    scaled_g = [g.scaled(d) for g, d in zip(grams, norm2)]
+    return scaled_a, scaled_g
 
 
 class TransformPlan:
@@ -112,17 +117,11 @@ class TransformPlan:
                              % (config.order, hierarchy.order))
         self.hierarchy = hierarchy
         self.config = config
-        grams = gram_levels(hierarchy)
         a_mats = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
                                  hierarchy.order)
                   for l in range(hierarchy.depth)]
-        if config.scaling:
-            self.d_phi, self.a_mats, self.grams = apply_basis_scaling(
-                grams, a_mats)
-        else:
-            self.d_phi = [g.diagonal.copy() for g in grams]
-            self.a_mats = a_mats
-            self.grams = grams
+        self.a_mats, self.grams = apply_basis_scaling(
+            gram_levels(hierarchy, a_mats), a_mats)
         self.g_bounds = [max(g.gershgorin(), np.finfo(np.float64).tiny)
                          for g in self.grams]
         self._critical = {}
@@ -221,7 +220,7 @@ def analyze(hierarchy, attributes, config, plan=None):
     cfg = config.approx
 
     f_dual = [None] * (depth + 1)
-    f_dual[depth] = v / np.sqrt(plan.d_phi[depth])[:, None] if config.scaling else v.copy()
+    f_dual[depth] = v
     for l in range(depth - 1, -1, -1):
         f_dual[l] = plan.a_mats[l] @ f_dual[l + 1]
     f_ideal = [apply_series(plan.grams[l], f_dual[l], "inv", cfg,
@@ -281,8 +280,6 @@ def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
         else:
             decoded = plan.decode_over(l, plane)
         state = pred + decoded
-    if config.scaling:
-        state = state * np.sqrt(plan.d_phi[hierarchy.depth])[:, None]
     return state
 
 

@@ -54,7 +54,7 @@ def test_criterion1_perfect_reconstruction():
             plan = None
             for mode in ("critical", "overcomplete"):
                 cfg = TransformConfig(order=order, residual_mode=mode,
-                                      approx=series, scaling=True)
+                                      approx=series)
                 if plan is None:
                     plan = TransformPlan(h, cfg)
                 co = analyze(h, cl.attributes, cfg, plan=plan)
@@ -85,16 +85,15 @@ def test_criterion2_projection_equivalence():
     worst = 0.0
     for order in (1, 2):
         h = rahtp.build_hierarchy(cl, order)
-        cfg = TransformConfig(order=order, scaling=False,
-                              approx=cfg_series)
-        plan = TransformPlan(h, cfg)
+        grams = gram_levels(h)
         f_dual = cl.attributes.astype(np.float64)
         duals = [f_dual]
         for lev in range(h.depth - 1, -1, -1):
-            duals.insert(0, plan.a_mats[lev] @ duals[0])
+            a = build_a_matrix(h.levels[lev], h.levels[lev + 1], order)
+            duals.insert(0, a @ duals[0])
         for lev in range(h.depth + 1):
-            f_casc = apply_series(plan.grams[lev], duals[lev], "inv",
-                                  cfg_series, lam_max=plan.g_bounds[lev])
+            f_casc = apply_series(grams[lev], duals[lev], "inv",
+                                  cfg_series, lam_max=grams[lev].gershgorin())
             f_ref, _ = oracle.project_exact(h, lev, cl.attributes)
             rel = (np.abs(f_casc - f_ref).max()
                    / max(np.abs(f_ref).max(), 1e-12))
@@ -115,7 +114,7 @@ def _parseval_error(order):
     for cl in _sweep_clouds():
         h = rahtp.build_hierarchy(cl, order)
         cfg = TransformConfig(order=order, residual_mode="critical",
-                              approx=series, scaling=True)
+                              approx=series)
         co = analyze(h, cl.attributes, cfg)
         signal = float((cl.attributes ** 2).sum())
         coeff = float((co.lowpass ** 2).sum())
@@ -268,7 +267,7 @@ def test_criterion6_classical_equivalence():
     cl = pair_cloud(3.0, 11.0)
     h = rahtp.build_hierarchy(cl, 1)
     cfg = TransformConfig(order=1, residual_mode="critical",
-                          approx=ApproxConfig(order=64), scaling=True)
+                          approx=ApproxConfig(order=64))
     co = analyze(h, cl.attributes, cfg)
     assert co.modes == "c"
     assert abs(co.lowpass[0, 0] - 14.0 / np.sqrt(2)) < 1e-10
@@ -287,7 +286,7 @@ def test_criterion6_classical_equivalence():
             cl.positions, cl.attributes, depth)
         h = rahtp.build_hierarchy(cl, 1)
         cfg = TransformConfig(order=1, residual_mode="overcomplete",
-                              approx=ApproxConfig(order=64), scaling=True)
+                              approx=ApproxConfig(order=64))
         co = analyze(h, cl.attributes, cfg)
         worst = max(worst, np.abs(co.lowpass[0] - dc_ref).max())
         for lev in range(depth):
@@ -328,7 +327,7 @@ def _compaction_curve(cl, order):
     h = rahtp.build_hierarchy(cl, order)
     series = ApproxConfig(order=1024, tolerance=1e-12)
     cfg = TransformConfig(order=order, residual_mode="overcomplete",
-                          approx=series, scaling=True)
+                          approx=series)
     plan = TransformPlan(h, cfg)
     co = analyze(h, cl.attributes, cfg, plan=plan)
     curve = []
@@ -378,7 +377,7 @@ def test_criterion8_rate_distortion_optional_dataset():
         pts = []
         for step in (16.0, 8.0, 4.0, 2.0, 1.0):
             cfg = TransformConfig(order=order, residual_mode="overcomplete",
-                                  approx=ApproxConfig(order=64), scaling=True)
+                                  approx=ApproxConfig(order=64))
             blob, stats = encode(cl, cfg, steps=[step] * 3, colorspace="bt709")
             recon, _ = decode(blob, cl)
             mse = float(np.mean((recon - cl.attributes) ** 2))
@@ -404,7 +403,7 @@ def test_criterion9_bitstream_determinism():
     cl = rahtp.voxelize(rahtp.PointCloud(positions=pos, attributes=attrs,
                                          depth=4, channels=3), 4)
     cfg = TransformConfig(order=2, residual_mode="critical",
-                          approx=ApproxConfig(order=32), scaling=True)
+                          approx=ApproxConfig(order=32))
     b1, _ = encode(cl, cfg, steps=[0.5, 0.5, 0.5])
     b2, _ = encode(cl, cfg, steps=[0.5, 0.5, 0.5])
     assert b1 == b2

@@ -16,7 +16,7 @@ from _helpers import random_cloud
 
 def _codec_config(order=1, mode="overcomplete", k=16):
     return TransformConfig(order=order, residual_mode=mode,
-                           approx=ApproxConfig(order=k), scaling=True)
+                           approx=ApproxConfig(order=k))
 
 
 def test_rlgr_decode_truncation_raises():
@@ -168,7 +168,8 @@ def _patched(blob, fmt, offset, value):
 
 @pytest.mark.parametrize("field", [
     "step=0", "step=-1", "step=nan", "step=inf", "tau=nan", "tau=-0.5",
-    "tau=inf", "tau=100", "tau=1e-300", "order=3", "scaling=7", "trailing"])
+    "tau=inf", "tau=100", "tau=1e-300", "order=3", "scaling=0", "scaling=7",
+    "trailing"])
 def test_decode_rejects_hostile_header_fields(field):
     cl = builtin_clouds()["sphere200"]
     blob, _ = encode(cl, _codec_config(), 1.0)
@@ -187,3 +188,28 @@ def test_decode_rejects_hostile_header_fields(field):
         bad = blob + b"\x00"
     with pytest.raises(CorruptStream):
         decode(bad, cl)
+
+
+def test_huge_attributes_roundtrip_within_one_step():
+    # plane norms past ~1e145 used to overflow the series' divergence
+    # threshold with a bare OverflowError
+    cl = builtin_clouds()["sphere200"]
+    big = rahtp.PointCloud(positions=cl.positions,
+                           attributes=cl.attributes * 1e150,
+                           depth=cl.depth, channels=cl.channels)
+    blob, _ = encode(big, _codec_config(), 1e150)
+    recon, _ = decode(blob, big)
+    assert np.abs(recon - big.attributes).max() <= 1e150
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_decode_of_huge_patched_step_is_finite_or_corrupt(order):
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(order=order), 1.0)
+    step_at = 12 + blob[6] + 8      # after the mode bytes, K and tau
+    bad = _patched(blob, "<d", step_at, 1e150)
+    try:
+        recon, _ = decode(bad, cl)
+    except CorruptStream:
+        return
+    assert np.all(np.isfinite(recon))

@@ -135,11 +135,13 @@ def test_gershgorin_bounds_spectrum():
 def test_gram_downsample_rejects_escaped_stencil():
     cl = random_cloud(17, 60, 2)
     h = rahtp.build_hierarchy(cl, 2)
-    g1 = gram_levels(h)[1]
-    # downsampling a level against the wrong parent geometry breaks the
-    # closure relation and must not silently truncate
+    g2 = gram_levels(h)[2]
+    a = build_a_matrix(h.levels[1], h.levels[2], 2)
+    # downsampling a level against the wrong parent geometry (here the
+    # parents' rows reversed) breaks the closure relation and must not
+    # silently truncate
     with pytest.raises((AssertionError, IndexError, ValueError)):
-        gram_downsample(g1, h.levels[1], h.levels[1], 2)
+        gram_downsample(g2, h.levels[1], a[::-1])
 
 
 def test_gram_init_identity():

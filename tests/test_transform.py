@@ -9,10 +9,10 @@ from rahtp.transform import (ApproxRoles, TransformConfig, TransformPlan,
 from _helpers import pair_cloud, random_cloud
 
 
-def _roundtrip(cloud, order, mode, k=32, scaling=True):
+def _roundtrip(cloud, order, mode, k=32):
     h = rahtp.build_hierarchy(cloud, order)
     cfg = TransformConfig(order=order, residual_mode=mode,
-                          approx=ApproxConfig(order=k), scaling=scaling)
+                          approx=ApproxConfig(order=k))
     co = analyze(h, cloud.attributes, cfg)
     back = synthesize(h, co, cfg)
     return co, np.abs(back - cloud.attributes).max()
@@ -23,9 +23,8 @@ def test_roundtrip_small_sweep():
         cl = random_cloud(seed, 128, 3)
         for order in (1, 2):
             for mode in ("critical", "overcomplete"):
-                for scaling in (True, False):
-                    co, err = _roundtrip(cl, order, mode, scaling=scaling)
-                    assert err < 1e-6, (seed, order, mode, scaling, err)
+                co, err = _roundtrip(cl, order, mode)
+                assert err < 1e-6, (seed, order, mode, err)
 
 
 def test_roundtrip_exact_even_with_zero_order_series():
@@ -44,7 +43,7 @@ def test_two_point_classical_values():
     for mode in ("critical", "overcomplete"):
         h = rahtp.build_hierarchy(cl, 1)
         cfg = TransformConfig(order=1, residual_mode=mode,
-                              approx=ApproxConfig(order=64), scaling=True)
+                              approx=ApproxConfig(order=64))
         co = analyze(h, cl.attributes, cfg)
         assert co.lowpass[0, 0] == pytest.approx(14.0 / np.sqrt(2), abs=1e-12)
         # detail sign convention: (second - first) in Morton order
@@ -61,7 +60,7 @@ def test_constant_field_concentrates_in_dc():
     cl.attributes[:] = 5.0
     h = rahtp.build_hierarchy(cl, 1)
     cfg = TransformConfig(order=1, residual_mode="critical",
-                          approx=ApproxConfig(order=32), scaling=True)
+                          approx=ApproxConfig(order=32))
     co = analyze(h, cl.attributes, cfg)
     n = len(cl.positions)
     assert co.lowpass[0, 0] == pytest.approx(5.0 * np.sqrt(n), rel=1e-12)
@@ -87,8 +86,13 @@ def test_config_rejects_unknown_mode():
         TransformConfig(order=1, residual_mode="hybrid")
 
 
+def test_config_rejects_unscaled_basis():
+    with pytest.raises(ValueError):
+        TransformConfig(order=1, scaling=False)
+
+
 def test_approx_roles_uniform_is_one_series_config():
-    assert ApproxConfig(order=32) == ApproxConfig(order=32)
+    assert ApproxRoles.uniform(32) == ApproxConfig(order=32)
 
 
 def test_plan_rejects_order_mismatch():
@@ -108,11 +112,9 @@ def test_analyze_rejects_wrong_row_count():
 def test_basis_scaling_unit_diagonal():
     cl = random_cloud(47, 80, 3)
     h = rahtp.build_hierarchy(cl, 2)
-    plan = TransformPlan(h, TransformConfig(order=2, scaling=True))
+    plan = TransformPlan(h, TransformConfig(order=2))
     for g in plan.grams:
         assert np.abs(g.diagonal - 1.0).max() < 1e-12
-    for d in plan.d_phi:
-        assert np.all(d > 0)
 
 
 def test_truncate_to_level_counts_and_distortion():
