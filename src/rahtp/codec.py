@@ -43,66 +43,16 @@ class CorruptStream(ValueError):
     """Malformed or mismatched bitstream."""
 
 
-def _gr_scan(data, pad, bit, bits_total, k):
-    """Windowed GR read used by the decoder hot loop; returns (u, q, bit).
-
-    One 72-bit window from the current byte covers the typical code (unary
-    quotient, terminator, remainder); longer-than-window unary runs and
-    escape payloads fall back to byte stepping.  A quotient of Q_CAP is the
-    escape: ESCAPE_BITS of raw value follow instead of k remainder bits.
-    """
-    byte = bit >> 3
-    avail = 72 - (bit & 7)
-    win = int.from_bytes(pad[byte:byte + 9], "big") & ((1 << avail) - 1)
-    inv = win ^ ((1 << avail) - 1)
-    if inv:
-        q = avail - inv.bit_length()
-    else:
-        q = avail       # still inside a run of ones; resume byte-stepping
-        nbytes = bits_total >> 3
-        p = bit + avail
-        while True:
-            b2 = p >> 3
-            if b2 >= nbytes:
-                raise CorruptStream("bitstream truncated in unary code")
-            width = 8 - (p & 7)
-            inv2 = (data[b2] & ((1 << width) - 1)) ^ ((1 << width) - 1)
-            if inv2 == 0:
-                q += width
-                p += width
-                continue
-            q += width - inv2.bit_length()
-            break
-    t = bit + q                 # position of the terminating zero
-    if t >= bits_total:
-        raise CorruptStream("bitstream truncated in unary code")
-    nb = k if q < Q_CAP else ESCAPE_BITS
-    bit = t + 1
-    end = bit + nb
-    if end > bits_total:
-        raise CorruptStream("bitstream truncated")
-    if nb == 0:
-        rem = 0
-    else:
-        shift = avail - q - 1 - nb      # remainder offset inside the window
-        if shift >= 0:
-            rem = (win >> shift) & ((1 << nb) - 1)
-        else:
-            stop = (end + 7) >> 3
-            rem = (int.from_bytes(data[bit >> 3:stop], "big")
-                   >> ((stop << 3) - end)) & ((1 << nb) - 1)
-    if q < Q_CAP:
-        return (q << k) | rem, q, end
-    return rem, Q_CAP, end
-
-
 def rlgr_encode(values):
     """Encode a signed integer array; returns bytes.
 
     The symbol loop is fully inlined (bit accumulator, zigzag, GR emission,
     parameter adaptation): per-symbol helper calls double the runtime on
-    million-coefficient planes.  This body and rlgr_decode are the format;
-    they must stay in step with each other.
+    million-coefficient planes.  The accumulator is flushed in chunks of at
+    least 1024 bits, which needs fewer to_bytes calls than a flush per byte
+    and writes the same bytes; the tail is zero-padded to a whole byte.
+    This body and rlgr_decode are the format; they must stay in step with
+    each other.
     """
     vals = np.asarray(values, dtype=np.int64).tolist()  # plain ints are much
     buf = bytearray()                                   # faster to index
@@ -128,7 +78,7 @@ def rlgr_encode(values):
                     | ((((1 << Q_CAP) - 1) << (ESCAPE_BITS + 1)) | u)
                 nbits += Q_CAP + 1 + ESCAPE_BITS
                 q = Q_CAP
-            if nbits >= 8:
+            if nbits >= 1024:
                 drop = nbits & 7
                 buf += (acc >> drop).to_bytes(nbits >> 3, "big")
                 acc &= (1 << drop) - 1
@@ -160,7 +110,7 @@ def rlgr_encode(values):
                 # is unambiguous at the tail
                 acc <<= 1
                 nbits += 1
-                if nbits >= 8:
+                if nbits >= 1024:
                     drop = nbits & 7
                     buf += (acc >> drop).to_bytes(nbits >> 3, "big")
                     acc &= (1 << drop) - 1
@@ -187,7 +137,7 @@ def rlgr_encode(values):
                 acc = (acc << (1 + kr + blen)) \
                     | ((((1 << kr) | (p - pos)) << blen) | body)
                 nbits += 1 + kr + blen
-                if nbits >= 8:
+                if nbits >= 1024:
                     drop = nbits & 7
                     buf += (acc >> drop).to_bytes(nbits >> 3, "big")
                     acc &= (1 << drop) - 1
@@ -200,19 +150,46 @@ def rlgr_encode(values):
                         kp = KP_MAX
                 krp = krp - 6 if krp > 6 else 0
                 pos = p + 1
-    if nbits:
-        buf.append((acc << (8 - nbits)) & 0xFF)
+    # drain the whole bytes still held, then zero-pad the last one
+    buf += (acc << (-nbits & 7)).to_bytes((nbits + 7) >> 3, "big")
     return bytes(buf)
+
+
+def _bit_tables(data):
+    """Lookup tables over the payload bits of one plane.
+
+    ones[p] is the length of the run of one-bits starting at bit p, with
+    ones[bits_total] = 0.  win[b] is the 64-bit big-endian window starting
+    at byte b of the data followed by 8 zero bytes, so any read of up to
+    ESCAPE_BITS bits from an offset of at most 7 bits fits in one window.
+    """
+    raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    bits_total = len(data) << 3
+    nxt = np.full(bits_total + 1, bits_total, dtype=np.int64)
+    zeros = np.flatnonzero(np.unpackbits(raw[:len(data)]) == 0)
+    nxt[zeros] = zeros                  # next zero at or after each bit
+    del zeros
+    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+    nxt -= np.arange(bits_total + 1)
+    ones = nxt.tolist()
+    win = np.lib.stride_tricks.sliding_window_view(raw, 8).view(">u8")
+    return ones, win.ravel().tolist()
 
 
 def rlgr_decode(data, count):
     """Decode exactly count signed integers from bytes.
 
-    Mirror of the inlined encoder loop; see the note on rlgr_encode.
+    Table-driven mirror of the encoder loop: a unary quotient is one lookup
+    in the run-of-ones table, and a remainder, escape value or run length of
+    nb bits is one window lookup and a shift (see _bit_tables).  The loop
+    keeps the unsigned zigzag values; the signed map runs once, in numpy, at
+    the end.  Any read past the last bit, a run-mode value past the plane
+    end, 8 or more bits left after the last symbol, or a padding bit of 1
+    raises CorruptStream: the encoder writes none of them.
     """
     data = bytes(data)
-    pad = data + b"\x00" * 9        # lets _gr_scan slice fixed windows
     bits_total = len(data) << 3
+    ones, win = _bit_tables(data)
     out = [0] * count
     bit = 0                         # bit cursor into data
     kp, krp = KP_INIT, KRP_INIT
@@ -221,8 +198,24 @@ def rlgr_decode(data, count):
         k = kp >> 4
         kr = krp >> 4
         if kr == 0:
-            u, q, bit = _gr_scan(data, pad, bit, bits_total, k)
-            out[pos] = (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
+            q = ones[bit]
+            bit += q + 1
+            if q < Q_CAP:
+                end = bit + k
+                if end > bits_total:
+                    raise CorruptStream("bitstream truncated")
+                u = (q << k) | ((win[bit >> 3] >> (64 - (bit & 7) - k))
+                                & ((1 << k) - 1))
+            else:
+                # an over-long unary run reads as an escape too
+                end = bit + ESCAPE_BITS
+                if end > bits_total:
+                    raise CorruptStream("bitstream truncated")
+                u = ((win[bit >> 3] >> (64 - ESCAPE_BITS - (bit & 7)))
+                     & ((1 << ESCAPE_BITS) - 1))
+                q = Q_CAP
+            bit = end
+            out[pos] = u
             if q == 0:
                 kp = kp - 2 if kp > 2 else 0
             elif q > 1:
@@ -236,41 +229,58 @@ def rlgr_decode(data, count):
             else:
                 krp = krp - 5 if krp > 5 else 0
             pos += 1
-        else:
-            run_cap = 1 << kr
+        elif ones[bit] == 0:
+            # flag 0: a full run of zeros, clamped at the plane end
             if bit >= bits_total:
                 raise CorruptStream("bitstream truncated")
-            flag = (data[bit >> 3] >> (7 - (bit & 7))) & 1
             bit += 1
-            if flag == 0:
-                left = count - pos
-                pos += run_cap if run_cap < left else left
-                krp = krp + 4
-                if krp > KRP_MAX:
-                    krp = KRP_MAX
-            else:
-                end = bit + kr
+            pos += 1 << kr
+            if pos > count:
+                pos = count
+            krp = krp + 4
+            if krp > KRP_MAX:
+                krp = KRP_MAX
+        else:
+            # flag 1: kr bits of run length, then the GR code of u - 1
+            bit += 1
+            end = bit + kr
+            if end > bits_total:
+                raise CorruptStream("bitstream truncated")
+            pos += (win[bit >> 3] >> (64 - (bit & 7) - kr)) & ((1 << kr) - 1)
+            bit = end
+            q = ones[bit]
+            bit += q + 1
+            if q < Q_CAP:
+                end = bit + k
                 if end > bits_total:
                     raise CorruptStream("bitstream truncated")
-                stop = (end + 7) >> 3
-                m = (int.from_bytes(data[bit >> 3:stop], "big")
-                     >> ((stop << 3) - end)) & ((1 << kr) - 1)
-                bit = end
-                pos += m
-                u, q, bit = _gr_scan(data, pad, bit, bits_total, k)
-                u += 1
-                if pos >= count:
-                    raise CorruptStream("run-mode value past plane end")
-                out[pos] = (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
-                if q == 0:
-                    kp = kp - 2 if kp > 2 else 0
-                elif q > 1:
-                    kp = kp + q + 1
-                    if kp > KP_MAX:
-                        kp = KP_MAX
-                krp = krp - 6 if krp > 6 else 0
-                pos += 1
-    return np.array(out, dtype=np.int64)
+                u = (q << k) | ((win[bit >> 3] >> (64 - (bit & 7) - k))
+                                & ((1 << k) - 1))
+            else:
+                end = bit + ESCAPE_BITS
+                if end > bits_total:
+                    raise CorruptStream("bitstream truncated")
+                u = ((win[bit >> 3] >> (64 - ESCAPE_BITS - (bit & 7)))
+                     & ((1 << ESCAPE_BITS) - 1))
+                q = Q_CAP
+            bit = end
+            if pos >= count:
+                raise CorruptStream("run-mode value past plane end")
+            out[pos] = u + 1
+            if q == 0:
+                kp = kp - 2 if kp > 2 else 0
+            elif q > 1:
+                kp = kp + q + 1
+                if kp > KP_MAX:
+                    kp = KP_MAX
+            krp = krp - 6 if krp > 6 else 0
+            pos += 1
+    left = bits_total - bit
+    if left >= 8 or (left and (win[bit >> 3] >> (64 - (bit & 7) - left))
+                     & ((1 << left) - 1)):
+        raise CorruptStream("%d bits left after the last symbol" % left)
+    u = np.array(out, dtype=np.int64)
+    return (u >> 1) ^ -(u & 1)
 
 
 def quantize(values, step):

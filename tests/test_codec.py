@@ -1,12 +1,14 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 import rahtp
+from rahtp import codec
 from rahtp.codec import (CorruptStream, bt709_to_rgb, decode, dequantize,
-                         encode, quantize, rgb_to_bt709, rlgr_decode,
-                         rlgr_encode)
+                         encode, parse_header, quantize, rgb_to_bt709,
+                         rlgr_decode, rlgr_encode)
 from rahtp.evalcli import builtin_clouds
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import TransformConfig
@@ -57,6 +59,77 @@ def test_rlgr_rejects_values_beyond_escape_range():
 def test_rlgr_zero_run_size_frozen():
     # run mode collapses a long zero stream to a handful of full-run bits
     assert len(rlgr_encode(np.zeros(100_000, dtype=np.int64))) == 10
+
+
+def test_rlgr_format_frozen():
+    consts = (codec.KP_INIT, codec.KP_MAX, codec.KRP_INIT, codec.KRP_MAX,
+              codec.Q_CAP, codec.ESCAPE_BITS)
+    assert consts == (32, 384, 0, 192, 48, 32)
+    # escapes at small k, k = KP_MAX >> 4 = 24 on +-2**28, full runs at
+    # kr = 12, run-mode escapes, then small values
+    esc, big = 1 << 30, 1 << 28
+    vals = np.concatenate([[esc, -esc], np.tile([big, -big], 6),
+                           np.zeros(40000, dtype=np.int64), [esc],
+                           np.zeros(100, dtype=np.int64), [-esc],
+                           np.arange(200) % 7 - 3]).astype(np.int64)
+    data = rlgr_encode(vals)
+    assert hashlib.sha256(data).hexdigest() == (
+        "d7f72db6cce0909bad282e429947fa287adba2fc30a4c6199e36c5e6ab75def1")
+    assert np.array_equal(rlgr_decode(data, len(vals)), vals)
+
+
+def test_rlgr_decode_rejects_bits_left_after_last_symbol():
+    vals = np.array([3, -1, 0, 2], dtype=np.int64)
+    data = rlgr_encode(vals)
+    pad = (len(data) << 3) - 13     # the four symbols take 13 bits here
+    assert np.array_equal(rlgr_decode(data, 4), vals)
+    for bad in (data + b"\x00", data[:-1] + bytes([data[-1] | 1]),
+                data[:-1] + bytes([data[-1] | (1 << (pad - 1))])):
+        with pytest.raises(CorruptStream, match="left after"):
+            rlgr_decode(bad, 4)
+
+
+def test_decode_rejects_an_extra_byte_in_a_plane():
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(), 1.0)
+    _, off = parse_header(blob)
+    (blen,) = struct.unpack_from("<I", blob, off)
+    start = off + 4 + blen
+    bad = (_patched(blob[:start], "<I", off, blen + 1) + b"\x00"
+           + blob[start:])
+    with pytest.raises(CorruptStream):
+        decode(bad, cl)
+
+
+def _flip_bits(data, rng, nflips):
+    out = bytearray(data)
+    for p in rng.integers(0, len(out) * 8, nflips):
+        out[p >> 3] ^= 0x80 >> (p & 7)
+    return bytes(out)
+
+
+def test_rlgr_decode_fuzz_only_corrupt_stream():
+    rng = np.random.default_rng(17)
+    planes = [np.round(rng.laplace(0.0, s, 300)).astype(np.int64)
+              for s in (0.2, 3.0, 60.0)]
+    mixed = np.zeros(400, dtype=np.int64)
+    mixed[[0, 7, 90, 91, 250, 399]] = [1 << 30, -(1 << 30), 5, 1 << 30,
+                                       -(1 << 30), -3]
+    mixed[8:18] = 1             # coded at the k set by the escape before
+    planes.append(mixed)        # escapes in plain and in run mode
+    long_unary = b"\xff" * ((codec.Q_CAP + 7) // 8 + 1)
+    for vals in planes:
+        data = rlgr_encode(vals)
+        assert np.array_equal(rlgr_decode(data, len(vals)), vals)
+        cases = [data[:i] for i in range(len(data))]
+        cases += [_flip_bits(data, rng, n) for n in (1, 2, 3) * 20]
+        cases += [long_unary + data, data[:len(data) // 2] + long_unary]
+        for bad in cases:
+            try:
+                out = rlgr_decode(bad, len(vals))
+            except CorruptStream:
+                continue
+            assert out.dtype == np.int64 and out.shape == (len(vals),)
 
 
 def test_quantize_rounds_half_away_from_zero():

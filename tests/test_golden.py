@@ -5,11 +5,13 @@ alter the bytes must bump VERSION and record the digests again.
 """
 
 import hashlib
+import struct
 
 import pytest
 
-from rahtp.codec import encode
+from rahtp.codec import encode, parse_header, rlgr_decode, rlgr_encode
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
+from rahtp.geometry import build_hierarchy
 from rahtp.transform import TransformConfig
 
 GOLDEN = {
@@ -44,3 +46,25 @@ def test_encode_bytes_frozen(name, order, mode):
     config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
+
+
+@pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
+def test_decoder_reads_frozen_planes(name, order, mode):
+    # RLGR is a prefix code, so re-encoding each decoded plane to the same
+    # bytes fixes the decoded symbols
+    cloud = _cloud(name)
+    config = TransformConfig(order=order, residual_mode=mode)
+    blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
+    head, off = parse_header(blob)
+    levels = build_hierarchy(cloud, order).levels
+    counts = [len(levels[0].nodes)] + [
+        len(levels[l + 1].nodes) - (len(levels[l].nodes) if m == "c" else 0)
+        for l, m in enumerate(head["modes"])]
+    for _ in range(head["channels"]):
+        for count in counts:
+            (blen,) = struct.unpack_from("<I", blob, off)
+            plane = blob[off + 4:off + 4 + blen]
+            off += 4 + blen
+            assert rlgr_encode(rlgr_decode(plane, count)) == plane
+    assert off == len(blob)
