@@ -1,10 +1,19 @@
 """Quantization, adaptive run-length Golomb-Rice coding, and the container.
 
 The entropy layer is a classic backward-adaptive RLGR: fractional parameter
-registers kp/krp (the working parameters are kp>>4 and krp>>4), a run mode
-that activates when krp crosses 16, and a unary escape after Q_CAP quotient
-bits.  All constants below are part of the format; changing any of them
-breaks stream compatibility, so they are asserted by regression tests.
+registers kp/krp (the working parameters are k = kp>>4 and kr = krp>>4), a
+run mode that activates when krp crosses 16, and a unary escape after Q_CAP
+quotient bits.  Each symbol is a mode prefix and one shared Golomb-Rice
+codeword.  Regular mode (kr = 0) has no prefix and codes u, the zigzag of
+the value.  In run mode a 0 bit is a full run of 1 << kr zeros (clamped at
+the plane end, so trailing zeros need no other code); a 1 bit, kr bits of
+run length and the codeword of u - 1 code a shorter run and the nonzero
+value after it.  The codeword is q = u >> k in unary and k remainder bits,
+or Q_CAP ones, a 0 and ESCAPE_BITS plain bits when q >= Q_CAP; the escape
+range is checked on the value actually coded, so 2**31 is legal after a
+zero run (u - 1 = 2**32 - 1) and not as a regular-mode symbol.  All
+constants below are part of the format; changing any of them breaks stream
+compatibility, so they are asserted by regression tests.
 
 Container layout (little endian):
   magic "RAHT" | version u8 | order u8 | depth u8 | reserved u8 | channels u8
@@ -46,13 +55,15 @@ class CorruptStream(ValueError):
 def rlgr_encode(values):
     """Encode a signed integer array; returns bytes.
 
-    The symbol loop is fully inlined (bit accumulator, zigzag, GR emission,
-    parameter adaptation): per-symbol helper calls double the runtime on
-    million-coefficient planes.  The accumulator is flushed in chunks of at
-    least 1024 bits, which needs fewer to_bytes calls than a flush per byte
-    and writes the same bytes; the tail is zero-padded to a whole byte.
-    This body and rlgr_decode are the format; they must stay in step with
-    each other.
+    Each iteration writes its mode's prefix (a full run ends the iteration
+    there), then one shared tail writes the codeword, checks the escape
+    range on the value it codes and adapts kp.  The loop is fully inlined
+    (bit accumulator, zigzag, codeword, parameter adaptation): per-symbol
+    helper calls double the runtime on million-coefficient planes.  The
+    accumulator is flushed in chunks of at least 1024 bits, which needs
+    fewer to_bytes calls than a flush per byte and writes the same bytes;
+    the tail is zero-padded to a whole byte.  This body and rlgr_decode are
+    the format; they must stay in step with each other.
     """
     vals = np.asarray(values, dtype=np.int64).tolist()  # plain ints are much
     buf = bytearray()                                   # faster to index
@@ -61,41 +72,20 @@ def rlgr_encode(values):
     kp, krp = KP_INIT, KRP_INIT
     pos, n = 0, len(vals)
     while pos < n:
+        if nbits >= 1024:
+            drop = nbits & 7
+            buf += (acc >> drop).to_bytes(nbits >> 3, "big")
+            acc &= (1 << drop) - 1
+            nbits = drop
         k = kp >> 4
         kr = krp >> 4
         if kr == 0:
             v = vals[pos]
             u = 2 * v if v >= 0 else -2 * v - 1
-            q = u >> k
-            if q < Q_CAP:
-                acc = (acc << (q + 1 + k)) | ((((1 << q) - 1) << (k + 1))
-                                              | (u & ((1 << k) - 1)))
-                nbits += q + 1 + k
-            else:
-                if u >= (1 << ESCAPE_BITS):
-                    raise ValueError("coefficient magnitude exceeds escape range")
-                acc = (acc << (Q_CAP + 1 + ESCAPE_BITS)) \
-                    | ((((1 << Q_CAP) - 1) << (ESCAPE_BITS + 1)) | u)
-                nbits += Q_CAP + 1 + ESCAPE_BITS
-                q = Q_CAP
-            if nbits >= 1024:
-                drop = nbits & 7
-                buf += (acc >> drop).to_bytes(nbits >> 3, "big")
-                acc &= (1 << drop) - 1
-                nbits = drop
-            if q == 0:
-                kp = kp - 2 if kp > 2 else 0
-            elif q > 1:
-                kp = kp + q + 1
-                if kp > KP_MAX:
-                    kp = KP_MAX
             if u == 0:
-                krp = krp + 4
-                if krp > KRP_MAX:
-                    krp = KRP_MAX
+                krp += 4                # krp < 16 here, far below KRP_MAX
             else:
                 krp = krp - 5 if krp > 5 else 0
-            pos += 1
         else:
             run_cap = 1 << kr
             stop = pos + run_cap
@@ -110,46 +100,36 @@ def rlgr_encode(values):
                 # is unambiguous at the tail
                 acc <<= 1
                 nbits += 1
-                if nbits >= 1024:
-                    drop = nbits & 7
-                    buf += (acc >> drop).to_bytes(nbits >> 3, "big")
-                    acc &= (1 << drop) - 1
-                    nbits = drop
                 krp = krp + 4
                 if krp > KRP_MAX:
                     krp = KRP_MAX
                 pos = p
-            else:
-                v = vals[p]
-                u = 2 * v if v >= 0 else -2 * v - 1
-                um1 = u - 1
-                q = um1 >> k
-                # flag bit, run length over kr bits, then GR code of u - 1
-                if q < Q_CAP:
-                    body = (((1 << q) - 1) << (k + 1)) | (um1 & ((1 << k) - 1))
-                    blen = q + 1 + k
-                else:
-                    if um1 >= (1 << ESCAPE_BITS):
-                        raise ValueError("coefficient magnitude exceeds escape range")
-                    body = (((1 << Q_CAP) - 1) << (ESCAPE_BITS + 1)) | um1
-                    blen = Q_CAP + 1 + ESCAPE_BITS
-                    q = Q_CAP
-                acc = (acc << (1 + kr + blen)) \
-                    | ((((1 << kr) | (p - pos)) << blen) | body)
-                nbits += 1 + kr + blen
-                if nbits >= 1024:
-                    drop = nbits & 7
-                    buf += (acc >> drop).to_bytes(nbits >> 3, "big")
-                    acc &= (1 << drop) - 1
-                    nbits = drop
-                if q == 0:
-                    kp = kp - 2 if kp > 2 else 0
-                elif q > 1:
-                    kp = kp + q + 1
-                    if kp > KP_MAX:
-                        kp = KP_MAX
-                krp = krp - 6 if krp > 6 else 0
-                pos = p + 1
+                continue
+            acc = (acc << (1 + kr)) | (1 << kr) | (p - pos)
+            nbits += 1 + kr
+            v = vals[p]
+            u = (2 * v if v >= 0 else -2 * v - 1) - 1
+            krp = krp - 6 if krp > 6 else 0
+            pos = p
+        q = u >> k
+        if q < Q_CAP:
+            acc = (acc << (q + 1 + k)) | ((((1 << q) - 1) << (k + 1))
+                                          | (u & ((1 << k) - 1)))
+            nbits += q + 1 + k
+        else:
+            if u >= (1 << ESCAPE_BITS):
+                raise ValueError("coefficient magnitude exceeds escape range")
+            acc = (acc << (Q_CAP + 1 + ESCAPE_BITS)) \
+                | ((((1 << Q_CAP) - 1) << (ESCAPE_BITS + 1)) | u)
+            nbits += Q_CAP + 1 + ESCAPE_BITS
+            q = Q_CAP
+        if q == 0:
+            kp = kp - 2 if kp > 2 else 0
+        elif q > 1:
+            kp = kp + q + 1
+            if kp > KP_MAX:
+                kp = KP_MAX
+        pos += 1
     # drain the whole bytes still held, then zero-pad the last one
     buf += (acc << (-nbits & 7)).to_bytes((nbits + 7) >> 3, "big")
     return bytes(buf)
@@ -179,13 +159,15 @@ def _bit_tables(data):
 def rlgr_decode(data, count):
     """Decode exactly count signed integers from bytes.
 
-    Table-driven mirror of the encoder loop: a unary quotient is one lookup
-    in the run-of-ones table, and a remainder, escape value or run length of
-    nb bits is one window lookup and a shift (see _bit_tables).  The loop
-    keeps the unsigned zigzag values; the signed map runs once, in numpy, at
-    the end.  Any read past the last bit, a run-mode value past the plane
-    end, 8 or more bits left after the last symbol, or a padding bit of 1
-    raises CorruptStream: the encoder writes none of them.
+    Table-driven mirror of the encoder loop: the run-mode prefix, then one
+    shared codeword read and one kp update.  A unary quotient is one lookup
+    in the run-of-ones table, and a remainder, escape value or run length
+    of nb bits is one window lookup and a shift (see _bit_tables).  The
+    loop keeps the unsigned zigzag values, u + 1 after a run; the signed
+    map runs once, in numpy, at the end.  Any read past the last bit, a
+    run-mode value past the plane end, 8 or more bits left after the last
+    symbol, or a padding bit of 1 raises CorruptStream: the encoder writes
+    none of them.
     """
     data = bytes(data)
     bits_total = len(data) << 3
@@ -197,84 +179,61 @@ def rlgr_decode(data, count):
     while pos < count:
         k = kp >> 4
         kr = krp >> 4
-        if kr == 0:
-            q = ones[bit]
-            bit += q + 1
-            if q < Q_CAP:
-                end = bit + k
-                if end > bits_total:
+        if kr:
+            if ones[bit] == 0:
+                # flag 0: a full run of zeros, clamped at the plane end
+                if bit >= bits_total:
                     raise CorruptStream("bitstream truncated")
-                u = (q << k) | ((win[bit >> 3] >> (64 - (bit & 7) - k))
-                                & ((1 << k) - 1))
-            else:
-                # an over-long unary run reads as an escape too
-                end = bit + ESCAPE_BITS
-                if end > bits_total:
-                    raise CorruptStream("bitstream truncated")
-                u = ((win[bit >> 3] >> (64 - ESCAPE_BITS - (bit & 7)))
-                     & ((1 << ESCAPE_BITS) - 1))
-                q = Q_CAP
-            bit = end
-            out[pos] = u
-            if q == 0:
-                kp = kp - 2 if kp > 2 else 0
-            elif q > 1:
-                kp = kp + q + 1
-                if kp > KP_MAX:
-                    kp = KP_MAX
-            if u == 0:
+                bit += 1
+                pos += 1 << kr
+                if pos > count:
+                    pos = count
                 krp = krp + 4
                 if krp > KRP_MAX:
                     krp = KRP_MAX
-            else:
-                krp = krp - 5 if krp > 5 else 0
-            pos += 1
-        elif ones[bit] == 0:
-            # flag 0: a full run of zeros, clamped at the plane end
-            if bit >= bits_total:
-                raise CorruptStream("bitstream truncated")
-            bit += 1
-            pos += 1 << kr
-            if pos > count:
-                pos = count
-            krp = krp + 4
-            if krp > KRP_MAX:
-                krp = KRP_MAX
-        else:
-            # flag 1: kr bits of run length, then the GR code of u - 1
+                continue
+            # flag 1: kr bits of run length, then the code of u - 1
             bit += 1
             end = bit + kr
             if end > bits_total:
                 raise CorruptStream("bitstream truncated")
             pos += (win[bit >> 3] >> (64 - (bit & 7) - kr)) & ((1 << kr) - 1)
             bit = end
-            q = ones[bit]
-            bit += q + 1
-            if q < Q_CAP:
-                end = bit + k
-                if end > bits_total:
-                    raise CorruptStream("bitstream truncated")
-                u = (q << k) | ((win[bit >> 3] >> (64 - (bit & 7) - k))
-                                & ((1 << k) - 1))
-            else:
-                end = bit + ESCAPE_BITS
-                if end > bits_total:
-                    raise CorruptStream("bitstream truncated")
-                u = ((win[bit >> 3] >> (64 - ESCAPE_BITS - (bit & 7)))
-                     & ((1 << ESCAPE_BITS) - 1))
-                q = Q_CAP
-            bit = end
             if pos >= count:
                 raise CorruptStream("run-mode value past plane end")
+        q = ones[bit]
+        bit += q + 1
+        if q < Q_CAP:
+            end = bit + k
+            if end > bits_total:
+                raise CorruptStream("bitstream truncated")
+            u = (q << k) | ((win[bit >> 3] >> (64 - (bit & 7) - k))
+                            & ((1 << k) - 1))
+        else:
+            # an over-long unary run reads as an escape too
+            end = bit + ESCAPE_BITS
+            if end > bits_total:
+                raise CorruptStream("bitstream truncated")
+            u = ((win[bit >> 3] >> (64 - ESCAPE_BITS - (bit & 7)))
+                 & ((1 << ESCAPE_BITS) - 1))
+            q = Q_CAP
+        bit = end
+        if kr:
             out[pos] = u + 1
-            if q == 0:
-                kp = kp - 2 if kp > 2 else 0
-            elif q > 1:
-                kp = kp + q + 1
-                if kp > KP_MAX:
-                    kp = KP_MAX
             krp = krp - 6 if krp > 6 else 0
-            pos += 1
+        else:
+            out[pos] = u
+            if u == 0:
+                krp += 4                # krp < 16 here, far below KRP_MAX
+            else:
+                krp = krp - 5 if krp > 5 else 0
+        if q == 0:
+            kp = kp - 2 if kp > 2 else 0
+        elif q > 1:
+            kp = kp + q + 1
+            if kp > KP_MAX:
+                kp = KP_MAX
+        pos += 1
     left = bits_total - bit
     if left >= 8 or (left and (win[bit >> 3] >> (64 - (bit & 7) - left))
                      & ((1 << left) - 1)):

@@ -323,14 +323,20 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(p):
-    p.add_argument("--order", type=int, choices=(1, 2), default=1)
+def _add_common(p, taylor_k):
+    """Arguments that encode, rd and compaction all read."""
+    p.add_argument("input")
+    p.add_argument("output")
     p.add_argument("--depth", type=int, default=0,
                    help="voxel grid depth L (0 = infer from integer coords)")
-    p.add_argument("--mode", choices=("critical", "overcomplete"),
-                   default="overcomplete")
-    p.add_argument("--taylor-k", type=int, default=16)
-    p.add_argument("--colorspace", choices=("raw", "bt709"), default="raw")
+    p.add_argument("--taylor-k", type=int, default=taylor_k)
+
+
+def _add_sweep(p, modes):
+    p.add_argument("--orders", type=int, nargs="+", choices=(1, 2),
+                   default=[1, 2])
+    p.add_argument("--modes", nargs="+", choices=("critical", "overcomplete"),
+                   default=modes)
 
 
 def build_parser():
@@ -338,9 +344,11 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("encode", help="encode a PLY into a bitstream")
-    p.add_argument("input")
-    p.add_argument("output")
-    _add_common(p)
+    _add_common(p, taylor_k=16)
+    p.add_argument("--order", type=int, choices=(1, 2), default=1)
+    p.add_argument("--mode", choices=("critical", "overcomplete"),
+                   default="overcomplete")
+    p.add_argument("--colorspace", choices=("raw", "bt709"), default="raw")
     p.add_argument("--step", type=float, default=1.0)
     p.set_defaults(fn=cmd_encode)
 
@@ -351,29 +359,17 @@ def build_parser():
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("rd", help="rate-distortion sweep to CSV")
-    p.add_argument("input")
-    p.add_argument("output")
-    _add_common(p)
+    _add_common(p, taylor_k=16)
+    _add_sweep(p, modes=["critical", "overcomplete"])
+    p.add_argument("--colorspace", choices=("raw", "bt709"), default="raw")
     p.add_argument("--steps", type=float, nargs="+",
                    default=[0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    p.add_argument("--orders", type=int, nargs="+", choices=(1, 2),
-                   default=[1, 2])
-    p.add_argument("--modes", nargs="+",
-                   choices=("critical", "overcomplete"),
-                   default=["critical", "overcomplete"])
     p.set_defaults(fn=cmd_rd)
 
     p = sub.add_parser("compaction",
                        help="energy compaction sweep (no quantization) to CSV")
-    p.add_argument("input")
-    p.add_argument("output")
-    _add_common(p)
-    p.set_defaults(taylor_k=1024)
-    p.add_argument("--orders", type=int, nargs="+", choices=(1, 2),
-                   default=[1, 2])
-    p.add_argument("--modes", nargs="+",
-                   choices=("critical", "overcomplete"),
-                   default=["overcomplete"])
+    _add_common(p, taylor_k=1024)
+    _add_sweep(p, modes=["overcomplete"])
     p.set_defaults(fn=cmd_compaction)
 
     p = sub.add_parser("selftest", help="run built-in checks")

@@ -134,10 +134,18 @@ def _read_ply_header(fh):
         if tok[0] == "comment":
             continue
         if tok[0] == "format":
+            if len(tok) < 2:
+                raise ValueError("malformed PLY format line")
             fmt = tok[1]
         elif tok[0] == "element":
+            if len(tok) < 3 or not tok[2].isdigit():
+                raise ValueError("malformed PLY element line: %r" % " ".join(tok))
             elements.append([tok[1], int(tok[2]), []])
         elif tok[0] == "property":
+            if not elements:
+                raise ValueError("PLY property before any element")
+            if len(tok) < (5 if tok[1:2] == ["list"] else 3):
+                raise ValueError("malformed PLY property line: %r" % " ".join(tok))
             if tok[1] == "list":
                 elements[-1][2].append((tok[-1], "list:" + tok[2] + ":" + tok[3]))
             else:
@@ -175,6 +183,9 @@ def load_ply(path):
         names = [p[0] for p in props]
         if any(t.startswith("list:") for _, t in props):
             raise ValueError("list properties in vertex element are unsupported")
+        bad = [t for _, t in props if t not in _PLY_DTYPES]
+        if bad:
+            raise ValueError("unsupported PLY property type %r" % bad[0])
         if not all(c in names for c in ("x", "y", "z")):
             raise ValueError("PLY vertex element lacks x,y,z")
         dtype = np.dtype([(n, "<" + _PLY_DTYPES[t]) for n, t in props])

@@ -54,6 +54,16 @@ def test_rlgr_roundtrip_edge_streams():
 def test_rlgr_rejects_values_beyond_escape_range():
     with pytest.raises(ValueError):
         rlgr_encode(np.array([1 << 40], dtype=np.int64))
+    # the range check sits on the value coded: after a zero run that is
+    # u - 1, so 2**31 (u - 1 = 2**32 - 1) fits there but not as a first,
+    # regular-mode symbol
+    after_run = np.array([0] * 50 + [1 << 31, 0], dtype=np.int64)
+    data = rlgr_encode(after_run)
+    assert np.array_equal(rlgr_decode(data, len(after_run)), after_run)
+    with pytest.raises(ValueError):
+        rlgr_encode(np.array([1 << 31], dtype=np.int64))
+    with pytest.raises(ValueError):
+        rlgr_encode(np.array([0] * 50 + [(1 << 31) + 1], dtype=np.int64))
 
 
 def test_rlgr_zero_run_size_frozen():

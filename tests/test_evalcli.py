@@ -76,6 +76,24 @@ def test_cli_rd_csv(tmp_path):
     assert float(rows[1]["bpp"]) <= float(rows[0]["bpp"])
 
 
+def test_cli_rd_reads_order_as_orders(tmp_path):
+    # rd has no --order of its own, so argparse reads it as --orders
+    path, _ = _write_cloud(tmp_path)
+    out = tmp_path / "rd.csv"
+    assert main(["rd", str(path), str(out), "--order", "1",
+                 "--modes", "overcomplete", "--steps", "2.0"]) == 0
+    rows = list(csv.DictReader(open(out)))
+    assert [(r["order"], r["mode"]) for r in rows] == [("1", "overcomplete")]
+
+
+def test_cli_compaction_rejects_colorspace(tmp_path):
+    path, _ = _write_cloud(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compaction", str(path), str(tmp_path / "c.csv"),
+              "--colorspace", "bt709"])
+    assert exc.value.code == 1
+
+
 def test_cli_compaction_csv(tmp_path):
     path, _ = _write_cloud(tmp_path)
     out = tmp_path / "comp.csv"

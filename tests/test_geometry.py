@@ -92,6 +92,24 @@ def test_ply_roundtrip(tmp_path):
     assert np.abs(out.attributes - cl.attributes).max() < 1e-3
 
 
+@pytest.mark.parametrize("header", [
+    b"ply\nformat ascii 1.0\nproperty float x\nelement vertex 1\n",
+    b"ply\nformat ascii 1.0\nelement vertex 1\nproperty int64 x\n"
+    b"property float y\nproperty float z\n",
+    b"ply\nformat\nelement vertex 1\n",
+    b"ply\nformat ascii 1.0\nelement vertex\n",
+    b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n",
+], ids=["property-before-element", "int64-type", "format-without-token",
+        "short-element", "short-property"])
+def test_malformed_ply_header_raises_value_error(tmp_path, header):
+    from rahtp.evalcli import main
+    path = tmp_path / "bad.ply"
+    path.write_bytes(header + b"end_header\n0 0 0\n")
+    with pytest.raises(ValueError):
+        rahtp.load_ply(path)
+    assert main(["encode", str(path), str(tmp_path / "o.bin")]) == 2
+
+
 def test_hierarchy_levels_cover_children_both_orders():
     cl = random_cloud(4, 120, 3)
     for order in (1, 2):
