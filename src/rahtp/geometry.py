@@ -165,30 +165,55 @@ _PLY_DTYPES = {
 }
 
 
+def _ply_record(name, props):
+    """Little-endian record dtype of an element; list or unknown property
+    types raise ValueError."""
+    if any(t.startswith("list:") for _, t in props):
+        raise ValueError("list properties in %s element are unsupported" % name)
+    bad = [t for _, t in props if t not in _PLY_DTYPES]
+    if bad:
+        raise ValueError("unsupported PLY property type %r" % bad[0])
+    return np.dtype([(n, "<" + _PLY_DTYPES[t]) for n, t in props])
+
+
+def _skip_ply_element(fh, fmt, name, count, props):
+    """Read past an element stored before the vertices: its lines in ASCII,
+    its fixed-size records in binary."""
+    if fmt == "ascii":
+        skipped = 0
+        while skipped < count:
+            line = fh.readline()
+            if not line:
+                raise ValueError("truncated ASCII PLY body")
+            skipped += bool(line.split())
+        return
+    size = count * _ply_record(name, props).itemsize
+    if len(fh.read(size)) != size:
+        raise ValueError("truncated binary PLY body")
+
+
 def load_ply(path):
     """Read a PLY point cloud (ASCII or binary little-endian).
 
     Requires vertex properties x,y,z; colors red,green,blue or a single
     scalar property (gray/intensity/value/scalar) become the attributes.
-    Positions are returned raw (not voxelized), attributes as float64.
+    Elements declared before the vertices are skipped.  Positions are
+    returned raw (not voxelized), attributes as float64.
     """
     with open(path, "rb") as fh:
         fmt, elements = _read_ply_header(fh)
-        vertex = next((e for e in elements if e[0] == "vertex"), None)
-        if vertex is None:
+        at = next((i for i, e in enumerate(elements) if e[0] == "vertex"), None)
+        if at is None:
             raise ValueError("PLY has no vertex element")
-        _, count, props = vertex
+        for name, count, props in elements[:at]:
+            _skip_ply_element(fh, fmt, name, count, props)
+        _, count, props = elements[at]
         if count == 0:
             raise ValueError("empty point cloud")
         names = [p[0] for p in props]
-        if any(t.startswith("list:") for _, t in props):
-            raise ValueError("list properties in vertex element are unsupported")
-        bad = [t for _, t in props if t not in _PLY_DTYPES]
-        if bad:
-            raise ValueError("unsupported PLY property type %r" % bad[0])
+        dtype = _ply_record("vertex", props)
         if not all(c in names for c in ("x", "y", "z")):
             raise ValueError("PLY vertex element lacks x,y,z")
-        dtype = np.dtype([(n, "<" + _PLY_DTYPES[t]) for n, t in props])
         if fmt == "binary_little_endian":
             raw = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype, count=count)
         else:

@@ -57,6 +57,21 @@ def _offset_priority(order):
     return prio
 
 
+def _offset_codes(d, order):
+    """Code ((dx-lo)*3 + (dy-lo))*3 + (dz-lo) in [0, 27) of offsets d (E,3),
+    with lo the smallest stencil offset of the order."""
+    d = d - (0 if order == 1 else -1)
+    return (d[:, 0] * 3 + d[:, 1]) * 3 + d[:, 2]
+
+
+def _priority_table(order):
+    """_offset_priority as a 27-entry array indexed by _offset_codes."""
+    prio = _offset_priority(order)
+    table = np.zeros(27, dtype=np.int64)
+    table[_offset_codes(np.array(list(prio)), order)] = list(prio.values())
+    return table
+
+
 def build_split(parent_geom, child_geom, order):
     """Greedy minimal-offset assignment of one child per parent.
 
@@ -70,11 +85,9 @@ def build_split(parent_geom, child_geom, order):
     if n_child < n_parent:
         raise SplitError("level %d has %d parents but only %d children"
                          % (parent_geom.level, n_parent, n_child))
-    prio = _offset_priority(order)
     link_p = parent_geom.link_parent
     link_c = parent_geom.link_child
-    link_d = parent_geom.link_d
-    pr = np.array([prio[tuple(d)] for d in link_d], dtype=np.int64)
+    pr = _priority_table(order)[_offset_codes(parent_geom.link_d, order)]
     order_ix = np.lexsort((pr, link_p))
     link_p = link_p[order_ix]
     link_c = link_c[order_ix]

@@ -92,6 +92,34 @@ def test_ply_roundtrip(tmp_path):
     assert np.abs(out.attributes - cl.attributes).max() < 1e-3
 
 
+_VERTEX_PROPS = (b"element vertex 2\nproperty float x\nproperty float y\n"
+                 b"property float z\nproperty float value\nend_header\n")
+
+
+@pytest.mark.parametrize("fmt", ["binary_little_endian", "ascii"])
+def test_ply_skips_elements_before_vertices(tmp_path, fmt):
+    head = (b"ply\nformat " + fmt.encode() + b" 1.0\nelement camera 1\n"
+            b"property float k\n" + _VERTEX_PROPS)
+    if fmt == "ascii":
+        body = b"9\n1 2 3 4\n5 6 7 8\n"
+    else:
+        body = np.array([9, 1, 2, 3, 4, 5, 6, 7, 8], "<f4").tobytes()
+    path = tmp_path / "cam.ply"
+    path.write_bytes(head + body)
+    cloud = rahtp.load_ply(path)
+    assert cloud.positions.tolist() == [[1, 2, 3], [5, 6, 7]]
+    assert cloud.attributes.ravel().tolist() == [4, 8]
+
+
+def test_ply_rejects_binary_list_element_before_vertices(tmp_path):
+    head = (b"ply\nformat binary_little_endian 1.0\nelement face 1\n"
+            b"property list uchar int vertex_indices\n" + _VERTEX_PROPS)
+    path = tmp_path / "face.ply"
+    path.write_bytes(head + bytes(13) + bytes(32))
+    with pytest.raises(ValueError):
+        rahtp.load_ply(path)
+
+
 @pytest.mark.parametrize("header", [
     b"ply\nformat ascii 1.0\nproperty float x\nelement vertex 1\n",
     b"ply\nformat ascii 1.0\nelement vertex 1\nproperty int64 x\n"

@@ -9,10 +9,13 @@ import struct
 
 import pytest
 
+from rahtp import spectral
 from rahtp.codec import encode, parse_header, rlgr_decode, rlgr_encode
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.geometry import build_hierarchy
 from rahtp.transform import TransformConfig
+
+from _helpers import force_row_split
 
 GOLDEN = {
     ("sphere200", 1, "overcomplete"):
@@ -46,6 +49,26 @@ def test_encode_bytes_frozen(name, order, mode):
     config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
+
+
+@pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
+def test_encode_bytes_frozen_with_row_split(monkeypatch, name, order, mode):
+    # the golden clouds are too small to reach SPLIT_NNZ, so force the
+    # two-block series on and check that it ran
+    force_row_split(monkeypatch)
+    second_blocks = []
+    rows_term = spectral._rows_term
+
+    def spy(lm, lo, *args):
+        second_blocks.append(lo > 0)
+        return rows_term(lm, lo, *args)
+
+    monkeypatch.setattr(spectral, "_rows_term", spy)
+    cloud = _cloud(name)
+    config = TransformConfig(order=order, residual_mode=mode)
+    blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
+    assert any(second_blocks) == (name == "torus3000")
 
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))

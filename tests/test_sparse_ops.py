@@ -4,7 +4,8 @@ import pytest
 import rahtp
 from rahtp import oracle
 from rahtp.kernels import build_a_matrix
-from rahtp.sparse_ops import SplitError, ZtildeOp, build_split
+from rahtp.sparse_ops import (SplitError, ZtildeOp, _offset_codes,
+                              _offset_priority, _priority_table, build_split)
 from rahtp.spectral import ApproxConfig
 
 from _helpers import random_cloud
@@ -28,6 +29,16 @@ def test_split_partitions_children():
         assert len(split.a_indices) + len(split.b_indices) == n_child
         both = np.concatenate([split.a_indices, split.b_indices])
         assert len(np.unique(both)) == n_child
+
+
+def test_priority_table_ranks_every_offset_as_the_reference():
+    for order in (1, 2):
+        prio = _offset_priority(order)
+        offsets = np.array(list(prio), dtype=np.int64)
+        codes = _offset_codes(offsets, order)
+        assert len(np.unique(codes)) == len(prio)
+        ranks = _priority_table(order)[codes]
+        assert ranks.tolist() == [prio[tuple(d)] for d in offsets.tolist()]
 
 
 def test_split_box_prefers_collocated_child():

@@ -1,13 +1,18 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import rahtp
-from rahtp import oracle
+from rahtp import oracle, spectral
 from rahtp.kernels import gram_levels
 from rahtp.spectral import (ApproxConfig, Operator, SeriesDivergence,
                             apply_series, eigen_bound, series_coefficients)
 
-from _helpers import random_cloud
+from _helpers import force_row_split, random_cloud
 
 
 def test_coefficients_frozen_values():
@@ -143,3 +148,110 @@ def test_identity_returning_operator_is_not_corrupted():
 def test_config_validation():
     with pytest.raises(ValueError):
         ApproxConfig(order=-1)
+
+
+def _banded_spd(n=700, seed=5):
+    # diagonally dominant 7-band matrix: sparse (n > DENSE_CUTOFF) and SPD
+    rng = np.random.default_rng(seed)
+    bands = [rng.uniform(-1.0, 1.0, n - abs(o)) for o in range(-3, 4)]
+    mat = sp.diags(bands, range(-3, 4), format="csr")
+    mat = (mat + mat.T).tocsr()
+    return (mat + sp.identity(n) * (abs(mat).sum(axis=1).max() + 0.5)).tocsr()
+
+
+def _reference_series(lm, v, h, order, tau):
+    # the product through scipy's public operator, one term at a time
+    b = series_coefficients(h, order)
+    term = v.copy()
+    acc = b[0] * term
+    for k in range(1, order + 1):
+        term = lm @ term
+        acc = acc + term if b[k] == 1.0 else acc + term * b[k]
+    return spectral._series_scale(h, tau) * acc
+
+
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_row_split_is_bit_identical_to_one_block(monkeypatch, cols):
+    mat = _banded_spd()
+    lam = Operator(mat).gershgorin()
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal(mat.shape[0] if cols is None
+                            else (mat.shape[0], cols))
+    cfg = ApproxConfig(order=40)
+    one_block = {}
+    for h in ("inv", "invsqrt", "sqrt"):
+        op = Operator(mat)
+        one_block[h] = apply_series(op, v, h, cfg, lam_max=lam)
+        assert op._iter[2] is None
+        lm = op.iteration_matrix(1.0 / lam)
+        ref = _reference_series(lm, v, h, cfg.order, 1.0 / lam)
+        assert np.array_equal(one_block[h], ref), h
+    force_row_split(monkeypatch)
+    for h in ("inv", "invsqrt", "sqrt"):
+        op = Operator(mat)
+        out = apply_series(op, v, h, cfg, lam_max=lam)
+        assert 0 < op._iter[2] < mat.shape[0]
+        assert np.array_equal(out, one_block[h]), h
+
+
+def test_row_split_keeps_early_stop_and_divergence(monkeypatch):
+    mat = _banded_spd()
+    lam = Operator(mat).gershgorin()
+    v = np.random.default_rng(7).standard_normal((mat.shape[0], 3))
+    early = ApproxConfig(order=4000, tolerance=1e-12)
+
+    def run():
+        op = Operator(mat)
+        out = apply_series(op, v, "invsqrt", early, lam_max=lam)
+        with pytest.raises(SeriesDivergence) as exc:
+            apply_series(op, v, "inv", ApproxConfig(order=400),
+                         lam_max=lam / 8)
+        return out, str(exc.value)
+
+    out, msg = run()
+    force_row_split(monkeypatch)
+    split_out, split_msg = run()
+    assert np.array_equal(split_out, out)
+    assert split_msg == msg
+
+
+def test_one_cpu_runs_one_block_and_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(spectral, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(spectral, "_worker", None)
+    before = set(threading.enumerate())
+    op = Operator(_banded_spd())
+    v = np.ones((len(op), 3))
+    apply_series(op, v, "inv", ApproxConfig(order=8), lam_max=op.gershgorin())
+    assert op._iter[2] is None
+    assert spectral._worker is None
+    assert set(threading.enumerate()) <= before
+
+
+def _child_series(mat, v, lam, expected):
+    out = apply_series(Operator(mat), v, "invsqrt", ApproxConfig(order=30),
+                       lam_max=lam)
+    os._exit(0 if np.array_equal(out, expected) else 3)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_row_split_series_completes_in_forked_child(monkeypatch):
+    force_row_split(monkeypatch)
+    mat = _banded_spd()
+    lam = Operator(mat).gershgorin()
+    v = np.ones((mat.shape[0], 3))
+    # the parent's worker thread exists before the fork
+    expected = apply_series(Operator(mat), v, "invsqrt",
+                            ApproxConfig(order=30), lam_max=lam)
+    assert spectral._worker is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_child_series, args=(mat, v, lam, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("blocked series hung in a forked child")
+    assert child.exitcode == 0
