@@ -15,6 +15,12 @@ zero run (u - 1 = 2**32 - 1) and not as a regular-mode symbol.  All
 constants below are part of the format; changing any of them breaks stream
 compatibility, so they are asserted by regression tests.
 
+The encoder runs in two passes.  A scan in Python carries kp/krp over the
+values and records each codeword's k and the sparse run-mode prefixes; a
+pack in numpy then lays out the bits, a fixed number of positions at a
+time.  The scan and rlgr_decode are the format and must stay in step with
+each other; packing only lays out the bits.
+
 Container layout (little endian):
   magic "RAHT" | version u8 | order u8 | depth u8 | reserved u8 | channels u8
   | colorspace u8 | modes (depth bytes, 'c'/'o') | K u16 | tau f64
@@ -55,84 +61,173 @@ class CorruptStream(ValueError):
 def rlgr_encode(values):
     """Encode a signed integer array; returns bytes.
 
-    Each iteration writes its mode's prefix (a full run ends the iteration
-    there), then one shared tail writes the codeword, checks the escape
-    range on the value it codes and adapts kp.  The loop is fully inlined
-    (bit accumulator, zigzag, codeword, parameter adaptation): per-symbol
-    helper calls double the runtime on million-coefficient planes.  The
-    accumulator is flushed in chunks of at least 1024 bits, which needs
-    fewer to_bytes calls than a flush per byte and writes the same bytes;
-    the tail is zero-padded to a whole byte.  This body and rlgr_decode are
-    the format; they must stay in step with each other.
+    Two passes.  The scan (_rlgr_scan) walks the zigzag values once in
+    Python, carrying kp/krp as the decoder does; it records the k of every
+    codeword and the sparse run-mode prefixes, and checks the escape range
+    on the value each codeword codes.  The pack (_rlgr_pack) then lays the
+    bits out with numpy.  The scan and rlgr_decode are the format; packing
+    only lays out the bits.  A magnitude above 2**31 cannot be coded in
+    either mode, so it is rejected before the zigzag, which would wrap for
+    |v| >= 2**62.
     """
-    vals = np.asarray(values, dtype=np.int64).tolist()  # plain ints are much
-    buf = bytearray()                                   # faster to index
-    acc = 0
-    nbits = 0
+    v = np.asarray(values, dtype=np.int64)
+    if v.size and (int(v.max()) > 1 << 31 or int(v.min()) < -(1 << 31)):
+        raise ValueError("coefficient magnitude exceeds escape range")
+    u = (v << 1) ^ (v >> 63)            # zigzag: 0, -1, 1, -2 -> 0, 1, 2, 3
+    ks, prefixes = _rlgr_scan(u.tolist())
+    return _rlgr_pack(u.view(np.uint64), ks, prefixes)
+
+
+def _rlgr_scan(us):
+    """The adaptation pass over the zigzag values us (a list of ints).
+
+    Returns (ks, prefixes).  ks is a bytearray: ks[p] is the Golomb-Rice
+    parameter k of the codeword coded at position p, or 255 for a zero
+    swallowed by a run.  prefixes lists the run-mode prefixes in stream
+    order as (position, value, width): (p, 0, 1) for the 0 bit of a full
+    run starting at p, and (p, (1 << kr) | run, 1 + kr) for the 1 flag and
+    the run length in front of the codeword at p, which codes u - 1.  The
+    loop is fully inlined: per-symbol helper calls double the runtime on
+    million-coefficient planes.
+    """
+    n = len(us)
+    ks = bytearray(b"\xff") * n
+    prefixes = []
     kp, krp = KP_INIT, KRP_INIT
-    pos, n = 0, len(vals)
+    pos = 0
     while pos < n:
-        if nbits >= 1024:
-            drop = nbits & 7
-            buf += (acc >> drop).to_bytes(nbits >> 3, "big")
-            acc &= (1 << drop) - 1
-            nbits = drop
         k = kp >> 4
-        kr = krp >> 4
-        if kr == 0:
-            v = vals[pos]
-            u = 2 * v if v >= 0 else -2 * v - 1
+        if krp < 16:                    # kr = 0: regular mode, no prefix
+            u = us[pos]
             if u == 0:
                 krp += 4                # krp < 16 here, far below KRP_MAX
             else:
                 krp = krp - 5 if krp > 5 else 0
         else:
+            kr = krp >> 4
             run_cap = 1 << kr
             stop = pos + run_cap
             if stop > n:
                 stop = n
             p = pos
-            while p < stop and vals[p] == 0:
+            while p < stop and us[p] == 0:
                 p += 1
             if p - pos == run_cap or p >= n:
                 # full run, or trailing zeros shorter than one: the decoder
                 # clamps runs at the known plane length, so a full-run bit
                 # is unambiguous at the tail
-                acc <<= 1
-                nbits += 1
+                prefixes.append((pos, 0, 1))
                 krp = krp + 4
                 if krp > KRP_MAX:
                     krp = KRP_MAX
                 pos = p
                 continue
-            acc = (acc << (1 + kr)) | (1 << kr) | (p - pos)
-            nbits += 1 + kr
-            v = vals[p]
-            u = (2 * v if v >= 0 else -2 * v - 1) - 1
+            prefixes.append((p, run_cap | (p - pos), 1 + kr))
+            u = us[p] - 1
             krp = krp - 6 if krp > 6 else 0
             pos = p
+        ks[pos] = k
         q = u >> k
-        if q < Q_CAP:
-            acc = (acc << (q + 1 + k)) | ((((1 << q) - 1) << (k + 1))
-                                          | (u & ((1 << k) - 1)))
-            nbits += q + 1 + k
-        else:
-            if u >= (1 << ESCAPE_BITS):
-                raise ValueError("coefficient magnitude exceeds escape range")
-            acc = (acc << (Q_CAP + 1 + ESCAPE_BITS)) \
-                | ((((1 << Q_CAP) - 1) << (ESCAPE_BITS + 1)) | u)
-            nbits += Q_CAP + 1 + ESCAPE_BITS
-            q = Q_CAP
         if q == 0:
             kp = kp - 2 if kp > 2 else 0
         elif q > 1:
+            if q >= Q_CAP:
+                if u >> ESCAPE_BITS:
+                    raise ValueError(
+                        "coefficient magnitude exceeds escape range")
+                q = Q_CAP
             kp = kp + q + 1
             if kp > KP_MAX:
                 kp = KP_MAX
         pos += 1
-    # drain the whole bytes still held, then zero-pad the last one
-    buf += (acc << (-nbits & 7)).to_bytes((nbits + 7) >> 3, "big")
-    return bytes(buf)
+    return ks, prefixes
+
+
+# The pack lays out this many positions at a time.  The chunk size bounds
+# the packing temporaries and never changes the bytes.  At 1 << 13 they stay
+# near 1 MB; 1 << 15 ran no faster and raised a whole codec's peak RSS by
+# 2-5 MB on a 34k-voxel order-2 cloud.
+PACK_CHUNK = 1 << 13
+
+
+def _rlgr_pack(u, ks, prefixes):
+    """Lay out the bits of a scanned plane; returns bytes.
+
+    u holds the zigzag values as uint64, and ks and prefixes come from
+    _rlgr_scan.  Per chunk of positions, each codeword becomes one field of
+    q ones, a 0 and k remainder bits (an escape: Q_CAP ones, a 0 and
+    ESCAPE_BITS bits of u).  A codeword wider than 64 bits is split into
+    its unary part and its remainder.  Each prefix goes in front of its
+    position's codeword.  Bit offsets come from a cumsum; the fields are
+    ORed into big-endian uint64 words with one reduceat, as the fields that
+    start in one word never overlap, and the part of a field that spills
+    into the next word is ORed in separately.  The unfinished last byte of
+    a chunk is carried into the next, and the stream's last byte is
+    zero-padded.
+    """
+    n = len(ks)
+    pre = np.array(prefixes, dtype=np.int64).reshape(-1, 3)
+    ppos, pval, pwid = pre[:, 0], pre[:, 1].astype(np.uint64), pre[:, 2]
+    cuts = np.searchsorted(ppos, np.arange(0, n + PACK_CHUNK, PACK_CHUNK))
+    out = []
+    carry, cbits = 0, 0                 # the unfinished byte and its bits
+    one = np.uint64(1)
+    for c, a in enumerate(range(0, n, PACK_CHUNK)):
+        kk = np.frombuffer(ks, dtype=np.uint8, count=min(PACK_CHUNK, n - a),
+                           offset=a)
+        lp = ppos[cuts[c]:cuts[c + 1]] - a
+        lw = pwid[cuts[c]:cuts[c + 1]]
+        cu = u[a:a + PACK_CHUNK].copy()
+        cu[lp[lw > 1]] -= one           # after a run flag the code is u - 1
+        cw = np.flatnonzero(kk != 255)  # the positions with a codeword
+        k = kk[cw].astype(np.uint64)
+        cu = cu[cw]
+        q = cu >> k
+        esc = q >= Q_CAP
+        uq = np.minimum(q, np.uint64(Q_CAP)) + one    # unary width
+        rb = np.where(esc, np.uint64(ESCAPE_BITS), k)
+        rv = np.where(esc, cu, cu & ((one << k) - one))
+        unary = (one << uq) - np.uint64(2)
+        wide = uq + rb > 64
+        cnt = np.zeros(len(kk), dtype=np.int64)
+        cnt[cw] = 1 + wide
+        cnt[lp] += 1
+        end = np.cumsum(cnt)
+        nf = int(end[-1])
+        if nf == 0:
+            continue
+        width = np.empty(nf, dtype=np.int64)
+        field = np.empty(nf, dtype=np.uint64)
+        slot = end[cw] - 1 - wide
+        width[slot] = np.where(wide, uq, uq + rb)
+        field[slot] = np.where(wide, unary, (unary << rb) | rv)
+        wi = np.flatnonzero(wide)
+        width[slot[wi] + 1] = rb[wi]
+        field[slot[wi] + 1] = rv[wi]
+        slot = end[lp] - cnt[lp]
+        width[slot] = lw
+        field[slot] = pval[cuts[c]:cuts[c + 1]]
+        off = np.cumsum(width)
+        total = int(off[-1]) + cbits
+        off += cbits - width
+        word = off >> 6
+        stop = (off & 63) + width       # bit after the field, in its word
+        spill = stop > 64
+        main = ((field >> np.maximum(stop - 64, 0).astype(np.uint64))
+                << np.maximum(64 - stop, 0).astype(np.uint64))
+        words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+        words[0] = carry << 56
+        first = np.flatnonzero(np.diff(word, prepend=-1))
+        words[word[first]] |= np.bitwise_or.reduceat(main, first)
+        words[word[spill] + 1] |= (field[spill]
+                                   << (128 - stop[spill]).astype(np.uint64))
+        data = words.byteswap().tobytes()
+        out.append(data[:total >> 3])
+        cbits = total & 7
+        carry = data[total >> 3] if cbits else 0
+    if cbits:
+        out.append(bytes([carry]))
+    return b"".join(out)
 
 
 def _bit_tables(data):
@@ -159,10 +254,10 @@ def _bit_tables(data):
 def rlgr_decode(data, count):
     """Decode exactly count signed integers from bytes.
 
-    Table-driven mirror of the encoder loop: the run-mode prefix, then one
-    shared codeword read and one kp update.  A unary quotient is one lookup
-    in the run-of-ones table, and a remainder, escape value or run length
-    of nb bits is one window lookup and a shift (see _bit_tables).  The
+    Table-driven mirror of the encoder's scan: the run-mode prefix, then
+    one shared codeword read and one kp update.  A unary quotient is one
+    lookup in the run-of-ones table, and a remainder, escape value or run
+    length of nb bits is one window lookup and a shift (see _bit_tables).  The
     loop keeps the unsigned zigzag values, u + 1 after a run; the signed
     map runs once, in numpy, at the end.  Any read past the last bit, a
     run-mode value past the plane end, 8 or more bits left after the last

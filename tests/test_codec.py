@@ -13,7 +13,7 @@ from rahtp.evalcli import builtin_clouds
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import TransformConfig
 
-from _helpers import random_cloud
+from _helpers import random_cloud, reference_rlgr_encode
 
 
 def _codec_config(order=1, mode="overcomplete", k=16):
@@ -64,6 +64,12 @@ def test_rlgr_rejects_values_beyond_escape_range():
         rlgr_encode(np.array([1 << 31], dtype=np.int64))
     with pytest.raises(ValueError):
         rlgr_encode(np.array([0] * 50 + [(1 << 31) + 1], dtype=np.int64))
+    # an int64 zigzag wraps from |v| >= 2**62, so these must be rejected
+    # before it, as the first symbol and after a zero run alike
+    for big in (1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63)):
+        for lead in (0, 50):
+            with pytest.raises(ValueError):
+                rlgr_encode(np.array([0] * lead + [big], dtype=np.int64))
 
 
 def test_rlgr_zero_run_size_frozen():
@@ -86,6 +92,67 @@ def test_rlgr_format_frozen():
     assert hashlib.sha256(data).hexdigest() == (
         "d7f72db6cce0909bad282e429947fa287adba2fc30a4c6199e36c5e6ab75def1")
     assert np.array_equal(rlgr_decode(data, len(vals)), vals)
+
+
+def _differential_planes():
+    """Named int64 planes for the comparison with the per-symbol encoder."""
+    rng = np.random.default_rng(20)
+    chunk = codec.PACK_CHUNK
+    for scale in (0.05, 0.3, 3.0, 40.0, 1e3, 1e6):
+        vals = np.round(rng.laplace(0.0, scale, 5000)).astype(np.int64)
+        yield "laplace %g" % scale, vals
+        vals[rng.random(len(vals)) < 0.8] = 0
+        yield "laplace %g, 80%% zeros" % scale, vals
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        scale = 3.0 if n % 2 else 200.0
+        yield "length %d" % n, np.round(
+            rng.laplace(0.0, scale, n)).astype(np.int64)
+    # a zero run and escapes on both sides of chunk boundaries
+    vals = np.round(rng.laplace(0.0, 0.3, 3 * chunk)).astype(np.int64)
+    vals[chunk - 300:chunk + 300] = 0
+    vals[chunk + 300] = 1 << 31
+    vals[2 * chunk - 1:2 * chunk + 1] = [1 << 30, -(1 << 31)]
+    yield "boundaries", vals
+    # escapes in regular mode (small k) and in run mode; at k = 24, codewords
+    # of 66 and 64 bits
+    esc, big = 1 << 30, 1 << 28
+    yield "escapes", np.array([esc, -esc, -(1 << 31), 0, 1 - (1 << 31)]
+                              + [big, -big] * 8
+                              + [350_000_000, -(39 << 23) - 1]
+                              + [0] * 300 + [esc] + [0] * 40
+                              + [-(1 << 31), 1], dtype=np.int64)
+    yield "format frozen", np.concatenate(
+        [[esc, -esc], np.tile([big, -big], 6), np.zeros(40000, dtype=np.int64),
+         [esc], np.zeros(100, dtype=np.int64), [-esc],
+         np.arange(200) % 7 - 3]).astype(np.int64)
+    # out of range: both encoders must raise
+    for bad in ((1 << 31) + 1, -(1 << 31) - 1, 1 << 62, -(1 << 63)):
+        vals = np.round(rng.laplace(0.0, 3.0, chunk + 50)).astype(np.int64)
+        vals[chunk + 20] = bad
+        yield "out of range %d" % bad, vals
+
+
+def _encode_or_error(encoder, vals):
+    try:
+        return encoder(vals)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("chunk", [None, 61])
+def test_rlgr_encode_matches_per_symbol_reference(monkeypatch, chunk):
+    # the two-pass encoder writes the per-symbol encoder's bytes, or raises
+    # where it raises, whatever the pack's chunk size
+    planes = list(_differential_planes())
+    if chunk is not None:
+        monkeypatch.setattr(codec, "PACK_CHUNK", chunk)
+    for name, vals in planes:
+        want = _encode_or_error(reference_rlgr_encode, vals)
+        got = _encode_or_error(rlgr_encode, vals)
+        assert got == want, name
+        assert (want is ValueError) == name.startswith("out of range"), name
+        if want is not ValueError:
+            assert np.array_equal(rlgr_decode(got, len(vals)), vals), name
 
 
 def test_rlgr_decode_rejects_bits_left_after_last_symbol():

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,3 +133,17 @@ def test_cli_runtime_errors_exit_2(tmp_path):
     bad.write_bytes(b"not a stream")
     ply, _ = _write_cloud(tmp_path)
     assert main(["decode", str(bad), str(ply), str(tmp_path / "r.ply")]) == 2
+
+
+def test_python_dash_m_rahtp_runs_the_cli():
+    # the package runs as a module; importing evalcli from __init__ must not
+    # make runpy warn about a module found in sys.modules
+    src = str(Path(rahtp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    res = subprocess.run([sys.executable, "-m", "rahtp", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "usage: rahtp" in res.stdout
+    assert "RuntimeWarning" not in res.stderr
