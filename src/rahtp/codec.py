@@ -426,9 +426,10 @@ def parse_header(data):
     """Validate the container header; returns (header dict, payload offset).
 
     Fields outside the range an encoder writes (order, colorspace, modes,
-    steps) raise CorruptStream instead of steering the decoder, and so do
-    the reserved slots: byte 7 must hold 1 and tau must be 0.0.  An altered
-    value inside its range is not detected here.
+    steps, bt709 on other than 3 channels) raise CorruptStream instead of
+    steering the decoder, and so do the reserved slots: byte 7 must hold 1
+    and tau must be 0.0.  An altered value inside its range is not detected
+    here.
     """
     base = struct.calcsize("<4sBBBBBB")
     if len(data) < base:
@@ -445,6 +446,9 @@ def parse_header(data):
         raise CorruptStream("reserved byte 7 holds %d, not 1" % reserved)
     if cspace not in COLORSPACE_NAMES:
         raise CorruptStream("unknown colorspace id %d" % cspace)
+    if COLORSPACE_NAMES[cspace] == "bt709" and channels != 3:
+        raise CorruptStream("bt709 colorspace on %d channels, not 3"
+                            % channels)
     off = base
     modes = data[off:off + depth].decode("ascii", errors="replace")
     if len(modes) != depth or any(m not in "co" for m in modes):

@@ -1,7 +1,7 @@
 """Command-line harness: file encode/decode, RD sweeps, compaction tables.
 
-Subcommands: encode, decode, rd, compaction, selftest.  Exit codes: 0 ok,
-1 usage error, 2 runtime error (bad input, corrupt stream, failed selftest).
+Subcommands: encode, decode, rd, compaction.  Exit codes: 0 ok, 1 usage
+error, 2 runtime error (bad input or corrupt stream).
 """
 
 import argparse
@@ -14,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import decode, encode, parse_header, rgb_to_bt709
-from .geometry import PointCloud, load_ply, save_ply, voxelize
-from .transform import (TransformConfig, analyze, synthesize,
-                        truncate_to_level, TransformPlan)
-from .geometry import build_hierarchy
-from . import oracle
-from .codec import rlgr_decode, rlgr_encode
-from .kernels import gram_levels
-from .spectral import ApproxConfig, apply_series
+from .geometry import (PointCloud, build_hierarchy, load_ply, save_ply,
+                       voxelize)
+from .spectral import ApproxConfig
+from .transform import (TransformConfig, TransformPlan, analyze, synthesize,
+                        truncate_to_level)
 
 PSNR_PEAK = 255.0
 
@@ -92,7 +89,10 @@ def make_synthetic_cloud(kind="sphere", count=10000, depth=6, seed=0,
 
 
 def builtin_clouds():
-    """The three clouds used by selftest."""
+    """One voxel, two diagonal voxels and a 200-point sphere, all 3-channel.
+
+    The tests and perfbench use them as small fixed inputs.
+    """
     single = PointCloud(positions=np.array([[0, 0, 0]], dtype=np.int64),
                         attributes=np.array([[128.0, 64.0, 32.0]]),
                         depth=1, channels=3)
@@ -221,101 +221,6 @@ def cmd_compaction(args):
     return 0
 
 
-def _selftest_checks():
-    clouds = builtin_clouds()
-    checks = []
-
-    def roundtrip(name, cloud, order, mode):
-        config = _config(order, mode, 64)
-        hierarchy = build_hierarchy(cloud, order)
-        coeffs = analyze(hierarchy, cloud.attributes, config)
-        rec = synthesize(hierarchy, coeffs, config)
-        err = float(np.abs(rec - cloud.attributes).max())
-        return err <= 1e-6, "max err %.3e" % err
-
-    for name, cloud in clouds.items():
-        for order in (1, 2):
-            for mode in ("overcomplete", "critical"):
-                checks.append(("roundtrip %s order=%d mode=%s"
-                               % (name, order, mode),
-                               lambda c=cloud, o=order, m=mode, n=name:
-                               roundtrip(n, c, o, m)))
-
-    def oracle_projection():
-        cloud = clouds["sphere200"]
-        hierarchy = build_hierarchy(cloud, 2)
-        phi0 = oracle.dense_basis(hierarchy, 0)
-        fdual = cloud.attributes.copy()
-        from .kernels import build_a_matrix
-        for l in range(hierarchy.depth - 1, -1, -1):
-            fdual = build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
-                                   2) @ fdual
-        err = float(np.abs(phi0.T @ cloud.attributes - fdual).max())
-        return err <= 1e-8, "max err %.3e" % err
-
-    def oracle_gram():
-        cloud = clouds["sphere200"]
-        hierarchy = build_hierarchy(cloud, 2)
-        dense = oracle.gram_exact(hierarchy, 0)
-        sparse = gram_levels(hierarchy)[0].to_csr().toarray()
-        err = float(np.abs(dense - sparse).max())
-        return err <= 1e-10, "max err %.3e" % err
-
-    def oracle_series():
-        cloud = clouds["sphere200"]
-        hierarchy = build_hierarchy(cloud, 2)
-        gram = gram_levels(hierarchy)[0]
-        d = gram.diagonal
-        gs = gram.scaled(d)
-        dense = gs.to_csr().toarray()
-        rng = np.random.default_rng(11)
-        v = dense @ rng.normal(size=(dense.shape[0], 1))
-        want = oracle.matfun_exact(dense, "inv") @ v
-        cfg = ApproxConfig(order=20000, tolerance=1e-13)
-        got = apply_series(gs, v, "inv", cfg, lam_max=gs.gershgorin())
-        err = float(np.abs(want - got).max())
-        return err <= 1e-6, "max err %.3e" % err
-
-    checks.append(("oracle projection equivalence", oracle_projection))
-    checks.append(("oracle gram equivalence", oracle_gram))
-    checks.append(("oracle series normalization", oracle_series))
-
-    def codec_roundtrip():
-        cloud = clouds["sphere200"]
-        config = _config(1, "overcomplete", 16)
-        blob, _ = encode(cloud, config, 1e-3)
-        attrs, _ = decode(blob, cloud)
-        err = float(np.abs(attrs - cloud.attributes).max())
-        return err <= 0.5, "max err %.3e" % err
-
-    def entropy_roundtrip():
-        rng = np.random.default_rng(3)
-        vals = np.concatenate([
-            np.round(rng.laplace(scale=9.0, size=4000)).astype(np.int64),
-            np.zeros(2000, dtype=np.int64),
-            np.round(rng.laplace(scale=0.2, size=4000)).astype(np.int64)])
-        back = rlgr_decode(rlgr_encode(vals), len(vals))
-        return bool(np.array_equal(vals, back)), "mismatch" \
-            if not np.array_equal(vals, back) else "ok"
-
-    checks.append(("codec round trip", codec_roundtrip))
-    checks.append(("entropy coder round trip", entropy_roundtrip))
-    return checks
-
-
-def cmd_selftest(args):
-    failures = 0
-    for name, fn in _selftest_checks():
-        try:
-            ok, detail = fn()
-        except Exception as exc:            # a crash is a failure, keep going
-            ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
-        print("%s %s (%s)" % ("PASS" if ok else "FAIL", name, detail))
-        failures += 0 if ok else 1
-    print("%d checks failed" % failures if failures else "all checks passed")
-    return 0 if failures == 0 else 2
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -372,8 +277,6 @@ def build_parser():
     _add_sweep(p, modes=["overcomplete"])
     p.set_defaults(fn=cmd_compaction)
 
-    p = sub.add_parser("selftest", help="run built-in checks")
-    p.set_defaults(fn=cmd_selftest)
     return ap
 
 

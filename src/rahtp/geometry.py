@@ -64,13 +64,6 @@ def morton_decode(keys):
                     axis=1).astype(np.int64)
 
 
-def morton_sort(coords, bits):
-    """Return (sorted coords, permutation) in increasing Morton order."""
-    key = morton_key(coords, bits)
-    order = np.argsort(key, kind="stable")
-    return coords[order], order
-
-
 @dataclass
 class PointCloud:
     positions: np.ndarray  # (N,3) int64 voxel coords in [0, 2^L)^3

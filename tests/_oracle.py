@@ -7,8 +7,8 @@ these on small clouds; none of this runs in the codec path.
 
 import numpy as np
 
-from .geometry import Hierarchy
-from .kernels import build_a_matrix
+from rahtp.geometry import Hierarchy
+from rahtp.kernels import build_a_matrix
 
 MAX_ORACLE_POINTS = 500
 

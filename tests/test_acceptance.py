@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp import oracle
 from rahtp.codec import decode, encode, rlgr_decode, rlgr_encode
 from rahtp.evalcli import make_synthetic_cloud
 from rahtp.kernels import build_a_matrix, gram_levels
@@ -24,6 +23,7 @@ from rahtp.spectral import ApproxConfig, apply_series
 from rahtp.transform import (TransformConfig, TransformPlan, analyze,
                              synthesize, truncate_to_level)
 
+import _oracle as oracle
 from _helpers import pair_cloud
 
 

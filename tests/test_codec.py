@@ -319,9 +319,14 @@ def _patched(blob, fmt, offset, value):
 @pytest.mark.parametrize("field", [
     "step=0", "step=-1", "step=nan", "step=inf", "tau=nan", "tau=-0.5",
     "tau=inf", "tau=100", "tau=1e-300", "order=3", "scaling=0", "scaling=7",
-    "trailing"])
+    "trailing", "mono_colorspace=1"])
 def test_decode_rejects_hostile_header_fields(field):
     cl = builtin_clouds()["sphere200"]
+    if field.startswith("mono"):
+        # the encoder writes bt709 only for 3 channels
+        cl = rahtp.PointCloud(positions=cl.positions,
+                              attributes=cl.attributes[:, :1],
+                              depth=cl.depth, channels=1)
     blob, _ = encode(cl, _codec_config(), 1.0)
     depth = blob[6]
     tau_at = 12 + depth            # after the mode bytes and the u16 K
@@ -334,6 +339,8 @@ def test_decode_rejects_hostile_header_fields(field):
         bad = _patched(blob, "<B", 5, int(value))
     elif name == "scaling":
         bad = _patched(blob, "<B", 7, int(value))
+    elif name == "mono_colorspace":
+        bad = _patched(blob, "<B", 9, int(value))
     else:
         bad = blob + b"\x00"
     with pytest.raises(CorruptStream):

@@ -112,16 +112,15 @@ def test_cli_compaction_csv(tmp_path):
         assert all(b <= a + 1e-9 for a, b in zip(dbs, dbs[1:]))
 
 
-def test_cli_selftest():
-    assert main(["selftest"]) == 0
-
-
 def test_cli_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["encode"])                      # missing positionals
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["transcode", "a", "b"])         # unknown subcommand
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])                    # no such subcommand
     assert exc.value.code == 1
     assert main([]) == 1
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp.geometry import (geometry_digest, morton_decode, morton_key,
-                            morton_sort)
+from rahtp.geometry import geometry_digest, morton_decode, morton_key
 
 from _helpers import random_cloud
 
@@ -42,15 +41,6 @@ def test_morton_key_matches_per_bit_reference_and_decodes():
 def test_morton_key_rejects_overflowing_bits():
     with pytest.raises(ValueError):
         morton_key(np.zeros((1, 3), dtype=np.int64), 22)
-
-
-def test_morton_sort_orders_and_is_stable_under_permutation():
-    rng = np.random.default_rng(0)
-    coords = rng.integers(0, 16, (50, 3)).astype(np.int64)
-    sorted_coords, order = morton_sort(coords, 4)
-    assert np.array_equal(sorted_coords, coords[order])
-    keys = morton_key(sorted_coords, 4)
-    assert np.all(np.diff(keys.astype(np.int64)) >= 0)
 
 
 def test_voxelize_merges_duplicates_by_mean():

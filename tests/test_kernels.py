@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp import oracle
 from rahtp.kernels import (build_a_matrix, gram_downsample, gram_init,
                            gram_levels, kernel_weight)
 from rahtp.spectral import DENSE_CUTOFF
 
+import _oracle as oracle
 from _helpers import pair_cloud, random_cloud
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp import oracle
 from rahtp.kernels import build_a_matrix
 from rahtp.sparse_ops import build_split
 
+import _oracle as oracle
 from _helpers import random_cloud
 
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp import oracle
 from rahtp.kernels import build_a_matrix
 from rahtp.sparse_ops import (SplitError, ZtildeOp, _offset_codes,
                               _offset_priority, _priority_table, build_split)
 from rahtp.spectral import ApproxConfig
 
+import _oracle as oracle
 from _helpers import random_cloud
 
 CONVERGED = ApproxConfig(order=4096, tolerance=1e-13)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rahtp
+from rahtp.evalcli import builtin_clouds
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import (ApproxRoles, TransformConfig, TransformPlan,
                              analyze, synthesize, truncate_to_level)
@@ -19,12 +20,16 @@ def _roundtrip(cloud, order, mode, k=32):
 
 
 def test_roundtrip_small_sweep():
-    for seed in (40, 41):
-        cl = random_cloud(seed, 128, 3)
+    tiny = builtin_clouds()
+    clouds = [("seed40", random_cloud(40, 128, 3), 32),
+              ("seed41", random_cloud(41, 128, 3), 32),
+              ("single", tiny["single"], 64),
+              ("pair", tiny["pair"], 64)]
+    for name, cl, k in clouds:
         for order in (1, 2):
             for mode in ("critical", "overcomplete"):
-                co, err = _roundtrip(cl, order, mode)
-                assert err < 1e-6, (seed, order, mode, err)
+                co, err = _roundtrip(cl, order, mode, k)
+                assert err < 1e-6, (name, order, mode, err)
 
 
 def test_roundtrip_exact_even_with_zero_order_series():
