@@ -18,7 +18,8 @@ exact while a bare inverse like the one below converges slowly.
 
 import numpy as np
 
-from rahtp import (ApproxConfig, apply_series, build_hierarchy, gram_levels,
+from rahtp import (ApproxConfig, Operator, TransformConfig, TransformPlan,
+                   apply_series, build_hierarchy, gram_levels,
                    make_synthetic_cloud)
 
 MATFUNS = {"inv": lambda w: 1.0 / w,
@@ -42,29 +43,30 @@ def matfun_exact(mat, h):
 
 
 def decay(gram, label):
-    dense = gram.to_csr().toarray()
+    dense = gram.mat.toarray()
     rng = np.random.default_rng(5)
     v = dense @ rng.normal(size=(dense.shape[0], 3))   # stay on the range of G
-    bound = gram.gershgorin()
+    bound = gram.bound      # the series steps at tau = 1/bound
     want = {h: matfun_exact(dense, h) @ v for h in ("inv", "invsqrt", "sqrt")}
     print("\n%s: %d nodes, gershgorin bound %.3f" % (label, len(dense), bound))
     print("  %5s  %10s  %10s  %10s" % ("K", "inv", "invsqrt", "sqrt"))
     for k in (4, 8, 16, 32, 64, 128, 256):
         errs = []
         for h in ("inv", "invsqrt", "sqrt"):
-            got = apply_series(gram, v, h, ApproxConfig(order=k),
-                               lam_max=bound)
+            got = apply_series(gram, v, h, ApproxConfig(order=k))
             errs.append(np.abs(got - want[h]).max())
         print("  %5d  %10.2e  %10.2e  %10.2e" % (k, *errs))
 
 
 def main():
     cloud = make_synthetic_cloud("sphere", count=400, depth=4, seed=9)
-    box = gram_levels(build_hierarchy(cloud, 1))[1]
+    box = Operator(gram_levels(build_hierarchy(cloud, 1))[1])
     decay(box, "box-basis Gram (level 1): diagonal, narrow spectrum")
-    hat = gram_levels(build_hierarchy(cloud, 2))[1]
-    decay(hat.scaled(hat.diagonal),
-          "scaled hat-basis Gram (level 1): near-singular on sparse geometry")
+    # the transform's Grams are scaled to unit diagonal
+    hat = TransformPlan(build_hierarchy(cloud, 2),
+                        TransformConfig(order=2)).grams[1]
+    decay(hat, "scaled hat-basis Gram (level 1): near-singular on sparse "
+          "geometry")
 
 
 if __name__ == "__main__":

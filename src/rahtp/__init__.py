@@ -3,7 +3,7 @@
 from .geometry import (Hierarchy, LevelGeometry, PointCloud, build_hierarchy,
                        geometry_digest, load_ply, morton_key, save_ply,
                        voxelize)
-from .kernels import GramTensor, build_a_matrix, gram_levels, kernel_weight
+from .kernels import build_a_matrix, gram_levels, kernel_weight
 from .sparse_ops import ASplit, SplitError, ZtildeOp, build_split
 from .spectral import (ApproxConfig, Operator, SeriesDivergence,
                        apply_series, eigen_bound, series_coefficients)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxConfig", "ApproxRoles", "ASplit", "CoeffSet", "CorruptStream",
-    "GramTensor", "Hierarchy", "LevelGeometry", "Metrics", "Operator",
+    "Hierarchy", "LevelGeometry", "Metrics", "Operator",
     "PointCloud", "SeriesDivergence", "SplitError", "TransformConfig", "TransformPlan",
     "ZtildeOp", "analyze", "apply_basis_scaling", "apply_series",
     "build_a_matrix", "build_hierarchy", "build_split", "builtin_clouds",

@@ -38,6 +38,7 @@ import struct
 import numpy as np
 
 from .geometry import build_hierarchy, geometry_digest
+from .sparse_ops import SplitError
 from .spectral import ApproxConfig, SeriesDivergence
 from .transform import CoeffSet, TransformConfig, analyze, synthesize
 
@@ -392,8 +393,8 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
         attrs = rgb_to_bt709(attrs)
     steps = np.broadcast_to(np.asarray(steps, dtype=np.float64),
                             (cloud.channels,)).copy()
-    if np.any(steps <= 0):
-        raise ValueError("quantization step must be positive")
+    if not np.all((steps > 0.0) & (steps < np.inf)):
+        raise ValueError("quantization steps must be finite and positive")
     coeffs = analyze(hierarchy, attrs, config)
 
     header = struct.pack("<4sBBBBBB", MAGIC, VERSION, config.order,
@@ -495,6 +496,9 @@ def decode(data, cloud):
     for l, mode in enumerate(head["modes"]):
         n_child = len(hierarchy.levels[l + 1].nodes)
         n_parent = len(hierarchy.levels[l].nodes)
+        if mode == "c" and n_child < n_parent:
+            raise CorruptStream("critical mode at level %d, where %d parents "
+                                "outnumber %d children" % (l, n_parent, n_child))
         counts.append(n_child - n_parent if mode == "c" else n_child)
 
     nch = head["channels"]
@@ -523,6 +527,9 @@ def decode(data, cloud):
         # at tau = 1/bound every series contracts on encoder-written planes;
         # divergence means the planes or steps were altered
         raise CorruptStream("series diverged: %s" % exc) from None
+    except SplitError as exc:
+        # the encoder writes critical planes only where a split exists
+        raise CorruptStream(str(exc)) from None
     if head["colorspace"] == "bt709":
         attrs = bt709_to_rgb(attrs)
     return attrs, head

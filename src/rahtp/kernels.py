@@ -1,21 +1,21 @@
-"""Space-invariant B-spline two-scale kernels and the space-varying Gram tensor.
+"""Space-invariant B-spline two-scale kernels and the space-varying Gram.
 
 kernel_weight gives the two-scale coefficients a(d) linking a parent basis
 function to its children: order 1 (box) has unit weights on d in {0,1}^3,
 order 2 (tri-linear hat) has 2^(-|d|_1) on d in {-1,0,1}^3.
 
-The Gram tensor holds the basis inner products between the nodes of one
-level as a canonical CSR matrix; it is a spectral.Operator, the one operator
-type the series run on.  It is the identity at the finest level and is
-propagated coarser by G_ell = A_ell G_{ell+1} A_ell^T.  Basis supports only
-overlap between nodes in each other's {-1,0,1}^3 neighborhood, so each row
-has at most 27 entries.
+The Gram holds the basis inner products g(i,j) = <phi_i, phi_j> between the
+nodes of one level as a canonical CSR matrix: sorted column indices and no
+explicit zeros, so the nonzeros are exactly the overlapping basis pairs.
+It is the identity at the finest level and is propagated coarser by
+G_ell = A_ell G_{ell+1} A_ell^T.  Basis supports only overlap between nodes
+in each other's {-1,0,1}^3 neighborhood, so each row has at most 27
+entries.  The series never run on these unscaled Grams; the transform
+scales them to unit diagonal and wraps them in spectral.Operator.
 """
 
 import numpy as np
 import scipy.sparse as sp
-
-from .spectral import Operator
 
 
 def kernel_weight(order, d):
@@ -40,36 +40,9 @@ def kernel_weights(order, dvecs):
     raise ValueError("order must be 1 or 2")
 
 
-class GramTensor(Operator):
-    """The inner-product operator at one level, g(i,j) = <phi_i, phi_j>.
-
-    An Operator over one CSR matrix in canonical form: sorted column indices
-    and no explicit zeros, so the nonzeros are exactly the overlapping basis
-    pairs.
-    """
-
-    @property
-    def diagonal(self):
-        return self.mat.diagonal()
-
-    def to_csr(self):
-        """The canonical CSR matrix itself; callers must not modify it."""
-        return self.mat
-
-    def scaled(self, d_self):
-        """Return D^-1/2 G D^-1/2 with D = diag(d_self), as a new GramTensor."""
-        s = 1.0 / np.sqrt(d_self)
-        csr = self.mat
-        data = csr.data * s[csr.indices]
-        data *= np.repeat(s, np.diff(csr.indptr))
-        return GramTensor(sp.csr_matrix(
-            (data, csr.indices, csr.indptr), shape=csr.shape))
-
-
 def gram_init(level_geom):
     """Identity Gram at the finest level (bases are voxel indicators there)."""
-    return GramTensor(sp.identity(len(level_geom), dtype=np.float64,
-                                  format="csr"))
+    return sp.identity(len(level_geom), dtype=np.float64, format="csr")
 
 
 def gram_downsample(gram, parent_geom, a):
@@ -79,14 +52,14 @@ def gram_downsample(gram, parent_geom, a):
     {-1,0,1}^3 neighborhood; a nonzero between nodes further apart violates
     the closure property and raises.
     """
-    prod = (a @ gram.mat @ a.T).tocsr()
+    prod = (a @ gram @ a.T).tocsr()
     prod.eliminate_zeros()
     prod.sort_indices()
     rows = np.repeat(np.arange(prod.shape[0]), np.diff(prod.indptr))
     d = parent_geom.nodes[prod.indices] - parent_geom.nodes[rows]
     if np.abs(d).max(initial=0) > 1:
         raise AssertionError("Gram entry escaped the 27-neighbor stencil")
-    return GramTensor(prod)
+    return prod
 
 
 def build_a_matrix(parent_geom, child_geom, order):
@@ -101,7 +74,7 @@ def build_a_matrix(parent_geom, child_geom, order):
 
 
 def gram_levels(hierarchy, a_mats=None):
-    """All Gram tensors, finest to coarsest, as a list indexed by level.
+    """All Grams as CSR matrices, a list indexed by level (0 is coarsest).
 
     a_mats[l] is A_l, from level l+1 to level l; built here unless passed.
     """

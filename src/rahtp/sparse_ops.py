@@ -114,8 +114,9 @@ class ZtildeOp:
     """Matrix-free Ztilde and Ztilde^T for one level pair.
 
     Holds A, the split, the SPD product M = A^a A^a^T as an Operator over
-    explicit CSR (so the Gershgorin bound is exact and deterministic) and
-    the series config used for all M^-1 solves.
+    explicit CSR (so its Gershgorin bound is deterministic, and positive
+    because every claimed child has a positive weight) and the series
+    config used for all M^-1 solves.
     """
 
     def __init__(self, a_mat, split, approx):
@@ -125,8 +126,6 @@ class ZtildeOp:
         self.ab = self.a_mat[:, split.b_indices].tocsr()
         self._m_op = Operator((self.aa @ self.aa.T).tocsr())
         self.approx = approx
-        bound = self._m_op.gershgorin()
-        self._m_bound = bound if bound > 0 else 1.0
         if self.aa.shape[0] <= DENSE_CUTOFF:
             # small levels run dense, as M does; the cutoff is a pure
             # function of the node count so encoder and decoder agree
@@ -142,8 +141,7 @@ class ZtildeOp:
         return self.ab.shape[1]
 
     def _m_solve(self, y):
-        return apply_series(self._m_op, y, "inv", self.approx,
-                            lam_max=self._m_bound)
+        return apply_series(self._m_op, y, "inv", self.approx)
 
     def solve_a_t(self, x):
         """(A^a)^-T x via M^-1 (A^a x)."""

@@ -9,9 +9,11 @@ so one matvec per term and no eigen-decomposition anywhere.  tau is
 iteration matrix L has spectrum in [0, 1) on the range of X and the partial
 sums converge geometrically at rate 1 - tau*lambda_min.
 
-Every X is an Operator: an explicit matrix (Grams, the lifting product M)
-with a cached iteration matrix and a Gershgorin bound, or a matrix-free
-callable (the critical-mode W composite) bounded by power iteration.
+Every X is an Operator, and the operator carries its own bound: an
+explicit matrix (the scaled Grams, the lifting product M) computes its
+Gershgorin bound once and caches its iteration matrix; a matrix-free
+callable (the critical-mode W composite) is given the power-iteration
+bound of eigen_bound.  apply_series reads the step from op.bound.
 
 A series term is one layer of the paper's feedforward network, and on an
 explicit sparse L it is one CSR product.  Every output row of that product
@@ -112,12 +114,13 @@ class Operator:
     """A symmetric PSD operator X: an explicit matrix or a callable.
 
     An explicit matrix (ndarray or scipy sparse) is kept in the form it was
-    given, and gershgorin sums the rows of that form.  A sparse matrix of at
-    most DENSE_CUTOFF rows is applied as a dense array: BLAS beats per-call
-    sparse dispatch on small levels, and the cutoff depends only on the row
-    count so encoder and decoder round identically.  A callable fn(x) of a
-    given dimension is matrix-free: it has no iteration matrix and only
-    power iteration can bound it.
+    given, and its bound is the Gershgorin sum over the rows of that form.
+    A sparse matrix of at most DENSE_CUTOFF rows is applied as a dense
+    array: BLAS beats per-call sparse dispatch on small levels, and the
+    cutoff depends only on the row count so encoder and decoder round
+    identically.  A callable fn(x) of a given dimension is matrix-free: it
+    has no iteration matrix and no bound until one is assigned, usually
+    eigen_bound(op).
     """
 
     def __init__(self, source, dim=None):
@@ -126,6 +129,7 @@ class Operator:
             self.mat = None
             self.dim = dim
             self._fn = source
+            self.bound = None
             return
         if not sp.issparse(source):
             source = np.asarray(source, dtype=np.float64)
@@ -133,6 +137,7 @@ class Operator:
         self.dim = source.shape[0]
         small = sp.issparse(source) and self.dim <= DENSE_CUTOFF
         self._applied = source.toarray() if small else source
+        self.bound = self.gershgorin()
 
     def __len__(self):
         return self.dim
@@ -142,17 +147,12 @@ class Operator:
             return self._fn(x)
         return self._applied @ np.asarray(x)
 
-    def iteration_matrix(self, tau):
-        """Cached L = I - tau*X in the applied form; None for a callable.
-
-        Lets the series run one matrix product per term.
-        """
-        return self._iteration(tau)[0]
-
     def _iteration(self, tau):
-        # (L, cut): a sparse L large enough to split on a machine with two
-        # CPUs runs rows [0, cut) and [cut, dim) as separate blocks; cut is
-        # None for one block, a dense L and a callable
+        # (L, cut) with L = I - tau*X in the applied form, cached per tau so
+        # a reassigned bound never reads a stale L.  A sparse L large enough
+        # to split on a machine with two CPUs runs rows [0, cut) and
+        # [cut, dim) as separate blocks; cut is None for one block, a dense
+        # L and a callable, which has no L either
         if self.mat is None:
             return None, None
         if self._iter is None or self._iter[0] != tau:
@@ -281,7 +281,7 @@ def eigen_bound(op):
     Runs POWER_ITERS deterministic power steps from the all-ones vector and
     inflates the final Rayleigh quotient by POWER_SAFETY.  Works through
     matvec alone, so it also bounds matrix-free composites; an explicit
-    matrix has the cheaper, never-underestimating Operator.gershgorin.
+    matrix carries the cheaper, never-underestimating Gershgorin bound.
     """
     n = len(op)
     if n == 0:
@@ -300,21 +300,25 @@ def eigen_bound(op):
     return POWER_SAFETY * lam
 
 
-def apply_series(op, v, h, cfg, lam_max):
+def apply_series(op, v, h, cfg):
     """Evaluate c * sum b_k (I - tau X)^k v by iterated matvec.
 
-    tau = 1/lam_max, with lam_max an upper bound on the spectrum of X.  A
+    tau = 1/op.bound, with op.bound an upper bound on the spectrum of X.  A
     zero operator bound is only consistent with v = 0 for the inverse-like
     functions.
     """
     v = np.asarray(v, dtype=np.float64)
-    if lam_max <= 0.0:
+    bound = op.bound
+    if bound is None:
+        raise ValueError("matrix-free operator has no bound; "
+                         "assign op.bound = eigen_bound(op) first")
+    if bound <= 0.0:
         if np.all(v == 0.0):
             return v.copy()
         if h == "sqrt":
             return np.zeros_like(v)
         raise SeriesDivergence("zero operator bound with nonzero input")
-    tau = 1.0 / lam_max
+    tau = 1.0 / bound
     b = series_coefficients(h, cfg.order)
     c = _series_scale(h, tau)
     term = v.copy()

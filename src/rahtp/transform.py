@@ -84,14 +84,16 @@ class CoeffSet:
 def apply_basis_scaling(grams, a_mats):
     """Unit-norm diagonal preconditioning of the basis.
 
-    Returns (scaled A list, scaled Gram list) with D = diag(G) per level,
+    grams are the CSR matrices of gram_levels.  Returns (scaled A list,
+    scaled Gram Operator list) with D = diag(G) per level,
     A'_l = D_l^-1/2 A_l D_{l+1}^1/2 and G' = D^-1/2 G D^-1/2, so scaled
     Grams have unit diagonal and the series steps are well conditioned.
-    The finest G is the identity, so the finest level needs no rescale.
+    The positive diagonal also keeps every Gram's bound above zero.  The
+    finest G is the identity, so the finest level needs no rescale.
     """
     norm2 = []      # squared basis norms, the Gram diagonals
     for g in grams:
-        d = g.diagonal
+        d = g.diagonal()
         assert np.all(d > 0), "zero-norm basis column; node set is not a closure"
         norm2.append(d)
     scaled_a = []
@@ -99,7 +101,13 @@ def apply_basis_scaling(grams, a_mats):
         left = sp.diags(1.0 / np.sqrt(norm2[lvl]))
         right = sp.diags(np.sqrt(norm2[lvl + 1]))
         scaled_a.append((left @ a @ right).tocsr())
-    scaled_g = [g.scaled(d) for g, d in zip(grams, norm2)]
+    scaled_g = []
+    for g, d in zip(grams, norm2):
+        s = 1.0 / np.sqrt(d)
+        data = g.data * s[g.indices]
+        data *= np.repeat(s, np.diff(g.indptr))
+        scaled_g.append(Operator(sp.csr_matrix(
+            (data, g.indices, g.indptr), shape=g.shape)))
     return scaled_a, scaled_g
 
 
@@ -122,14 +130,12 @@ class TransformPlan:
                   for l in range(hierarchy.depth)]
         self.a_mats, self.grams = apply_basis_scaling(
             gram_levels(hierarchy, a_mats), a_mats)
-        self.g_bounds = [max(g.gershgorin(), np.finfo(np.float64).tiny)
-                         for g in self.grams]
         self._critical = {}
 
     def critical_ops(self, level):
-        """(zop, dpsi, w_op, bound) for one level step: the ZtildeOp, the
-        high-pass diagonal scale, the matrix-free W operator and its
-        eigenvalue bound; None when no injective split exists there."""
+        """(zop, dpsi, w_op) for one level step: the ZtildeOp, the high-pass
+        diagonal scale and the matrix-free W operator, bounded by power
+        iteration; None when no injective split exists there."""
         if level in self._critical:
             return self._critical[level]
         try:
@@ -142,24 +148,19 @@ class TransformPlan:
         zop = ZtildeOp(self.a_mats[level], split, approx=self.config.approx)
         dpsi = zop.dpsi_estimate()
         w_op = self._w_operator(level, zop, dpsi)
-        n_b = zop.n_high
-        if n_b == 0:
-            bound = 0.0
-        else:
-            # composite operator: only power iteration applies
-            bound = eigen_bound(w_op)
-        self._critical[level] = (zop, dpsi, w_op, bound)
+        # composite operator: only power iteration applies
+        w_op.bound = eigen_bound(w_op)
+        self._critical[level] = (zop, dpsi, w_op)
         return self._critical[level]
 
     def _w_operator(self, level, zop, dpsi):
         gram = self.grams[level + 1]
-        gb = self.g_bounds[level + 1]
         cfg = self.config.approx
         dis = 1.0 / np.sqrt(dpsi)
 
         def w_mv(x):
             y = zop.mul_t(dis[:, None] * x)
-            y = apply_series(gram, y, "inv", cfg, lam_max=gb)
+            y = apply_series(gram, y, "inv", cfg)
             return dis[:, None] * zop.mul(y)
 
         return Operator(w_mv, zop.n_high)
@@ -170,29 +171,23 @@ class TransformPlan:
     def forward_over(self, level, df):
         gram = self.grams[level + 1]
         return apply_series(gram, gram.matvec(df), "invsqrt",
-                            self.config.approx,
-                            lam_max=self.g_bounds[level + 1])
+                            self.config.approx)
 
     def decode_over(self, level, plane):
-        gram = self.grams[level + 1]
-        return apply_series(gram, plane, "invsqrt",
-                            self.config.approx,
-                            lam_max=self.g_bounds[level + 1])
+        return apply_series(self.grams[level + 1], plane, "invsqrt",
+                            self.config.approx)
 
     def forward_critical(self, level, df, ops):
-        zop, dpsi, w_op, bound = ops
+        zop, dpsi, w_op = ops
         z = zop.mul(df) / np.sqrt(dpsi)[:, None]
-        return apply_series(w_op, z, "invsqrt", self.config.approx,
-                            lam_max=bound)
+        return apply_series(w_op, z, "invsqrt", self.config.approx)
 
     def decode_critical(self, level, plane, ops):
-        zop, dpsi, w_op, bound = ops
-        y = apply_series(w_op, plane, "invsqrt", self.config.approx,
-                         lam_max=bound)
+        zop, dpsi, w_op = ops
+        y = apply_series(w_op, plane, "invsqrt", self.config.approx)
         x = zop.mul_t(y / np.sqrt(dpsi)[:, None])
         return apply_series(self.grams[level + 1], x, "inv",
-                            self.config.approx,
-                            lam_max=self.g_bounds[level + 1])
+                            self.config.approx)
 
 
 def _as_features(attributes):
@@ -223,14 +218,11 @@ def analyze(hierarchy, attributes, config, plan=None):
     f_dual[depth] = v
     for l in range(depth - 1, -1, -1):
         f_dual[l] = plan.a_mats[l] @ f_dual[l + 1]
-    f_ideal = [apply_series(plan.grams[l], f_dual[l], "inv", cfg,
-                            lam_max=plan.g_bounds[l])
+    f_ideal = [apply_series(plan.grams[l], f_dual[l], "inv", cfg)
                for l in range(depth + 1)]
 
-    lowpass = apply_series(plan.grams[0], f_ideal[0], "sqrt", cfg,
-                           lam_max=plan.g_bounds[0])
-    state = apply_series(plan.grams[0], lowpass, "invsqrt", cfg,
-                         lam_max=plan.g_bounds[0])
+    lowpass = apply_series(plan.grams[0], f_ideal[0], "sqrt", cfg)
+    state = apply_series(plan.grams[0], lowpass, "invsqrt", cfg)
 
     requested = "c" if config.residual_mode == "critical" else "o"
     modes = []
@@ -267,14 +259,14 @@ def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
     if plan is None:
         plan = TransformPlan(hierarchy, config)
     state = apply_series(plan.grams[0], _as_features(coeffs.lowpass), "invsqrt",
-                         config.approx, lam_max=plan.g_bounds[0])
+                         config.approx)
     for l, mode in enumerate(coeffs.modes):
         pred = plan.a_mats[l].T @ state
         plane = _as_features(coeffs.highpass[l])
         if mode == "c":
             ops = plan.critical_ops(l)
             if ops is None:
-                raise ValueError("stream says critical at level %d but no "
+                raise SplitError("stream says critical at level %d but no "
                                  "injective split exists" % l)
             decoded = plan.decode_critical(l, plane, ops)
         else:

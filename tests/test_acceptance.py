@@ -19,7 +19,7 @@ from rahtp.codec import decode, encode, rlgr_decode, rlgr_encode
 from rahtp.evalcli import make_synthetic_cloud
 from rahtp.kernels import build_a_matrix, gram_levels
 from rahtp.sparse_ops import SplitError, build_split
-from rahtp.spectral import ApproxConfig, apply_series
+from rahtp.spectral import ApproxConfig, Operator, apply_series
 from rahtp.transform import (TransformConfig, TransformPlan, analyze,
                              synthesize, truncate_to_level)
 
@@ -92,8 +92,8 @@ def test_criterion2_projection_equivalence():
             a = build_a_matrix(h.levels[lev], h.levels[lev + 1], order)
             duals.insert(0, a @ duals[0])
         for lev in range(h.depth + 1):
-            f_casc = apply_series(grams[lev], duals[lev], "inv",
-                                  cfg_series, lam_max=grams[lev].gershgorin())
+            f_casc = apply_series(Operator(grams[lev]), duals[lev], "inv",
+                                  cfg_series)
             f_ref, _ = oracle.project_exact(h, lev, cl.attributes)
             rel = (np.abs(f_casc - f_ref).max()
                    / max(np.abs(f_ref).max(), 1e-12))
@@ -182,9 +182,8 @@ def test_criterion4_orthogonality_identities():
 def test_criterion5_series_convergence():
     """Inverse-series error contracts by >= 2x per order doubling (8->16->32)
     on level Grams of a 200-point cloud, and the diagonal example is exact."""
-    from rahtp.spectral import Operator
     out = apply_series(Operator(np.diag([2.0, 4.0])), np.ones((2, 1)),
-                       "inv", ApproxConfig(order=3), lam_max=4.0)
+                       "inv", ApproxConfig(order=3))
     assert out[:, 0].tolist() == [0.46875, 0.25]
 
     rng = np.random.default_rng(5)
@@ -195,11 +194,12 @@ def test_criterion5_series_convergence():
     h = rahtp.build_hierarchy(cl, 1)
     factors = []
     for g in gram_levels(h)[:-1]:
-        dense = g.to_csr().toarray()
+        dense = g.toarray()
         w = dense @ rng.standard_normal((dense.shape[0], 1))
         ref = oracle.matfun_exact(dense, "inv") @ w
-        errs = [np.abs(apply_series(g, w, "inv", ApproxConfig(order=k),
-                                    lam_max=g.gershgorin()) - ref).max()
+        op = Operator(g)
+        errs = [np.abs(apply_series(op, w, "inv", ApproxConfig(order=k))
+                       - ref).max()
                 for k in (8, 16, 32)]
         if errs[0] < 1e-12:
             continue

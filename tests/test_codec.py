@@ -289,6 +289,10 @@ def test_encode_validates_steps():
         encode(cl, _codec_config(), steps=[1.0, 1.0])
     with pytest.raises(ValueError):
         encode(cl, _codec_config(), steps=[1.0, -1.0, 1.0])
+    # parse_header's rule: 0 < step < inf, which also rejects nan
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            encode(cl, _codec_config(), steps=[1.0, bad, 1.0])
 
 
 def test_encode_rejects_series_config_the_stream_cannot_carry():
@@ -345,6 +349,35 @@ def test_decode_rejects_hostile_header_fields(field):
         bad = blob + b"\x00"
     with pytest.raises(CorruptStream):
         decode(bad, cl)
+
+
+@pytest.mark.parametrize("case,why", [("more_parents", "outnumber"),
+                                      ("no_split", "no injective split")])
+def test_decode_rejects_critical_mode_without_a_split(case, why):
+    if case == "more_parents":
+        # one odd voxel: 8 hat parents over 1 child at level 0
+        cl = rahtp.PointCloud(positions=np.array([[1, 1, 1]], dtype=np.int64),
+                              attributes=np.array([[9.0]]), depth=1,
+                              channels=1)
+        level, rows = 0, None
+    else:
+        # 26 parents and 60 children at level 1, but no injective split;
+        # the patched plane is a valid one of 60 - 26 rows
+        cl = random_cloud(17, 30, 3, channels=1)
+        level, rows = 1, 34
+    blob, _ = encode(cl, _codec_config(order=2), 1.0)
+    head, off = parse_header(blob)
+    bad = bytearray(blob[:off])
+    bad[10 + level] = ord("c")
+    for p in range(1 + head["depth"]):
+        (n,) = struct.unpack_from("<I", blob, off)
+        plane = blob[off + 4:off + 4 + n]
+        off += 4 + n
+        if p == 1 + level and rows is not None:
+            plane = rlgr_encode(np.zeros(rows, dtype=np.int64))
+        bad += struct.pack("<I", len(plane)) + plane
+    with pytest.raises(CorruptStream, match=why):
+        decode(bytes(bad), cl)
 
 
 def test_huge_attributes_roundtrip_within_one_step():

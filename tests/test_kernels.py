@@ -4,7 +4,8 @@ import pytest
 import rahtp
 from rahtp.kernels import (build_a_matrix, gram_downsample, gram_init,
                            gram_levels, kernel_weight)
-from rahtp.spectral import DENSE_CUTOFF
+from rahtp.spectral import DENSE_CUTOFF, Operator
+from rahtp.transform import apply_basis_scaling
 
 import _oracle as oracle
 from _helpers import pair_cloud, random_cloud
@@ -29,7 +30,7 @@ def test_finest_gram_is_identity_both_orders():
     cl = random_cloud(10, 100, 3)
     for order in (1, 2):
         h = rahtp.build_hierarchy(cl, order)
-        g = gram_levels(h)[h.depth].to_csr().toarray()
+        g = gram_levels(h)[h.depth].toarray()
         assert np.array_equal(g, np.eye(len(cl.positions)))
 
 
@@ -39,7 +40,7 @@ def test_gram_cascade_matches_dense_reference():
         h = rahtp.build_hierarchy(cl, order)
         grams = gram_levels(h)
         for lev in range(h.depth + 1):
-            dense = grams[lev].to_csr().toarray()
+            dense = grams[lev].toarray()
             exact = oracle.gram_exact(h, lev)
             assert np.abs(dense - exact).max() < 1e-10, (order, lev)
 
@@ -48,11 +49,11 @@ def test_two_point_hat_gram_frozen():
     # diagonal pair at depth 1: closure has all 8 corner hats, the child
     # under (0,0,0) contributes 1 to its own hat and 1/8 to every corner
     h = rahtp.build_hierarchy(pair_cloud(), 2)
-    g0 = gram_levels(h)[0].to_csr().toarray()
+    g0 = gram_levels(h)[0].toarray()
     expect = np.full((8, 8), 0.015625)
     expect[0, 0] += 1.0
     assert np.abs(g0 - expect).max() < 1e-15
-    assert gram_levels(h)[0].gershgorin() == pytest.approx(1.125)
+    assert Operator(gram_levels(h)[0]).bound == pytest.approx(1.125)
 
 
 def test_a_matrix_entries_are_kernel_weights():
@@ -84,19 +85,19 @@ def test_gram_tensor_matvec_matches_csr():
     sizes = set()
     for cl in (random_cloud(14, 200, 3), random_cloud(14, 700, 4)):
         h = rahtp.build_hierarchy(cl, 2)
-        for g in gram_levels(h):
+        for csr in gram_levels(h):
+            g = Operator(csr)
             sizes.add(len(g) > DENSE_CUTOFF)
-            csr = g.to_csr()
             x = rng.standard_normal((len(g), 3))
             assert np.abs(g.matvec(x) - csr @ x).max() < 1e-12
-            tau = 1.0 / g.gershgorin()
-            lm = g.iteration_matrix(tau)
+            tau = 1.0 / g.bound
+            lm = g._iteration(tau)[0]
             lm = lm if isinstance(lm, np.ndarray) else lm.toarray()
             assert np.array_equal(lm, np.eye(len(g)) - tau * csr.toarray())
             # row sums in CSR index order, as the bound has always summed
             rows = [sum(abs(v) for v in csr.data[a:b])
                     for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
-            assert g.gershgorin() == max(rows)
+            assert g.bound == max(rows)
     assert sizes == {False, True}
 
 
@@ -104,12 +105,13 @@ def test_scaled_gram_has_unit_diagonal():
     cl = random_cloud(15, 120, 3)
     for order in (1, 2):
         h = rahtp.build_hierarchy(cl, order)
-        for g in gram_levels(h):
-            gs = g.scaled(g.diagonal)
-            assert np.abs(gs.diagonal - 1.0).max() < 1e-12
+        a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], order)
+                  for l in range(h.depth)]
+        for gs in apply_basis_scaling(gram_levels(h, a_mats), a_mats)[1]:
+            assert np.abs(gs.mat.diagonal() - 1.0).max() < 1e-12
             if order == 1:
                 # box bases at distinct nodes never overlap
-                assert np.abs(gs.to_csr().toarray()
+                assert np.abs(gs.mat.toarray()
                               - np.eye(len(gs))).max() < 1e-12
 
 
@@ -117,8 +119,7 @@ def test_gram_csr_is_canonical():
     cl = random_cloud(19, 150, 3)
     for order in (1, 2):
         h = rahtp.build_hierarchy(cl, order)
-        for g in gram_levels(h):
-            csr = g.to_csr()
+        for csr in gram_levels(h):
             assert csr.nnz == csr.count_nonzero()
             assert csr.has_sorted_indices
 
@@ -128,8 +129,8 @@ def test_gershgorin_bounds_spectrum():
     for order in (1, 2):
         h = rahtp.build_hierarchy(cl, order)
         for g in gram_levels(h):
-            lam = np.linalg.eigvalsh(g.to_csr().toarray()).max()
-            assert g.gershgorin() >= lam - 1e-12
+            lam = np.linalg.eigvalsh(g.toarray()).max()
+            assert Operator(g).bound >= lam - 1e-12
 
 
 def test_gram_downsample_rejects_escaped_stencil():
@@ -148,4 +149,4 @@ def test_gram_init_identity():
     cl = random_cloud(18, 50, 2)
     h = rahtp.build_hierarchy(cl, 1)
     g = gram_init(h.levels[-1])
-    assert np.array_equal(g.to_csr().toarray(), np.eye(len(cl.positions)))
+    assert np.array_equal(g.toarray(), np.eye(len(cl.positions)))

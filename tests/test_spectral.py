@@ -37,8 +37,8 @@ def test_inverse_series_diag_example_exact():
     # X = diag(2,4), tau = 1/4: geometric sums over (1 - x/4)
     # x=2: 0.25 * (1 + .5 + .25 + .125) = 0.46875;  x=4: exact after k=1
     op = Operator(np.diag([2.0, 4.0]))
-    out = apply_series(op, np.ones((2, 1)), "inv",
-                       ApproxConfig(order=3), lam_max=4.0)
+    assert op.bound == 4.0
+    out = apply_series(op, np.ones((2, 1)), "inv", ApproxConfig(order=3))
     assert out[:, 0].tolist() == [0.46875, 0.25]
 
 
@@ -49,9 +49,11 @@ def test_series_converges_to_matrix_functions():
     v = rng.standard_normal((6, 2))
     cfg = ApproxConfig(order=600, tolerance=1e-15)
     lam = np.linalg.eigvalsh(mat).max() * 1.01
+    op = Operator(mat)
+    op.bound = lam
     for h in ("inv", "invsqrt", "sqrt"):
         ref = oracle.matfun_exact(mat, h) @ v
-        out = apply_series(Operator(mat), v, h, cfg, lam_max=lam)
+        out = apply_series(op, v, h, cfg)
         assert np.abs(out - ref).max() < 1e-9, h
 
 
@@ -81,6 +83,13 @@ def test_gershgorin_refused_for_matrix_free():
         op.gershgorin()
 
 
+def test_matrix_free_operator_needs_a_bound():
+    op = Operator(lambda x: x, 3)
+    assert op.bound is None
+    with pytest.raises(ValueError, match="no bound"):
+        apply_series(op, np.ones((3, 1)), "inv", ApproxConfig(order=2))
+
+
 def test_error_halves_when_order_doubles():
     # box-order Grams are diagonal with occupancy-count entries, so the
     # series contracts by (1 - w_min/bound) per term and doubling the order
@@ -91,12 +100,12 @@ def test_error_halves_when_order_doubles():
     rng = np.random.default_rng(2)
     checked = 0
     for g in grams[:-1]:
-        dense = g.to_csr().toarray()
+        dense = g.toarray()
         w = dense @ rng.standard_normal((dense.shape[0], 1))
         ref = oracle.matfun_exact(dense, "inv") @ w
-        lam = g.gershgorin()
-        errs = [np.abs(apply_series(g, w, "inv", ApproxConfig(order=k),
-                                    lam_max=lam) - ref).max()
+        op = Operator(g)
+        errs = [np.abs(apply_series(op, w, "inv", ApproxConfig(order=k))
+                       - ref).max()
                 for k in (8, 16, 32)]
         if errs[0] < 1e-12:
             continue
@@ -108,9 +117,9 @@ def test_error_halves_when_order_doubles():
 
 def test_divergence_guard_raises():
     op = Operator(np.diag([2.0, 4.0]))
+    op.bound = 0.1
     with pytest.raises(SeriesDivergence):
-        apply_series(op, np.ones((2, 1)), "inv",
-                     ApproxConfig(order=32), lam_max=0.1)
+        apply_series(op, np.ones((2, 1)), "inv", ApproxConfig(order=32))
 
 
 def test_zero_bound_semantics():
@@ -118,10 +127,11 @@ def test_zero_bound_semantics():
     z = np.zeros((2, 1))
     v = np.ones((2, 1))
     cfg = ApproxConfig(order=4)
-    assert np.array_equal(apply_series(op, z, "inv", cfg, lam_max=0.0), z)
-    assert np.array_equal(apply_series(op, v, "sqrt", cfg, lam_max=0.0), z)
+    assert op.bound == 0.0
+    assert np.array_equal(apply_series(op, z, "inv", cfg), z)
+    assert np.array_equal(apply_series(op, v, "sqrt", cfg), z)
     with pytest.raises(SeriesDivergence):
-        apply_series(op, v, "inv", cfg, lam_max=0.0)
+        apply_series(op, v, "inv", cfg)
 
 
 def test_tolerance_early_stop_matches_full_run():
@@ -129,11 +139,11 @@ def test_tolerance_early_stop_matches_full_run():
     b = rng.standard_normal((5, 5))
     mat = b @ b.T + 2.0 * np.eye(5)
     v = rng.standard_normal((5, 1))
-    lam = np.linalg.eigvalsh(mat).max() * 1.01
-    full = apply_series(Operator(mat), v, "invsqrt",
-                        ApproxConfig(order=2000), lam_max=lam)
-    early = apply_series(Operator(mat), v, "invsqrt",
-                         ApproxConfig(order=2000, tolerance=1e-14), lam_max=lam)
+    op = Operator(mat)
+    op.bound = np.linalg.eigvalsh(mat).max() * 1.01
+    full = apply_series(op, v, "invsqrt", ApproxConfig(order=2000))
+    early = apply_series(op, v, "invsqrt",
+                         ApproxConfig(order=2000, tolerance=1e-14))
     assert np.abs(full - early).max() < 1e-10
 
 
@@ -141,8 +151,9 @@ def test_identity_returning_operator_is_not_corrupted():
     # an operator that hands back its input array must not be clobbered by
     # the in-place update loop
     op = Operator(lambda x: x, 3)
+    op.bound = 1.0
     v = np.ones((3, 1))
-    out = apply_series(op, v, "inv", ApproxConfig(order=200), lam_max=1.0)
+    out = apply_series(op, v, "inv", ApproxConfig(order=200))
     assert np.abs(out - 1.0).max() < 1e-12
 
 
@@ -174,7 +185,7 @@ def _reference_series(lm, v, h, order, tau):
 @pytest.mark.parametrize("cols", [None, 1, 3])
 def test_row_split_is_bit_identical_to_one_block(monkeypatch, cols):
     mat = _banded_spd()
-    lam = Operator(mat).gershgorin()
+    lam = Operator(mat).bound
     rng = np.random.default_rng(6)
     v = rng.standard_normal(mat.shape[0] if cols is None
                             else (mat.shape[0], cols))
@@ -182,31 +193,30 @@ def test_row_split_is_bit_identical_to_one_block(monkeypatch, cols):
     one_block = {}
     for h in ("inv", "invsqrt", "sqrt"):
         op = Operator(mat)
-        one_block[h] = apply_series(op, v, h, cfg, lam_max=lam)
+        one_block[h] = apply_series(op, v, h, cfg)
         assert op._iter[2] is None
-        lm = op.iteration_matrix(1.0 / lam)
+        lm = op._iter[1]
         ref = _reference_series(lm, v, h, cfg.order, 1.0 / lam)
         assert np.array_equal(one_block[h], ref), h
     force_row_split(monkeypatch)
     for h in ("inv", "invsqrt", "sqrt"):
         op = Operator(mat)
-        out = apply_series(op, v, h, cfg, lam_max=lam)
+        out = apply_series(op, v, h, cfg)
         assert 0 < op._iter[2] < mat.shape[0]
         assert np.array_equal(out, one_block[h]), h
 
 
 def test_row_split_keeps_early_stop_and_divergence(monkeypatch):
     mat = _banded_spd()
-    lam = Operator(mat).gershgorin()
     v = np.random.default_rng(7).standard_normal((mat.shape[0], 3))
     early = ApproxConfig(order=4000, tolerance=1e-12)
 
     def run():
         op = Operator(mat)
-        out = apply_series(op, v, "invsqrt", early, lam_max=lam)
+        out = apply_series(op, v, "invsqrt", early)
+        op.bound /= 8
         with pytest.raises(SeriesDivergence) as exc:
-            apply_series(op, v, "inv", ApproxConfig(order=400),
-                         lam_max=lam / 8)
+            apply_series(op, v, "inv", ApproxConfig(order=400))
         return out, str(exc.value)
 
     out, msg = run()
@@ -224,15 +234,14 @@ def test_one_cpu_runs_one_block_and_starts_no_thread(monkeypatch):
     before = set(threading.enumerate())
     op = Operator(_banded_spd())
     v = np.ones((len(op), 3))
-    apply_series(op, v, "inv", ApproxConfig(order=8), lam_max=op.gershgorin())
+    apply_series(op, v, "inv", ApproxConfig(order=8))
     assert op._iter[2] is None
     assert spectral._worker is None
     assert set(threading.enumerate()) <= before
 
 
-def _child_series(mat, v, lam, expected):
-    out = apply_series(Operator(mat), v, "invsqrt", ApproxConfig(order=30),
-                       lam_max=lam)
+def _child_series(mat, v, expected):
+    out = apply_series(Operator(mat), v, "invsqrt", ApproxConfig(order=30))
     os._exit(0 if np.array_equal(out, expected) else 3)
 
 
@@ -241,14 +250,13 @@ def _child_series(mat, v, lam, expected):
 def test_row_split_series_completes_in_forked_child(monkeypatch):
     force_row_split(monkeypatch)
     mat = _banded_spd()
-    lam = Operator(mat).gershgorin()
     v = np.ones((mat.shape[0], 3))
     # the parent's worker thread exists before the fork
     expected = apply_series(Operator(mat), v, "invsqrt",
-                            ApproxConfig(order=30), lam_max=lam)
+                            ApproxConfig(order=30))
     assert spectral._worker is not None
     child = multiprocessing.get_context("fork").Process(
-        target=_child_series, args=(mat, v, lam, expected))
+        target=_child_series, args=(mat, v, expected))
     child.start()
     child.join(timeout=60)
     if child.is_alive():

@@ -119,7 +119,7 @@ def test_basis_scaling_unit_diagonal():
     h = rahtp.build_hierarchy(cl, 2)
     plan = TransformPlan(h, TransformConfig(order=2))
     for g in plan.grams:
-        assert np.abs(g.diagonal - 1.0).max() < 1e-12
+        assert np.abs(g.mat.diagonal() - 1.0).max() < 1e-12
 
 
 def test_truncate_to_level_counts_and_distortion():
