@@ -31,9 +31,23 @@ The reserved u8 (byte 7) is always 1: it flagged the unit-diagonal basis
 scaling, which is now the only basis.  The tau slot is reserved and always
 0.0: every series runs at tau = 1/bound, with the bound recomputed from the
 geometry on both sides.
+
+The hierarchy, the analysis cascade and the geometry digest do not depend
+on the quantization step, so encode keeps its last such result in a
+one-entry memo.  A later encode of the same PointCloud object with the same
+content, order, mode, K and colorspace reuses it and only quantizes and
+codes; any other call drops the entry and analyzes afresh.  The entry holds
+a weak reference to the cloud, a sha256 over its positions and attributes,
+and the coefficient planes in one block of their own (one float64 per
+coefficient and channel).  decode keeps nothing between calls.
 """
 
+import dataclasses
+import hashlib
+import mmap
 import struct
+import threading
+import weakref
 
 import numpy as np
 
@@ -367,6 +381,82 @@ def bt709_to_rgb(yuv):
     return np.stack([r, g, b], axis=1)
 
 
+@dataclasses.dataclass
+class _Analysis:
+    """encode's step-independent result for one cloud and configuration."""
+    cloud: weakref.ref      # the PointCloud object analyzed
+    key: bytes              # _analysis_key of that cloud and configuration
+    depth: int
+    num_points: int
+    digest: int             # geometry_digest, as the header stores it
+    coeffs: CoeffSet        # planes in one block, see _in_one_block
+
+
+# the memo: at most one _Analysis, replaced under the lock and computed
+# outside it
+_memo = None
+_memo_lock = threading.Lock()
+
+
+def _analysis_key(cloud, config, colorspace):
+    """sha256 over what analyze reads: the positions and attributes (with
+    their dtypes and shapes) and the configuration."""
+    h = hashlib.sha256()
+    for arr in (cloud.positions, cloud.attributes):
+        arr = np.ascontiguousarray(arr)
+        h.update(("%s %r;" % (arr.dtype.str, arr.shape)).encode())
+        h.update(arr)
+    h.update(repr((cloud.depth, cloud.channels, config.order,
+                   config.residual_mode, config.approx.order,
+                   config.approx.tolerance, colorspace)).encode())
+    return h.digest()
+
+
+def _in_one_block(coeffs):
+    """coeffs with every plane copied into one anonymous mapping.
+
+    The memo holds its planes between calls.  Left where analyze allocated
+    them, they pin the heap around them and raise the peak RSS of what
+    runs next; in a mapping of their own they return to the system as soon
+    as the entry is dropped.
+    """
+    planes = [coeffs.lowpass] + list(coeffs.highpass)
+    rows = sum(len(p) for p in planes)
+    cols = coeffs.lowpass.shape[1]
+    # a mapping cannot be empty, and a 0-channel cloud has no coefficients
+    block = np.frombuffer(mmap.mmap(-1, max(8 * rows * cols, 1)),
+                          dtype=np.float64, count=rows * cols)
+    block = np.concatenate(planes, out=block.reshape(rows, cols))
+    cuts = np.cumsum([len(p) for p in planes[:-1]])
+    lowpass, *highpass = np.split(block, cuts)
+    return dataclasses.replace(coeffs, lowpass=lowpass, highpass=highpass)
+
+
+def _analysis(cloud, config, colorspace):
+    """The memo's entry for this cloud object and content, analyzing on a
+    miss.  A miss drops the old entry before analyzing, so the old planes
+    are freed before the new ones are allocated."""
+    global _memo
+    key = _analysis_key(cloud, config, colorspace)
+    with _memo_lock:
+        if (_memo is not None and _memo.cloud() is cloud
+                and _memo.key == key):
+            return _memo
+        _memo = None
+    hierarchy = build_hierarchy(cloud, config.order)
+    attrs = cloud.attributes
+    if colorspace == "bt709":
+        attrs = rgb_to_bt709(attrs)
+    coeffs = _in_one_block(analyze(hierarchy, attrs, config))
+    entry = _Analysis(cloud=weakref.ref(cloud), key=key,
+                      depth=hierarchy.depth, num_points=hierarchy.num_points,
+                      digest=geometry_digest(cloud.positions, hierarchy.depth),
+                      coeffs=coeffs)
+    with _memo_lock:
+        _memo = entry
+    return entry
+
+
 def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     """Encode voxelized cloud attributes; returns (blob, stats dict).
 
@@ -375,7 +465,9 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     verify it was handed the same voxel set.  The header carries the series
     order K as a u16 but no early-stop tolerance, so config.approx.tolerance
     must be None: a decoder running the full series would not match the
-    encoder's closed loop.
+    encoder's closed loop.  Re-encoding the same cloud object at another
+    step reuses the analysis (see the module docstring); the bytes are the
+    same either way.
     """
     if colorspace not in COLORSPACES:
         raise ValueError("unknown colorspace %r" % colorspace)
@@ -385,26 +477,23 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     if config.approx.order > 0xFFFF:
         raise ValueError("the stream carries K as a u16; %d is too large"
                          % config.approx.order)
-    hierarchy = build_hierarchy(cloud, config.order)
-    attrs = cloud.attributes
-    if colorspace == "bt709":
-        if cloud.channels != 3:
-            raise ValueError("bt709 needs 3 channels")
-        attrs = rgb_to_bt709(attrs)
+    cloud.validate()
+    if colorspace == "bt709" and cloud.channels != 3:
+        raise ValueError("bt709 needs 3 channels")
     steps = np.broadcast_to(np.asarray(steps, dtype=np.float64),
                             (cloud.channels,)).copy()
     if not np.all((steps > 0.0) & (steps < np.inf)):
         raise ValueError("quantization steps must be finite and positive")
-    coeffs = analyze(hierarchy, attrs, config)
+    entry = _analysis(cloud, config, colorspace)
+    coeffs = entry.coeffs
 
     header = struct.pack("<4sBBBBBB", MAGIC, VERSION, config.order,
-                         hierarchy.depth, 1, cloud.channels,
+                         entry.depth, 1, cloud.channels,
                          COLORSPACES[colorspace])
     header += coeffs.modes.encode("ascii")
     header += struct.pack("<Hd", config.approx.order, 0.0)
     header += struct.pack("<%dd" % cloud.channels, *steps)
-    header += struct.pack("<IQ", hierarchy.num_points,
-                          geometry_digest(cloud.positions, hierarchy.depth))
+    header += struct.pack("<IQ", entry.num_points, entry.digest)
 
     planes = [coeffs.lowpass] + list(coeffs.highpass)
     payload = bytearray()

@@ -8,7 +8,6 @@ import argparse
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,14 +178,10 @@ def cmd_rd(args):
     if cloud.channels != 3:
         raise ValueError("rate-distortion sweep needs 3-channel attributes")
     ref_yuv = rgb_to_bt709(cloud.attributes)
-    configs = [(o, m, s) for o in args.orders for m in args.modes
-               for s in args.steps]
-    rows = []
-    with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-        futs = [pool.submit(_rd_point, cloud, o, m, s, args.taylor_k,
-                            args.colorspace, ref_yuv)
-                for o, m, s in configs]
-        rows = [f.result() for f in futs]
+    # steps innermost: encode analyzes once per (order, mode) and reuses
+    # that for the other steps of the same cloud
+    rows = [_rd_point(cloud, o, m, s, args.taylor_k, args.colorspace, ref_yuv)
+            for o in args.orders for m in args.modes for s in args.steps]
     with open(args.output, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["order", "mode", "step", "bpp",

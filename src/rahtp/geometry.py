@@ -80,6 +80,11 @@ class PointCloud:
             raise ValueError("positions outside [0, 2^L)^3")
         if not np.isfinite(self.attributes).all():
             raise ValueError("non-finite attributes")
+        # (N, channels) rows, or (N,) for one channel
+        cols = np.shape(self.attributes)[1:]
+        if cols != (self.channels,) and not (cols == () and self.channels == 1):
+            raise ValueError("attributes of shape %s do not carry %d channels"
+                             % (np.shape(self.attributes), self.channels))
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import hashlib
 import struct
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from rahtp import codec
 from rahtp.codec import (CorruptStream, bt709_to_rgb, decode, dequantize,
                          encode, parse_header, quantize, rgb_to_bt709,
                          rlgr_decode, rlgr_encode)
-from rahtp.evalcli import builtin_clouds
+from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import TransformConfig
 
 from _helpers import random_cloud, reference_rlgr_encode
+from test_golden import GOLDEN
 
 
 def _codec_config(order=1, mode="overcomplete", k=16):
@@ -403,3 +407,117 @@ def test_decode_of_huge_patched_step_is_finite_or_corrupt(order):
     except CorruptStream:
         return
     assert np.all(np.isfinite(recon))
+
+
+# encode's memo of the step-independent analysis (hierarchy, cascade and
+# geometry digest): reused only for the same cloud object and content
+
+def _count_calls(monkeypatch, *names):
+    """Wrap codec-level bindings; returns the list of names called."""
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(codec, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(codec, name, spy)
+    return calls
+
+
+def _copy(cl, **fields):
+    kw = dict(positions=cl.positions.copy(), attributes=cl.attributes.copy(),
+              depth=cl.depth, channels=cl.channels)
+    kw.update(fields)
+    return rahtp.PointCloud(**kw)
+
+
+def test_encode_analyzes_one_cloud_once_across_steps(monkeypatch):
+    cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    config = TransformConfig(order=2)
+    calls = _count_calls(monkeypatch, "analyze", "build_hierarchy",
+                         "geometry_digest")
+    blobs = [encode(cl, config, step, colorspace="bt709")[0]
+             for step in (1.0, 4.0, 1.0)]
+    assert sorted(calls) == ["analyze", "build_hierarchy", "geometry_digest"]
+    assert hashlib.sha256(blobs[2]).hexdigest() == \
+        GOLDEN[("torus3000", 2, "overcomplete")]
+    assert blobs[2] == blobs[0]
+    # the hit path's step-4 stream is the one a fresh analysis writes
+    assert blobs[1] == encode(_copy(cl), config, 4.0, colorspace="bt709")[0]
+    assert len(calls) == 6
+
+
+def _shift_last_voxel(cl):
+    # sphere200's last voxel is (6, 6, 6); (7, 7, 7) is free and has the
+    # largest key at depth 3, so the positions stay Morton-sorted
+    cl.positions[-1] = [7, 7, 7]
+
+
+@pytest.mark.parametrize("change", [
+    "attributes in place", "positions in place", "equal new object", "K",
+    "mode", "colorspace"])
+def test_encode_reanalyzes_after_any_change(monkeypatch, change):
+    cl = builtin_clouds()["sphere200"]
+    config, colorspace = _codec_config(), "bt709"
+    encode(cl, config, 1.0, colorspace=colorspace)
+    if change == "attributes in place":
+        cl.attributes[17, 1] += 0.5
+    elif change == "positions in place":
+        _shift_last_voxel(cl)
+    elif change == "equal new object":
+        cl = _copy(cl)
+    elif change == "K":
+        config = _codec_config(k=8)
+    elif change == "mode":
+        config = _codec_config(mode="critical")
+    else:
+        colorspace = "raw"
+    calls = _count_calls(monkeypatch, "analyze")
+    got, _ = encode(cl, config, 2.0, colorspace=colorspace)
+    assert calls == ["analyze"]
+    want, _ = encode(_copy(cl), config, 2.0, colorspace=colorspace)
+    assert got == want
+    assert len(calls) == 2
+
+
+def test_memo_hit_keeps_every_check():
+    cl = builtin_clouds()["sphere200"]
+    config = _codec_config()
+    encode(cl, config, 1.0)
+    for bad in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="finite"):
+            encode(cl, config, bad)
+    with pytest.raises(ValueError, match="tolerance"):
+        encode(cl, TransformConfig(approx=ApproxConfig(tolerance=1e-3)), 1.0)
+    mono = _copy(cl, attributes=cl.attributes[:, :1].copy(), channels=1)
+    encode(mono, config, 1.0)
+    with pytest.raises(ValueError, match="bt709"):
+        encode(mono, config, 1.0, colorspace="bt709")
+    cl.attributes[3, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        encode(cl, config, 1.0)
+
+
+def test_memo_holds_only_the_last_cloud():
+    a, b = random_cloud(60, 150, 3), random_cloud(61, 150, 3)
+    encode(a, _codec_config(), 1.0)
+    coeffs = weakref.ref(codec._memo.coeffs)
+    encode(b, _codec_config(), 1.0)
+    assert coeffs() is None
+    assert codec._memo.cloud() is b
+
+
+def test_threads_sharing_the_memo_write_the_serial_bytes():
+    a = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    b = builtin_clouds()["sphere200"]
+    config = TransformConfig(order=2)
+    jobs = [(cl, step) for step in (0.5, 1.0, 4.0, 16.0) for cl in (a, b)]
+    serial = [encode(_copy(cl), config, step)[0] for cl, step in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futs = [pool.submit(encode, cl, config, step) for cl, step in jobs]
+            blobs = [f.result(timeout=120)[0] for f in futs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert blobs == serial

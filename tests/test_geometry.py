@@ -192,3 +192,27 @@ def test_pointcloud_validate_rejects_mismatched_rows():
         rahtp.PointCloud(positions=np.zeros((3, 3), dtype=np.int64),
                          attributes=np.zeros((2, 1)), depth=1,
                          channels=1).validate()
+
+
+@pytest.mark.parametrize("layout,channels,ok", [
+    ("2-D", 1, False), ("2-D", 2, False), ("2-D", 4, False),
+    ("1-D", 3, False), ("3-D", 1, False), ("2-D", 3, True), ("1-D", 1, True)])
+def test_pointcloud_validate_checks_channels(layout, channels, ok):
+    # sphere200's (111, 3) attributes as they are, as one 1-D column or as
+    # (111, 3, 1): only (N, channels), or 1-D with one channel, is accepted
+    cl = rahtp.builtin_clouds()["sphere200"]
+    attrs = {"2-D": cl.attributes, "1-D": cl.attributes[:, 0],
+             "3-D": cl.attributes[:, :, None]}[layout]
+    cloud = rahtp.PointCloud(positions=cl.positions, attributes=attrs,
+                             depth=cl.depth, channels=channels)
+    config = rahtp.TransformConfig()
+    if not ok:
+        with pytest.raises(ValueError, match="channels"):
+            cloud.validate()
+        with pytest.raises(ValueError, match="channels"):
+            rahtp.encode(cloud, config, 0.01)
+        return
+    blob, _ = rahtp.encode(cloud, config, 0.01)
+    rec, head = rahtp.decode(blob, cloud)
+    assert head["channels"] == channels
+    assert np.abs(rec.reshape(attrs.shape) - attrs).max() < 0.1
