@@ -3,7 +3,7 @@
 from .geometry import (Hierarchy, LevelGeometry, PointCloud, build_hierarchy,
                        geometry_digest, load_ply, morton_key, save_ply,
                        voxelize)
-from .kernels import build_a_matrix, gram_levels, kernel_weight
+from .kernels import build_a_matrix, gram_levels
 from .sparse_ops import ASplit, SplitError, ZtildeOp, build_split
 from .spectral import (ApproxConfig, Operator, SeriesDivergence,
                        apply_series, eigen_bound, series_coefficients)
@@ -24,7 +24,7 @@ __all__ = [
     "ZtildeOp", "analyze", "apply_basis_scaling", "apply_series",
     "build_a_matrix", "build_hierarchy", "build_split", "builtin_clouds",
     "compute_metrics", "decode", "dequantize", "eigen_bound", "encode",
-    "geometry_digest", "gram_levels", "kernel_weight", "load_ply", "main",
+    "geometry_digest", "gram_levels", "load_ply", "main",
     "make_synthetic_cloud", "morton_key", "quantize", "rlgr_decode",
     "rlgr_encode", "save_ply", "series_coefficients", "synthesize",
     "truncate_to_level", "voxelize",

@@ -37,10 +37,16 @@ def _psnr(mse):
     return 10.0 * np.log10(PSNR_PEAK * PSNR_PEAK / mse)
 
 
+def _columns(values):
+    # (N, channels) as given; (N,) is one channel, not one row
+    arr = np.asarray(values, dtype=np.float64)
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
 def compute_metrics(reference, reconstructed, payload_bytes, num_points,
                     coeff_count):
-    ref = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-    rec = np.atleast_2d(np.asarray(reconstructed, dtype=np.float64))
+    ref = _columns(reference)
+    rec = _columns(reconstructed)
     mse = tuple(float(np.mean((ref[:, c] - rec[:, c]) ** 2))
                 for c in range(ref.shape[1]))
     return Metrics(mse=mse,
@@ -232,11 +238,14 @@ def _add_common(p, taylor_k):
     p.add_argument("--taylor-k", type=int, default=taylor_k)
 
 
-def _add_sweep(p, modes):
+def _add_sweep(p):
+    """Arguments that rd and compaction both read."""
     p.add_argument("--orders", type=int, nargs="+", choices=(1, 2),
                    default=[1, 2])
+    # critical mode stays selectable, but it falls back to overcomplete on
+    # most real-sized levels after a long search, so it is not a default
     p.add_argument("--modes", nargs="+", choices=("critical", "overcomplete"),
-                   default=modes)
+                   default=["overcomplete"])
 
 
 def build_parser():
@@ -260,7 +269,7 @@ def build_parser():
 
     p = sub.add_parser("rd", help="rate-distortion sweep to CSV")
     _add_common(p, taylor_k=16)
-    _add_sweep(p, modes=["critical", "overcomplete"])
+    _add_sweep(p)
     p.add_argument("--colorspace", choices=("raw", "bt709"), default="raw")
     p.add_argument("--steps", type=float, nargs="+",
                    default=[0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
@@ -269,7 +278,7 @@ def build_parser():
     p = sub.add_parser("compaction",
                        help="energy compaction sweep (no quantization) to CSV")
     _add_common(p, taylor_k=1024)
-    _add_sweep(p, modes=["overcomplete"])
+    _add_sweep(p)
     p.set_defaults(fn=cmd_compaction)
 
     return ap

@@ -267,7 +267,8 @@ def voxelize(cloud, depth):
 
     Integer positions already inside the grid pass through unchanged;
     otherwise positions are min-corner shifted, uniformly scaled, and floored.
-    Attributes of points landing in the same voxel are averaged.
+    Attributes of points landing in the same voxel are averaged; the result
+    always holds (N, channels) rows, also for (N,) one-channel input.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -281,16 +282,19 @@ def voxelize(cloud, depth):
         scale = 1.0 if extent == 0.0 else size * (1.0 - 1e-9) / extent
         vox = np.floor((pos - lo) * scale).astype(np.int64)
         np.clip(vox, 0, size - 1, out=vox)
+    src = np.asarray(cloud.attributes, dtype=np.float64)
+    if src.ndim == 1:       # one channel as (N,)
+        src = src[:, None]
     key = morton_key(vox, depth)
     uniq, inverse = np.unique(key, return_inverse=True)
     n = len(uniq)
-    attrs = np.zeros((n, cloud.attributes.shape[1]), dtype=np.float64)
+    attrs = np.zeros((n, src.shape[1]), dtype=np.float64)
     counts = np.zeros(n, dtype=np.int64)
-    np.add.at(attrs, inverse, cloud.attributes)
+    np.add.at(attrs, inverse, src)
     np.add.at(counts, inverse, 1)
     attrs /= counts[:, None]
     out = PointCloud(positions=morton_decode(uniq), attributes=attrs, depth=depth,
-                     channels=cloud.attributes.shape[1])
+                     channels=src.shape[1])
     out.validate()
     return out
 

@@ -1,6 +1,6 @@
 """Space-invariant B-spline two-scale kernels and the space-varying Gram.
 
-kernel_weight gives the two-scale coefficients a(d) linking a parent basis
+kernel_weights gives the two-scale coefficients a(d) linking a parent basis
 function to its children: order 1 (box) has unit weights on d in {0,1}^3,
 order 2 (tri-linear hat) has 2^(-|d|_1) on d in {-1,0,1}^3.
 
@@ -18,18 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def kernel_weight(order, d):
-    """Two-scale weight a(d) for offset d = m - 2n (child m, parent n)."""
-    d = np.asarray(d, dtype=np.int64)
-    if order == 1:
-        return 1.0 if np.all((d == 0) | (d == 1)) else 0.0
-    if order == 2:
-        return float(2.0 ** (-np.abs(d).sum())) if np.all(np.abs(d) <= 1) else 0.0
-    raise ValueError("order must be 1 or 2")
-
-
 def kernel_weights(order, dvecs):
-    """Vectorized kernel_weight over an (E,3) offset array."""
+    """Two-scale weights a(d) for an (E,3) array of offsets d = m - 2n
+    (child m, parent n)."""
     d = np.asarray(dvecs, dtype=np.int64)
     if order == 1:
         ok = np.all((d == 0) | (d == 1), axis=1)

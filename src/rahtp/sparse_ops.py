@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .spectral import DENSE_CUTOFF, Operator, apply_series
+from .spectral import Operator, apply_series
 
 
 class SplitError(RuntimeError):
@@ -113,10 +113,11 @@ def build_split(parent_geom, child_geom, order):
 class ZtildeOp:
     """Matrix-free Ztilde and Ztilde^T for one level pair.
 
-    Holds A, the split, the SPD product M = A^a A^a^T as an Operator over
-    explicit CSR (so its Gershgorin bound is deterministic, and positive
-    because every claimed child has a positive weight) and the series
-    config used for all M^-1 solves.
+    Holds A and its claimed and unclaimed columns A^a and A^b, all in CSR,
+    the split, the SPD product M = A^a A^a^T as an Operator (so its
+    Gershgorin bound is deterministic, and positive because every claimed
+    child has a positive weight) and the series config used for all M^-1
+    solves.
     """
 
     def __init__(self, a_mat, split, approx):
@@ -124,13 +125,8 @@ class ZtildeOp:
         self.split = split
         self.aa = self.a_mat[:, split.a_indices].tocsr()
         self.ab = self.a_mat[:, split.b_indices].tocsr()
-        self._m_op = Operator((self.aa @ self.aa.T).tocsr())
+        self._m_op = Operator(self.aa @ self.aa.T)
         self.approx = approx
-        if self.aa.shape[0] <= DENSE_CUTOFF:
-            # small levels run dense, as M does; the cutoff is a pure
-            # function of the node count so encoder and decoder agree
-            self.aa = self.aa.toarray()
-            self.ab = self.ab.toarray()
 
     @property
     def n_parent(self):
@@ -173,10 +169,5 @@ class ZtildeOp:
         dpsi[j] = 1 + sum_i (A^b[i,j] / A^a[i,i])^2, computable from
         geometry alone so encoder and decoder agree without side data.
         """
-        diag = np.asarray(self.aa.diagonal()).ravel()
-        if isinstance(self.ab, np.ndarray):
-            col = ((self.ab / diag[:, None]) ** 2).sum(axis=0)
-        else:
-            sq = (sp.diags(1.0 / diag) @ self.ab).power(2)
-            col = np.asarray(sq.sum(axis=0)).ravel()
-        return 1.0 + col
+        sq = (sp.diags(1.0 / self.aa.diagonal()) @ self.ab).power(2)
+        return 1.0 + np.asarray(sq.sum(axis=0)).ravel()

@@ -9,14 +9,15 @@ so one matvec per term and no eigen-decomposition anywhere.  tau is
 iteration matrix L has spectrum in [0, 1) on the range of X and the partial
 sums converge geometrically at rate 1 - tau*lambda_min.
 
-Every X is an Operator, and the operator carries its own bound: an
-explicit matrix (the scaled Grams, the lifting product M) computes its
-Gershgorin bound once and caches its iteration matrix; a matrix-free
-callable (the critical-mode W composite) is given the power-iteration
-bound of eigen_bound.  apply_series reads the step from op.bound.
+Every X is an Operator, and the operator carries its own bound.  An
+explicit matrix (the scaled Grams, the lifting product M) is held in one
+form, CSR; it computes its Gershgorin bound once and caches its iteration
+matrix.  A matrix-free callable (the critical-mode W composite)
+is given the power-iteration bound of eigen_bound.  apply_series reads the
+step from op.bound.
 
 A series term is one layer of the paper's feedforward network, and on an
-explicit sparse L it is one CSR product.  Every output row of that product
+explicit L it is one CSR product.  Every output row of that product
 is its own dot product, so when the process may run on two or more CPUs
 and L holds at least SPLIT_NNZ entries, the rows are cut into two blocks
 of about equal nnz: the caller computes the first block and one worker
@@ -36,15 +37,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-# below this row count, sparse operators are applied as dense arrays
-# (measured crossover vs csr dispatch overhead for (N,3) right-hand sides)
-DENSE_CUTOFF = 256
-
-# an explicit sparse iteration matrix with at least this many stored
-# entries runs each series term as two row blocks on two threads (see the
-# module docstring).  Unlike DENSE_CUTOFF it never changes the bytes, only
-# the speed: below it the hand-off to the worker costs more than the
-# second core saves (measured sweep in CHANGES.md)
+# an explicit iteration matrix with at least this many stored entries runs
+# each series term as two row blocks on two threads (see the module
+# docstring).  It never changes the bytes, only the speed: below it the
+# hand-off to the worker costs more than the second core saves (measured
+# sweep in CHANGES.md)
 SPLIT_NNZ = 65536
 
 # sums of squares over at least this many elements avoid BLAS: OpenBLAS
@@ -113,13 +110,10 @@ def _series_scale(h, tau):
 class Operator:
     """A symmetric PSD operator X: an explicit matrix or a callable.
 
-    An explicit matrix (ndarray or scipy sparse) is kept in the form it was
-    given, and its bound is the Gershgorin sum over the rows of that form.
-    A sparse matrix of at most DENSE_CUTOFF rows is applied as a dense
-    array: BLAS beats per-call sparse dispatch on small levels, and the
-    cutoff depends only on the row count so encoder and decoder round
-    identically.  A callable fn(x) of a given dimension is matrix-free: it
-    has no iteration matrix and no bound until one is assigned, usually
+    An explicit matrix (ndarray or any scipy sparse format) is stored as one
+    CSR matrix, mat, and its bound is the Gershgorin sum over the rows of
+    that CSR.  A callable fn(x) of a given dimension is matrix-free: it has
+    no iteration matrix and no bound until one is assigned, usually
     eigen_bound(op).
     """
 
@@ -131,12 +125,8 @@ class Operator:
             self._fn = source
             self.bound = None
             return
-        if not sp.issparse(source):
-            source = np.asarray(source, dtype=np.float64)
-        self.mat = source
-        self.dim = source.shape[0]
-        small = sp.issparse(source) and self.dim <= DENSE_CUTOFF
-        self._applied = source.toarray() if small else source
+        self.mat = sp.csr_matrix(source, dtype=np.float64)
+        self.dim = self.mat.shape[0]
         self.bound = self.gershgorin()
 
     def __len__(self):
@@ -145,29 +135,25 @@ class Operator:
     def matvec(self, x):
         if self.mat is None:
             return self._fn(x)
-        return self._applied @ np.asarray(x)
+        return self.mat @ np.asarray(x)
 
     def _iteration(self, tau):
-        # (L, cut) with L = I - tau*X in the applied form, cached per tau so
-        # a reassigned bound never reads a stale L.  A sparse L large enough
-        # to split on a machine with two CPUs runs rows [0, cut) and
-        # [cut, dim) as separate blocks; cut is None for one block, a dense
-        # L and a callable, which has no L either
+        # (L, cut) with L = I - tau*X in CSR, cached per tau so a reassigned
+        # bound never reads a stale L.  An L large enough to split on a
+        # machine with two CPUs runs rows [0, cut) and [cut, dim) as
+        # separate blocks; cut is None for one block and for a callable,
+        # which has no L either
         if self.mat is None:
             return None, None
         if self._iter is None or self._iter[0] != tau:
-            mat = self._applied
+            lm = (sp.identity(self.dim, format="csr")
+                  - self.mat.multiply(tau)).tocsr()
             cut = None
-            if isinstance(mat, np.ndarray):
-                lm = np.eye(self.dim) - tau * mat
-            else:
-                lm = (sp.identity(self.dim, format="csr")
-                      - mat.multiply(tau)).tocsr()
-                if lm.nnz >= SPLIT_NNZ and _cpu_count() >= 2:
-                    # first row whose block start reaches half the entries
-                    cut = int(np.searchsorted(lm.indptr, lm.nnz // 2))
-                    if not 0 < cut < self.dim:
-                        cut = None
+            if lm.nnz >= SPLIT_NNZ and _cpu_count() >= 2:
+                # first row whose block start reaches half the entries
+                cut = int(np.searchsorted(lm.indptr, lm.nnz // 2))
+                if not 0 < cut < self.dim:
+                    cut = None
             self._iter = (tau, lm, cut)
         return self._iter[1:]
 
@@ -331,10 +317,10 @@ def apply_series(op, v, h, cfg):
     if cfg.tolerance is not None:
         stop = cfg.tolerance * (1.0 + scale0)
         stop2 = stop * stop
-    # explicit operators expose L = I - tau X directly; one matmul per
-    # term there instead of matvec + scale + subtract
+    # an explicit operator exposes L = I - tau X in CSR: one row-block
+    # product per term there, instead of the callable's matvec + scale +
+    # subtract
     lmat, cut = op._iteration(tau)
-    sparse_l = sp.issparse(lmat)
     n = len(term)
     if cut is not None:
         worker = _second_block_worker()
@@ -345,7 +331,7 @@ def apply_series(op, v, h, cfg):
     tmp = np.empty_like(term)
     mv = op.matvec
     for k in range(1, cfg.order + 1):
-        if sparse_l:
+        if lmat is not None:
             args = (term, nxt, acc, tmp, b[k], k > 1)
             if cut is None:
                 n2 = _rows_term(lmat, 0, n, *args)
@@ -358,15 +344,11 @@ def apply_series(op, v, h, cfg):
                 n2 += second
             term, nxt = nxt, term
         else:
-            if lmat is not None:
-                np.dot(lmat, term, out=nxt)
-                term, nxt = nxt, term
-            else:
-                z = np.asarray(mv(term), dtype=np.float64)
-                if z is term:    # an identity-like op may hand back its input
-                    z = term.copy()
-                np.multiply(z, tau, out=z)
-                term = np.subtract(term, z, out=z)   # (I - tau X) term
+            z = np.asarray(mv(term), dtype=np.float64)
+            if z is term:    # an identity-like op may hand back its input
+                z = term.copy()
+            np.multiply(z, tau, out=z)
+            term = np.subtract(term, z, out=z)   # (I - tau X) term
             n2 = _add_term(acc, term, b[k], tmp)
         if not (n2 <= blow2):    # also catches nan
             raise SeriesDivergence(

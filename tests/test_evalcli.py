@@ -48,6 +48,9 @@ def test_compute_metrics_known_values():
     assert m.psnr[1] == pytest.approx(10 * np.log10(255 ** 2 / 12.5))
     assert m.bpp == pytest.approx(400.0)
     assert m.coeff_count == 7
+    # (N,) is one channel of N values, not one row of N channels
+    m = compute_metrics([1, 2, 3], [1, 2, 4], 10, 3, 3)
+    assert m.mse == pytest.approx((1.0 / 3.0,))
 
 
 def test_cli_encode_decode_roundtrip(tmp_path):
@@ -78,6 +81,15 @@ def test_cli_rd_csv(tmp_path):
             "psnr_yuv"} <= set(rows[0])
     # coarser quantization cannot increase the rate
     assert float(rows[1]["bpp"]) <= float(rows[0]["bpp"])
+
+
+def test_cli_rd_defaults_to_overcomplete(tmp_path):
+    path, _ = _write_cloud(tmp_path)
+    out = tmp_path / "rd.csv"
+    assert main(["rd", str(path), str(out), "--steps", "2.0"]) == 0
+    rows = list(csv.DictReader(open(out)))
+    assert [(r["order"], r["mode"]) for r in rows] == [
+        ("1", "overcomplete"), ("2", "overcomplete")]
 
 
 def test_cli_rd_reads_order_as_orders(tmp_path):

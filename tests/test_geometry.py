@@ -54,6 +54,16 @@ def test_voxelize_merges_duplicates_by_mean():
     assert merged[0, 0] == pytest.approx(20.0)
 
 
+def test_voxelize_averages_one_dimensional_attributes_as_one_column():
+    cloud = rahtp.PointCloud(
+        positions=np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]], dtype=np.int64),
+        attributes=np.array([1.0, 2.0, 3.0]), depth=2, channels=1)
+    out = rahtp.voxelize(cloud, 2)
+    assert out.channels == 1
+    assert out.attributes.shape == (2, 1)
+    assert out.attributes[:, 0].tolist() == [2.0, 2.0]
+
+
 def test_voxelize_already_integer_grid_keeps_voxels():
     cl = random_cloud(1, 80, 3)
     again = rahtp.voxelize(cl, 3)

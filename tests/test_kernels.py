@@ -3,8 +3,8 @@ import pytest
 
 import rahtp
 from rahtp.kernels import (build_a_matrix, gram_downsample, gram_init,
-                           gram_levels, kernel_weight)
-from rahtp.spectral import DENSE_CUTOFF, Operator
+                           gram_levels, kernel_weights)
+from rahtp.spectral import Operator
 from rahtp.transform import apply_basis_scaling
 
 import _oracle as oracle
@@ -12,18 +12,19 @@ from _helpers import pair_cloud, random_cloud
 
 
 def test_kernel_weight_box():
-    assert kernel_weight(1, (0, 0, 0)) == 1.0
-    assert kernel_weight(1, (1, 1, 0)) == 1.0
-    assert kernel_weight(1, (-1, 0, 0)) == 0.0
-    assert kernel_weight(1, (2, 0, 0)) == 0.0
+    w = kernel_weights(1, [(0, 0, 0), (1, 1, 0), (-1, 0, 0), (2, 0, 0)])
+    assert w.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_kernel_weight_hat():
-    assert kernel_weight(2, (0, 0, 0)) == 1.0
-    assert kernel_weight(2, (1, 0, 0)) == 0.5
-    assert kernel_weight(2, (-1, 1, 0)) == 0.25
-    assert kernel_weight(2, (1, 1, 1)) == 0.125
-    assert kernel_weight(2, (2, 0, 0)) == 0.0
+    w = kernel_weights(2, [(0, 0, 0), (1, 0, 0), (-1, 1, 0), (1, 1, 1),
+                           (2, 0, 0)])
+    assert w.tolist() == [1.0, 0.5, 0.25, 0.125, 0.0]
+
+
+def test_kernel_weight_rejects_other_orders():
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        kernel_weights(3, [(0, 0, 0)])
 
 
 def test_finest_gram_is_identity_both_orders():
@@ -64,9 +65,8 @@ def test_a_matrix_entries_are_kernel_weights():
             a = build_a_matrix(h.levels[lev], h.levels[lev + 1], order).tocoo()
             parents = h.levels[lev].nodes
             children = h.levels[lev + 1].nodes
-            for r, c, val in zip(a.row, a.col, a.data):
-                d = children[c] - 2 * parents[r]
-                assert val == kernel_weight(order, tuple(d))
+            d = children[a.col] - 2 * parents[a.row]
+            assert np.array_equal(a.data, kernel_weights(order, d))
 
 
 def test_a_matrix_box_partitions_children():
@@ -79,26 +79,20 @@ def test_a_matrix_box_partitions_children():
 
 
 def test_gram_tensor_matvec_matches_csr():
-    # the second cloud's finer levels exceed DENSE_CUTOFF, so both the
-    # dense and the CSR backing are exercised
     rng = np.random.default_rng(0)
-    sizes = set()
     for cl in (random_cloud(14, 200, 3), random_cloud(14, 700, 4)):
         h = rahtp.build_hierarchy(cl, 2)
         for csr in gram_levels(h):
             g = Operator(csr)
-            sizes.add(len(g) > DENSE_CUTOFF)
             x = rng.standard_normal((len(g), 3))
             assert np.abs(g.matvec(x) - csr @ x).max() < 1e-12
             tau = 1.0 / g.bound
-            lm = g._iteration(tau)[0]
-            lm = lm if isinstance(lm, np.ndarray) else lm.toarray()
+            lm = g._iteration(tau)[0].toarray()
             assert np.array_equal(lm, np.eye(len(g)) - tau * csr.toarray())
             # row sums in CSR index order, as the bound has always summed
             rows = [sum(abs(v) for v in csr.data[a:b])
                     for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
             assert g.bound == max(rows)
-    assert sizes == {False, True}
 
 
 def test_scaled_gram_has_unit_diagonal():

@@ -163,7 +163,7 @@ def test_config_validation():
 
 
 def _banded_spd(n=700, seed=5):
-    # diagonally dominant 7-band matrix: sparse (n > DENSE_CUTOFF) and SPD
+    # diagonally dominant 7-band CSR matrix, SPD
     rng = np.random.default_rng(seed)
     bands = [rng.uniform(-1.0, 1.0, n - abs(o)) for o in range(-3, 4)]
     mat = sp.diags(bands, range(-3, 4), format="csr")
@@ -180,6 +180,19 @@ def _reference_series(lm, v, h, order, tau):
         term = lm @ term
         acc = acc + term if b[k] == 1.0 else acc + term * b[k]
     return spectral._series_scale(h, tau) * acc
+
+
+def test_dense_source_is_held_as_csr():
+    mat = _banded_spd()
+    dense_op = Operator(mat.toarray())
+    csr_op = Operator(mat)
+    assert dense_op.mat.format == "csr"
+    assert dense_op.bound == csr_op.bound
+    v = np.random.default_rng(8).standard_normal((mat.shape[0], 3))
+    cfg = ApproxConfig(order=40)
+    for h in ("inv", "invsqrt", "sqrt"):
+        assert np.array_equal(apply_series(dense_op, v, h, cfg),
+                              apply_series(csr_op, v, h, cfg)), h
 
 
 @pytest.mark.parametrize("cols", [None, 1, 3])
