@@ -24,7 +24,8 @@ def main():
     for step in STEPS:
         cells = []
         for order in (1, 2):
-            config = TransformConfig(order=order, residual_mode="critical",
+            config = TransformConfig(order=order,
+                                     residual_mode="overcomplete",
                                      approx=ApproxConfig(order=32))
             blob, stats = encode(cloud, config, step, colorspace="bt709")
             rec, _ = decode(blob, cloud)

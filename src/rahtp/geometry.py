@@ -239,11 +239,18 @@ def load_ply(path):
 
 
 def save_ply(path, positions, attributes):
-    """Write a binary little-endian PLY with float32 attribute channels."""
+    """Write a binary little-endian PLY with float32 attribute channels.
+
+    attributes is (N,) for one channel or (N, r), one row per position.
+    """
     positions = np.asarray(positions)
-    attributes = np.atleast_2d(np.asarray(attributes, dtype=np.float64))
-    if attributes.shape[0] != positions.shape[0]:
-        attributes = attributes.T
+    attributes = np.asarray(attributes, dtype=np.float64)
+    if attributes.ndim == 1:
+        attributes = attributes[:, None]
+    if attributes.ndim != 2 or len(attributes) != len(positions):
+        raise ValueError("attributes of shape %s need one row for each "
+                         "of %d positions"
+                         % (attributes.shape, len(positions)))
     r = attributes.shape[1]
     names = ["red", "green", "blue"] if r == 3 else ["value"] if r == 1 else [
         "c%d" % i for i in range(r)]

@@ -113,11 +113,11 @@ def build_split(parent_geom, child_geom, order):
 class ZtildeOp:
     """Matrix-free Ztilde and Ztilde^T for one level pair.
 
-    Holds A and its claimed and unclaimed columns A^a and A^b, all in CSR,
-    the split, the SPD product M = A^a A^a^T as an Operator (so its
-    Gershgorin bound is deterministic, and positive because every claimed
-    child has a positive weight) and the series config used for all M^-1
-    solves.
+    Holds A, its claimed and unclaimed columns A^a and A^b and their
+    transposes, all in CSR (so no call builds a transpose), the split, the
+    SPD product M = A^a A^a^T as an Operator (so its Gershgorin bound is
+    deterministic, and positive because every claimed child has a positive
+    weight) and the series config used for all M^-1 solves.
     """
 
     def __init__(self, a_mat, split, approx):
@@ -125,7 +125,9 @@ class ZtildeOp:
         self.split = split
         self.aa = self.a_mat[:, split.a_indices].tocsr()
         self.ab = self.a_mat[:, split.b_indices].tocsr()
-        self._m_op = Operator(self.aa @ self.aa.T)
+        self.aa_t = self.aa.T.tocsr()
+        self.ab_t = self.ab.T.tocsr()
+        self._m_op = Operator(self.aa @ self.aa_t)
         self.approx = approx
 
     @property
@@ -145,14 +147,14 @@ class ZtildeOp:
 
     def solve_a(self, y):
         """(A^a)^-1 y via (A^a)^T M^-1 y."""
-        return self.aa.T @ self._m_solve(y)
+        return self.aa_t @ self._m_solve(y)
 
     def mul(self, x):
         """Ztilde x for child-indexed features x (n_child, r)."""
         x = np.asarray(x, dtype=np.float64)
         xa = x[self.split.a_indices]
         xb = x[self.split.b_indices]
-        return xb - self.ab.T @ self.solve_a_t(xa)
+        return xb - self.ab_t @ self.solve_a_t(xa)
 
     def mul_t(self, g):
         """Ztilde^T g back to child indexing (n_child, r)."""

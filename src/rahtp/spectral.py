@@ -20,12 +20,12 @@ A series term is one layer of the paper's feedforward network, and on an
 explicit L it is one CSR product.  Every output row of that product
 is its own dot product, so when the process may run on two or more CPUs
 and L holds at least SPLIT_NNZ entries, the rows are cut into two blocks
-of about equal nnz: the caller computes the first block and one worker
+of about equal nnz: the caller computes the first block and a helper
 thread the second, each writing its rows of the next term and of the
 running sum.  Every element goes through the same floating-point
-operations as in one block, so the result is bit-identical; the worker
-is created on first use and again in a forked child, whose copy of the
-parent's thread would never run.
+operations as in one block, so the result is bit-identical.  Each split
+series starts its own helper and joins it before it returns, so no
+thread outlives the series.
 """
 
 import os
@@ -40,8 +40,8 @@ from scipy.sparse import _sparsetools
 # an explicit iteration matrix with at least this many stored entries runs
 # each series term as two row blocks on two threads (see the module
 # docstring).  It never changes the bytes, only the speed: below it the
-# hand-off to the worker costs more than the second core saves (measured
-# sweep in CHANGES.md)
+# hand-off to the helper thread costs more than the second core saves
+# (measured sweep in CHANGES.md)
 SPLIT_NNZ = 65536
 
 # sums of squares over at least this many elements avoid BLAS: OpenBLAS
@@ -172,57 +172,6 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-class _Worker:
-    """The thread that computes the second row block of each series term.
-
-    Jobs arrive on one queue; each carries the queue its caller waits on,
-    so concurrent series never read each other's results.  A bare queue
-    pair hands a job over in about half the time of a ThreadPoolExecutor,
-    which matters once per term.
-    """
-
-    def __init__(self):
-        self._jobs = queue.SimpleQueue()
-        threading.Thread(target=self._run, name="rahtp-series",
-                         daemon=True).start()
-
-    def _run(self):
-        while True:
-            done, args = self._jobs.get()
-            try:
-                result = _rows_term(*args)
-            except BaseException as exc:   # re-raised in the caller
-                result = exc
-            done.put(result)
-            # hold no arrays of a finished series while waiting for the next
-            del done, args, result
-
-    def submit(self, done, args):
-        self._jobs.put((done, args))
-
-
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker():
-    # a forked child has no copy of the worker's thread
-    global _worker, _worker_lock
-    _worker = None
-    _worker_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _second_block_worker():
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = _Worker()
-        return _worker
-
-
 def _sumsq(term):
     f = term.ravel()
     if f.size < BLAS_DOT_CUTOFF:
@@ -259,6 +208,18 @@ def _rows_term(lm, lo, hi, term, nxt, acc, tmp, bk, clear):
                                  lm.indices, lm.data, term.ravel(),
                                  out.ravel())
     return _add_term(acc[lo:hi], out, bk, tmp[lo:hi])
+
+
+def _second_blocks(jobs, done):
+    """Helper thread of one split series: _rows_term on each job from jobs,
+    its result or exception onto done, until the job None.  A bare queue
+    pair hands a job over in about half the time of a ThreadPoolExecutor,
+    which matters once per term."""
+    while (args := jobs.get()) is not None:
+        try:
+            done.put(_rows_term(*args))
+        except BaseException as exc:    # re-raised in the caller
+            done.put(exc)
 
 
 def eigen_bound(op):
@@ -323,40 +284,48 @@ def apply_series(op, v, h, cfg):
     lmat, cut = op._iteration(tau)
     n = len(term)
     if cut is not None:
-        worker = _second_block_worker()
-        done = queue.SimpleQueue()
+        jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+        helper = threading.Thread(target=_second_blocks, args=(jobs, done),
+                                  name="rahtp-series", daemon=True)
+        helper.start()
     # zeroed pages stay unmapped until written, so the first product of an
     # all-zero L (X exactly the identity) adds no resident memory
     nxt = np.zeros_like(term) if lmat is not None else None
     tmp = np.empty_like(term)
     mv = op.matvec
-    for k in range(1, cfg.order + 1):
-        if lmat is not None:
-            args = (term, nxt, acc, tmp, b[k], k > 1)
-            if cut is None:
-                n2 = _rows_term(lmat, 0, n, *args)
+    try:
+        for k in range(1, cfg.order + 1):
+            if lmat is not None:
+                args = (term, nxt, acc, tmp, b[k], k > 1)
+                if cut is None:
+                    n2 = _rows_term(lmat, 0, n, *args)
+                else:
+                    jobs.put((lmat, cut, n) + args)
+                    n2 = _rows_term(lmat, 0, cut, *args)
+                    second = done.get()
+                    if isinstance(second, BaseException):
+                        raise second
+                    n2 += second
+                term, nxt = nxt, term
             else:
-                worker.submit(done, (lmat, cut, n) + args)
-                n2 = _rows_term(lmat, 0, cut, *args)
-                second = done.get()
-                if isinstance(second, BaseException):
-                    raise second
-                n2 += second
-            term, nxt = nxt, term
-        else:
-            z = np.asarray(mv(term), dtype=np.float64)
-            if z is term:    # an identity-like op may hand back its input
-                z = term.copy()
-            np.multiply(z, tau, out=z)
-            term = np.subtract(term, z, out=z)   # (I - tau X) term
-            n2 = _add_term(acc, term, b[k], tmp)
-        if not (n2 <= blow2):    # also catches nan
-            raise SeriesDivergence(
-                "series term %d/%d diverged (|term|=%.3e); operator is not a "
-                "contraction at step tau=%.3e" % (k, cfg.order, np.sqrt(n2), tau))
-        if n2 == 0.0:
-            break       # exact fixed point; all remaining terms vanish
-        if stop2 is not None and n2 <= stop2:
-            break
+                z = np.asarray(mv(term), dtype=np.float64)
+                if z is term:    # an identity-like op may hand back its input
+                    z = term.copy()
+                np.multiply(z, tau, out=z)
+                term = np.subtract(term, z, out=z)   # (I - tau X) term
+                n2 = _add_term(acc, term, b[k], tmp)
+            if not (n2 <= blow2):    # also catches nan
+                raise SeriesDivergence(
+                    "series term %d/%d diverged (|term|=%.3e); operator is "
+                    "not a contraction at step tau=%.3e"
+                    % (k, cfg.order, np.sqrt(n2), tau))
+            if n2 == 0.0:
+                break       # exact fixed point; all remaining terms vanish
+            if stop2 is not None and n2 <= stop2:
+                break
+    finally:
+        if cut is not None:
+            jobs.put(None)
+            helper.join()
     # in place: term, nxt and tmp are still alive here
     return np.multiply(acc, c, out=acc)

@@ -103,9 +103,10 @@ def apply_basis_scaling(grams, a_mats):
         scaled_a.append((left @ a @ right).tocsr())
     scaled_g = []
     for g, d in zip(grams, norm2):
-        s = 1.0 / np.sqrt(d)
-        data = g.data * s[g.indices]
-        data *= np.repeat(s, np.diff(g.indptr))
+        # g_ij / sqrt(d_i d_j): the diagonal order-1 Gram of integer counts
+        # w scales to w / sqrt(w * w), exactly 1, so its L = I - G' is empty
+        rows = np.repeat(np.arange(len(d)), np.diff(g.indptr))
+        data = g.data / np.sqrt(d[g.indices] * d[rows])
         scaled_g.append(Operator(sp.csr_matrix(
             (data, g.indices, g.indptr), shape=g.shape)))
     return scaled_a, scaled_g

@@ -92,6 +92,18 @@ def test_ply_roundtrip(tmp_path):
     assert np.abs(out.attributes - cl.attributes).max() < 1e-3
 
 
+def test_save_ply_one_channel_vector_and_rejects_rows_not_per_point(tmp_path):
+    pos = np.array([[0, 0, 0], [1, 2, 3], [4, 5, 6]])
+    path = tmp_path / "c.ply"
+    rahtp.save_ply(path, pos, np.array([1.0, 2.0, 3.0]))
+    back = rahtp.load_ply(path)
+    assert back.channels == 1
+    assert np.array_equal(back.attributes.ravel(), [1.0, 2.0, 3.0])
+    for shape in [(4, 3), (2, 3), (3,) * 3]:
+        with pytest.raises(ValueError, match="one row for each"):
+            rahtp.save_ply(path, pos, np.zeros(shape))
+
+
 _VERTEX_PROPS = (b"element vertex 2\nproperty float x\nproperty float y\n"
                  b"property float z\nproperty float value\nend_header\n")
 

@@ -13,7 +13,7 @@ from rahtp import spectral
 from rahtp.codec import encode, parse_header, rlgr_decode, rlgr_encode
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.geometry import build_hierarchy
-from rahtp.transform import TransformConfig
+from rahtp.transform import TransformConfig, TransformPlan
 
 from _helpers import force_row_split
 
@@ -54,8 +54,9 @@ def test_encode_bytes_frozen(name, order, mode):
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
 def test_encode_bytes_frozen_with_row_split(monkeypatch, name, order, mode):
     # the golden clouds are too small to reach SPLIT_NNZ, so force the
-    # two-block series on and check that it ran: every explicit operator is
-    # CSR, so every cloud's series run as two blocks
+    # two-block series on and check that it ran.  Order-1 scaled Grams are
+    # exactly the identity, so their series stop before any product; only
+    # order 2 and critical mode's M^-1 series have a term to split
     force_row_split(monkeypatch)
     second_blocks = []
     rows_term = spectral._rows_term
@@ -69,7 +70,16 @@ def test_encode_bytes_frozen_with_row_split(monkeypatch, name, order, mode):
     config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
-    assert any(second_blocks)
+    assert any(second_blocks) == (order == 2 or mode == "critical")
+
+
+@pytest.mark.parametrize("name", ["sphere200", "torus3000"])
+def test_order1_scaled_grams_have_empty_iteration_matrix(name):
+    plan = TransformPlan(build_hierarchy(_cloud(name), 1),
+                         TransformConfig(order=1))
+    for gram in plan.grams:
+        lm, _ = gram._iteration(1.0 / gram.bound)
+        assert lm.nnz == 0
 
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))

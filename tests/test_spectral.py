@@ -239,18 +239,31 @@ def test_row_split_keeps_early_stop_and_divergence(monkeypatch):
     assert split_msg == msg
 
 
+def _series_threads():
+    return [t for t in threading.enumerate() if t.name == "rahtp-series"]
+
+
 def test_one_cpu_runs_one_block_and_starts_no_thread(monkeypatch):
     monkeypatch.setattr(spectral, "SPLIT_NNZ", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    monkeypatch.setattr(spectral, "_worker", None)
     before = set(threading.enumerate())
     op = Operator(_banded_spd())
     v = np.ones((len(op), 3))
     apply_series(op, v, "inv", ApproxConfig(order=8))
     assert op._iter[2] is None
-    assert spectral._worker is None
     assert set(threading.enumerate()) <= before
+
+
+def test_split_series_joins_its_thread_when_it_diverges(monkeypatch):
+    force_row_split(monkeypatch)
+    op = Operator(_banded_spd())
+    op.bound /= 8
+    with pytest.raises(SeriesDivergence):
+        apply_series(op, np.ones((len(op), 3)), "inv",
+                     ApproxConfig(order=400))
+    assert op._iter[2] is not None
+    assert _series_threads() == []
 
 
 def _child_series(mat, v, expected):
@@ -264,16 +277,38 @@ def test_row_split_series_completes_in_forked_child(monkeypatch):
     force_row_split(monkeypatch)
     mat = _banded_spd()
     v = np.ones((mat.shape[0], 3))
-    # the parent's worker thread exists before the fork
     expected = apply_series(Operator(mat), v, "invsqrt",
                             ApproxConfig(order=30))
-    assert spectral._worker is not None
-    child = multiprocessing.get_context("fork").Process(
-        target=_child_series, args=(mat, v, expected))
-    child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-        pytest.fail("blocked series hung in a forked child")
+    # hold the parent's helper thread inside its first second block while
+    # the main thread forks
+    parent, rows_term = os.getpid(), spectral._rows_term
+    inside, release = threading.Event(), threading.Event()
+
+    def paused(lm, lo, *args):
+        if lo > 0 and os.getpid() == parent:
+            inside.set()
+            release.wait()
+        return rows_term(lm, lo, *args)
+
+    monkeypatch.setattr(spectral, "_rows_term", paused)
+    results = []
+    series = threading.Thread(target=lambda: results.append(apply_series(
+        Operator(mat), v, "invsqrt", ApproxConfig(order=30))))
+    series.start()
+    try:
+        assert inside.wait(timeout=60)
+        assert len(_series_threads()) == 1
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_series, args=(mat, v, expected))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("split series hung in a forked child")
+    finally:
+        release.set()
+        series.join()
     assert child.exitcode == 0
+    assert np.array_equal(results[0], expected)
+    assert _series_threads() == []
