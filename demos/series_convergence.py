@@ -18,8 +18,8 @@ exact while a bare inverse like the one below converges slowly.
 
 import numpy as np
 
-from rahtp import (ApproxConfig, Operator, TransformConfig, TransformPlan,
-                   apply_series, build_hierarchy, gram_levels,
+from rahtp import (ApproxConfig, Operator, apply_basis_scaling, apply_series,
+                   build_a_matrix, build_hierarchy, gram_levels,
                    make_synthetic_cloud)
 
 MATFUNS = {"inv": lambda w: 1.0 / w,
@@ -42,8 +42,9 @@ def matfun_exact(mat, h):
     return (q * hw) @ q.T
 
 
-def decay(gram, label):
-    dense = gram.mat.toarray()
+def decay(mat, label):
+    gram = Operator(mat)
+    dense = mat.toarray()
     rng = np.random.default_rng(5)
     v = dense @ rng.normal(size=(dense.shape[0], 3))   # stay on the range of G
     bound = gram.bound      # the series steps at tau = 1/bound
@@ -60,11 +61,13 @@ def decay(gram, label):
 
 def main():
     cloud = make_synthetic_cloud("sphere", count=400, depth=4, seed=9)
-    box = Operator(gram_levels(build_hierarchy(cloud, 1))[1])
-    decay(box, "box-basis Gram (level 1): diagonal, narrow spectrum")
+    decay(gram_levels(build_hierarchy(cloud, 1))[1],
+          "box-basis Gram (level 1): diagonal, narrow spectrum")
     # the transform's Grams are scaled to unit diagonal
-    hat = TransformPlan(build_hierarchy(cloud, 2),
-                        TransformConfig(order=2)).grams[1]
+    h = build_hierarchy(cloud, 2)
+    a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], 2)
+              for l in range(h.depth)]
+    hat = apply_basis_scaling(gram_levels(h, a_mats), a_mats)[1][1]
     decay(hat, "scaled hat-basis Gram (level 1): near-singular on sparse "
           "geometry")
 

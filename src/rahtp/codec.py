@@ -450,7 +450,7 @@ def _analysis(cloud, config, colorspace):
     coeffs = _in_one_block(analyze(hierarchy, attrs, config))
     entry = _Analysis(cloud=weakref.ref(cloud), key=key,
                       depth=hierarchy.depth, num_points=hierarchy.num_points,
-                      digest=geometry_digest(cloud.positions, hierarchy.depth),
+                      digest=geometry_digest(hierarchy),
                       coeffs=coeffs)
     with _memo_lock:
         _memo = entry
@@ -576,7 +576,7 @@ def decode(data, cloud):
                             % (hierarchy.depth, head["depth"]))
     if hierarchy.num_points != head["node_count"]:
         raise CorruptStream("geometry node count mismatch")
-    if geometry_digest(cloud.positions, head["depth"]) != head["digest"]:
+    if geometry_digest(hierarchy) != head["digest"]:
         raise CorruptStream("geometry digest mismatch")
 
     config = TransformConfig(order=head["order"],

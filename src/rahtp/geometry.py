@@ -76,7 +76,11 @@ class PointCloud:
             raise ValueError("positions/attributes length mismatch")
         if len(self.positions) == 0:
             raise ValueError("empty point cloud")
-        if self.positions.min() < 0 or self.positions.max() >= 2 ** self.depth:
+        pos = self.positions
+        if pos.dtype.kind == "f" and not (np.isfinite(pos).all()
+                                          and (pos == np.floor(pos)).all()):
+            raise ValueError("positions must be finite integers")
+        if pos.min() < 0 or pos.max() >= 2 ** self.depth:
             raise ValueError("positions outside [0, 2^L)^3")
         if not np.isfinite(self.attributes).all():
             raise ValueError("non-finite attributes")
@@ -280,6 +284,8 @@ def voxelize(cloud, depth):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     pos = np.asarray(cloud.positions, dtype=np.float64)
+    if not np.isfinite(pos).all():
+        raise ValueError("non-finite coordinates")
     size = 2 ** depth
     if np.all(pos == np.floor(pos)) and pos.min() >= 0 and pos.max() < size:
         vox = pos.astype(np.int64)
@@ -367,12 +373,12 @@ def build_hierarchy(cloud, order):
     return Hierarchy(levels=levels, order=order, depth=L)
 
 
-def geometry_digest(positions, depth):
-    """64-bit digest of the voxel set; ties bitstreams to their geometry."""
+def geometry_digest(hierarchy):
+    """64-bit digest of the voxel set, which ties a bitstream to its
+    geometry: blake2b of the depth and the finest level's Morton keys."""
     import hashlib
 
-    keys = np.sort(morton_key(np.asarray(positions, dtype=np.int64), depth))
     h = hashlib.blake2b(digest_size=8)
-    h.update(np.uint64([depth]).tobytes())
-    h.update(keys.tobytes())
+    h.update(np.uint64([hierarchy.depth]).tobytes())
+    h.update(hierarchy.levels[-1].keys.tobytes())
     return int.from_bytes(h.digest(), "little")

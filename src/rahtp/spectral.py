@@ -10,10 +10,10 @@ iteration matrix L has spectrum in [0, 1) on the range of X and the partial
 sums converge geometrically at rate 1 - tau*lambda_min.
 
 Every X is an Operator, and the operator carries its own bound.  An
-explicit matrix (the scaled Grams, the lifting product M) is held in one
-form, CSR; it computes its Gershgorin bound once and caches its iteration
-matrix.  A matrix-free callable (the critical-mode W composite)
-is given the power-iteration bound of eigen_bound.  apply_series reads the
+explicit matrix (the scaled Grams, the lifting product M) keeps only its
+fixed Gershgorin bound and its series layer L = I - X/bound in CSR, both
+built once.  A matrix-free callable (the critical-mode W composite) is
+given the power-iteration bound of eigen_bound.  apply_series reads the
 step from op.bound.
 
 A series term is one layer of the paper's feedforward network, and on an
@@ -110,59 +110,42 @@ def _series_scale(h, tau):
 class Operator:
     """A symmetric PSD operator X: an explicit matrix or a callable.
 
-    An explicit matrix (ndarray or any scipy sparse format) is stored as one
-    CSR matrix, mat, and its bound is the Gershgorin sum over the rows of
-    that CSR.  A callable fn(x) of a given dimension is matrix-free: it has
-    no iteration matrix and no bound until one is assigned, usually
-    eigen_bound(op).
+    An explicit matrix (ndarray or any scipy sparse format) is read once as
+    CSR, and the operator keeps only its bound, the max absolute row sum of
+    that CSR, and the series layer lm = I - X/bound, with cut, the row where
+    a second block starts (None for one block).  That bound is fixed.  A
+    callable fn(x) of a given dimension is matrix-free: it has no lm and no
+    bound until one is assigned, usually eigen_bound(op).
     """
 
     def __init__(self, source, dim=None):
-        self._iter = None       # (tau, L, rows where a second block starts)
+        self.lm = self.cut = None
         if callable(source):
-            self.mat = None
             self.dim = dim
             self._fn = source
             self.bound = None
             return
-        self.mat = sp.csr_matrix(source, dtype=np.float64)
-        self.dim = self.mat.shape[0]
-        self.bound = self.gershgorin()
+        x = sp.csr_matrix(source, dtype=np.float64)
+        self.dim = x.shape[0]
+        self.bound = self._lm_bound = float(
+            np.asarray(abs(x).sum(axis=1)).max())
+        tau = 1.0 / self.bound if self.bound > 0.0 else 0.0   # X = 0: L = I
+        self.lm = (sp.identity(self.dim, format="csr")
+                   - x.multiply(tau)).tocsr()
+        if self.lm.nnz >= SPLIT_NNZ and _cpu_count() >= 2:
+            # first row whose block start reaches half the entries
+            cut = int(np.searchsorted(self.lm.indptr, self.lm.nnz // 2))
+            if 0 < cut < self.dim:
+                self.cut = cut
 
     def __len__(self):
         return self.dim
 
     def matvec(self, x):
-        if self.mat is None:
+        if self.lm is None:
             return self._fn(x)
-        return self.mat @ np.asarray(x)
-
-    def _iteration(self, tau):
-        # (L, cut) with L = I - tau*X in CSR, cached per tau so a reassigned
-        # bound never reads a stale L.  An L large enough to split on a
-        # machine with two CPUs runs rows [0, cut) and [cut, dim) as
-        # separate blocks; cut is None for one block and for a callable,
-        # which has no L either
-        if self.mat is None:
-            return None, None
-        if self._iter is None or self._iter[0] != tau:
-            lm = (sp.identity(self.dim, format="csr")
-                  - self.mat.multiply(tau)).tocsr()
-            cut = None
-            if lm.nnz >= SPLIT_NNZ and _cpu_count() >= 2:
-                # first row whose block start reaches half the entries
-                cut = int(np.searchsorted(lm.indptr, lm.nnz // 2))
-                if not 0 < cut < self.dim:
-                    cut = None
-            self._iter = (tau, lm, cut)
-        return self._iter[1:]
-
-    def gershgorin(self):
-        """Max absolute row sum; an eigenvalue upper bound for the operator."""
-        if self.mat is None:
-            raise ValueError("gershgorin bound needs explicit entries; "
-                             "use eigen_bound for matrix-free composites")
-        return float(np.asarray(abs(self.mat).sum(axis=1)).max())
+        x = np.asarray(x)
+        return (x - self.lm @ x) * self._lm_bound
 
 
 def _cpu_count():
@@ -259,6 +242,11 @@ def apply_series(op, v, h, cfg):
     if bound is None:
         raise ValueError("matrix-free operator has no bound; "
                          "assign op.bound = eigen_bound(op) first")
+    # by identity, so any reassignment counts, also of a NaN bound
+    if op.lm is not None and bound is not op._lm_bound:
+        raise ValueError("an explicit operator's bound is fixed: its L was "
+                         "built at %r, and op.bound was reassigned to %r"
+                         % (op._lm_bound, bound))
     if bound <= 0.0:
         if np.all(v == 0.0):
             return v.copy()
@@ -278,10 +266,10 @@ def apply_series(op, v, h, cfg):
     if cfg.tolerance is not None:
         stop = cfg.tolerance * (1.0 + scale0)
         stop2 = stop * stop
-    # an explicit operator exposes L = I - tau X in CSR: one row-block
+    # an explicit operator holds L = I - tau X in CSR: one row-block
     # product per term there, instead of the callable's matvec + scale +
     # subtract
-    lmat, cut = op._iteration(tau)
+    lmat, cut = op.lm, op.cut
     n = len(term)
     if cut is not None:
         jobs, done = queue.SimpleQueue(), queue.SimpleQueue()

@@ -85,7 +85,7 @@ def apply_basis_scaling(grams, a_mats):
     """Unit-norm diagonal preconditioning of the basis.
 
     grams are the CSR matrices of gram_levels.  Returns (scaled A list,
-    scaled Gram Operator list) with D = diag(G) per level,
+    scaled Gram list), all CSR, with D = diag(G) per level,
     A'_l = D_l^-1/2 A_l D_{l+1}^1/2 and G' = D^-1/2 G D^-1/2, so scaled
     Grams have unit diagonal and the series steps are well conditioned.
     The positive diagonal also keeps every Gram's bound above zero.  The
@@ -107,8 +107,8 @@ def apply_basis_scaling(grams, a_mats):
         # w scales to w / sqrt(w * w), exactly 1, so its L = I - G' is empty
         rows = np.repeat(np.arange(len(d)), np.diff(g.indptr))
         data = g.data / np.sqrt(d[g.indices] * d[rows])
-        scaled_g.append(Operator(sp.csr_matrix(
-            (data, g.indices, g.indptr), shape=g.shape)))
+        scaled_g.append(sp.csr_matrix((data, g.indices, g.indptr),
+                                      shape=g.shape))
     return scaled_a, scaled_g
 
 
@@ -129,8 +129,10 @@ class TransformPlan:
         a_mats = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
                                  hierarchy.order)
                   for l in range(hierarchy.depth)]
-        self.a_mats, self.grams = apply_basis_scaling(
+        self.a_mats, grams = apply_basis_scaling(
             gram_levels(hierarchy, a_mats), a_mats)
+        # each Operator keeps only its series layer L, not the scaled Gram
+        self.grams = [Operator(g) for g in grams]
         self._critical = {}
 
     def critical_ops(self, level):

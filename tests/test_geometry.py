@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,30 @@ def test_voxelize_already_integer_grid_keeps_voxels():
     again = rahtp.voxelize(cl, 3)
     assert np.array_equal(cl.positions, again.positions)
     assert np.allclose(cl.attributes, again.attributes)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_voxelize_rejects_non_finite_coordinates(bad):
+    # one such point used to collapse the whole cloud into one voxel
+    cloud = rahtp.PointCloud(
+        positions=np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [bad, 1.0, 2.0]]),
+        attributes=np.arange(9.0).reshape(3, 3), depth=0, channels=3)
+    with pytest.raises(ValueError, match="non-finite"):
+        rahtp.voxelize(cloud, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+def test_pointcloud_validate_rejects_non_integer_positions(bad):
+    pos = np.array([[bad, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    cloud = rahtp.PointCloud(positions=pos, attributes=np.ones((2, 1)),
+                             depth=1, channels=1)
+    with pytest.raises(ValueError, match="finite integers"):
+        cloud.validate()
+    with pytest.raises(ValueError, match="finite integers"):
+        rahtp.encode(cloud, rahtp.TransformConfig(), 1.0)
+    # integer values held as floats still pass
+    pos[0, 0] = 0.0
+    cloud.validate()
 
 
 def test_voxelize_scales_float_extent_into_grid():
@@ -188,11 +214,16 @@ def test_hierarchy_level_keys_strictly_increasing():
         assert np.all(keys[1:] > keys[:-1])
 
 
-def test_geometry_digest_invariant_to_input_order():
+def test_geometry_digest_pins_v1_definition():
+    # the v1 header field: blake2b-64, read little-endian, of the depth as
+    # a u64 and the sorted depth-bit Morton keys of the voxels
     cl = random_cloud(6, 90, 3)
-    perm = np.random.default_rng(0).permutation(len(cl.positions))
-    assert geometry_digest(cl.positions, 3) == geometry_digest(cl.positions[perm], 3)
-    assert geometry_digest(cl.positions, 3) != geometry_digest(cl.positions, 4)
+    ref = hashlib.blake2b(digest_size=8)
+    ref.update(np.uint64([3]).tobytes())
+    ref.update(np.sort(morton_key(cl.positions, 3)).tobytes())
+    want = int.from_bytes(ref.digest(), "little")
+    for order in (1, 2):
+        assert geometry_digest(rahtp.build_hierarchy(cl, order)) == want
 
 
 def test_hierarchy_rejects_duplicate_and_unsorted_voxels():

@@ -87,7 +87,7 @@ def test_gram_tensor_matvec_matches_csr():
             x = rng.standard_normal((len(g), 3))
             assert np.abs(g.matvec(x) - csr @ x).max() < 1e-12
             tau = 1.0 / g.bound
-            lm = g._iteration(tau)[0].toarray()
+            lm = g.lm.toarray()
             assert np.array_equal(lm, np.eye(len(g)) - tau * csr.toarray())
             # row sums in CSR index order, as the bound has always summed
             rows = [sum(abs(v) for v in csr.data[a:b])
@@ -102,11 +102,11 @@ def test_scaled_gram_has_unit_diagonal():
         a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], order)
                   for l in range(h.depth)]
         for gs in apply_basis_scaling(gram_levels(h, a_mats), a_mats)[1]:
-            assert np.abs(gs.mat.diagonal() - 1.0).max() < 1e-12
+            assert np.abs(gs.diagonal() - 1.0).max() < 1e-12
             if order == 1:
                 # box bases at distinct nodes never overlap
-                assert np.abs(gs.mat.toarray()
-                              - np.eye(len(gs))).max() < 1e-12
+                assert np.abs(gs.toarray()
+                              - np.eye(gs.shape[0])).max() < 1e-12
 
 
 def test_gram_csr_is_canonical():

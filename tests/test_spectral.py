@@ -48,9 +48,7 @@ def test_series_converges_to_matrix_functions():
     mat = b @ b.T + 0.5 * np.eye(6)
     v = rng.standard_normal((6, 2))
     cfg = ApproxConfig(order=600, tolerance=1e-15)
-    lam = np.linalg.eigvalsh(mat).max() * 1.01
-    op = Operator(mat)
-    op.bound = lam
+    op = Operator(mat)      # steps at the Gershgorin bound
     for h in ("inv", "invsqrt", "sqrt"):
         ref = oracle.matfun_exact(mat, h) @ v
         out = apply_series(op, v, h, cfg)
@@ -58,7 +56,7 @@ def test_series_converges_to_matrix_functions():
 
 
 def test_eigen_bound_gershgorin_identity():
-    assert Operator(np.eye(4)).gershgorin() == 1.0
+    assert Operator(np.eye(4)).bound == 1.0
 
 
 def test_eigen_bound_power_iteration_diag():
@@ -77,10 +75,23 @@ def test_power_iteration_deterministic():
     assert b1 >= np.linalg.eigvalsh(mat).max()
 
 
-def test_gershgorin_refused_for_matrix_free():
-    op = Operator(lambda x: x, 3)
-    with pytest.raises(ValueError):
-        op.gershgorin()
+def test_explicit_operator_refuses_a_reassigned_bound():
+    # its L was built at the Gershgorin bound, so another step would run
+    # a stale L
+    op = Operator(np.diag([2.0, 4.0]))
+    op.bound = 8.0
+    with pytest.raises(ValueError, match="fixed"):
+        apply_series(op, np.ones((2, 1)), "inv", ApproxConfig(order=3))
+
+
+def test_explicit_operator_holds_one_sparse_matrix():
+    op = Operator(_banded_spd())
+    apply_series(op, np.ones((len(op), 1)), "inv", ApproxConfig(order=4))
+    held = [m for v in vars(op).values()
+            for m in (v if isinstance(v, (tuple, list)) else (v,))
+            if sp.issparse(m)]
+    assert len(held) == 1 and held[0] is op.lm
+    assert op.lm.format == "csr"
 
 
 def test_matrix_free_operator_needs_a_bound():
@@ -116,8 +127,9 @@ def test_error_halves_when_order_doubles():
 
 
 def test_divergence_guard_raises():
-    op = Operator(np.diag([2.0, 4.0]))
-    op.bound = 0.1
+    # indefinite: Gershgorin bound 4, so L = diag(0.5, 2) grows by 2 a term
+    op = Operator(np.diag([2.0, -4.0]))
+    assert op.lm.diagonal().tolist() == [0.5, 2.0]
     with pytest.raises(SeriesDivergence):
         apply_series(op, np.ones((2, 1)), "inv", ApproxConfig(order=32))
 
@@ -139,8 +151,7 @@ def test_tolerance_early_stop_matches_full_run():
     b = rng.standard_normal((5, 5))
     mat = b @ b.T + 2.0 * np.eye(5)
     v = rng.standard_normal((5, 1))
-    op = Operator(mat)
-    op.bound = np.linalg.eigvalsh(mat).max() * 1.01
+    op = Operator(mat)      # steps at the Gershgorin bound
     full = apply_series(op, v, "invsqrt", ApproxConfig(order=2000))
     early = apply_series(op, v, "invsqrt",
                          ApproxConfig(order=2000, tolerance=1e-14))
@@ -162,12 +173,17 @@ def test_config_validation():
         ApproxConfig(order=-1)
 
 
-def _banded_spd(n=700, seed=5):
-    # diagonally dominant 7-band CSR matrix, SPD
+def _banded_sym(n=700, seed=5):
+    # random symmetric 7-band CSR matrix, indefinite
     rng = np.random.default_rng(seed)
     bands = [rng.uniform(-1.0, 1.0, n - abs(o)) for o in range(-3, 4)]
     mat = sp.diags(bands, range(-3, 4), format="csr")
-    mat = (mat + mat.T).tocsr()
+    return (mat + mat.T).tocsr()
+
+
+def _banded_spd(n=700, seed=5):
+    # _banded_sym made diagonally dominant, so SPD
+    mat = _banded_sym(n, seed)
     return (mat + sp.identity(n) * (abs(mat).sum(axis=1).max() + 0.5)).tocsr()
 
 
@@ -186,7 +202,7 @@ def test_dense_source_is_held_as_csr():
     mat = _banded_spd()
     dense_op = Operator(mat.toarray())
     csr_op = Operator(mat)
-    assert dense_op.mat.format == "csr"
+    assert dense_op.lm.format == "csr"
     assert dense_op.bound == csr_op.bound
     v = np.random.default_rng(8).standard_normal((mat.shape[0], 3))
     cfg = ApproxConfig(order=40)
@@ -207,15 +223,14 @@ def test_row_split_is_bit_identical_to_one_block(monkeypatch, cols):
     for h in ("inv", "invsqrt", "sqrt"):
         op = Operator(mat)
         one_block[h] = apply_series(op, v, h, cfg)
-        assert op._iter[2] is None
-        lm = op._iter[1]
-        ref = _reference_series(lm, v, h, cfg.order, 1.0 / lam)
+        assert op.cut is None
+        ref = _reference_series(op.lm, v, h, cfg.order, 1.0 / lam)
         assert np.array_equal(one_block[h], ref), h
     force_row_split(monkeypatch)
     for h in ("inv", "invsqrt", "sqrt"):
         op = Operator(mat)
         out = apply_series(op, v, h, cfg)
-        assert 0 < op._iter[2] < mat.shape[0]
+        assert 0 < op.cut < mat.shape[0]
         assert np.array_equal(out, one_block[h]), h
 
 
@@ -225,11 +240,10 @@ def test_row_split_keeps_early_stop_and_divergence(monkeypatch):
     early = ApproxConfig(order=4000, tolerance=1e-12)
 
     def run():
-        op = Operator(mat)
-        out = apply_series(op, v, "invsqrt", early)
-        op.bound /= 8
+        out = apply_series(Operator(mat), v, "invsqrt", early)
         with pytest.raises(SeriesDivergence) as exc:
-            apply_series(op, v, "inv", ApproxConfig(order=400))
+            apply_series(Operator(_banded_sym()), v, "inv",
+                         ApproxConfig(order=400))
         return out, str(exc.value)
 
     out, msg = run()
@@ -251,18 +265,17 @@ def test_one_cpu_runs_one_block_and_starts_no_thread(monkeypatch):
     op = Operator(_banded_spd())
     v = np.ones((len(op), 3))
     apply_series(op, v, "inv", ApproxConfig(order=8))
-    assert op._iter[2] is None
+    assert op.cut is None
     assert set(threading.enumerate()) <= before
 
 
 def test_split_series_joins_its_thread_when_it_diverges(monkeypatch):
     force_row_split(monkeypatch)
-    op = Operator(_banded_spd())
-    op.bound /= 8
+    op = Operator(_banded_sym())
     with pytest.raises(SeriesDivergence):
         apply_series(op, np.ones((len(op), 3)), "inv",
                      ApproxConfig(order=400))
-    assert op._iter[2] is not None
+    assert op.cut is not None
     assert _series_threads() == []
 
 

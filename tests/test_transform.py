@@ -3,9 +3,11 @@ import pytest
 
 import rahtp
 from rahtp.evalcli import builtin_clouds
+from rahtp.kernels import build_a_matrix, gram_levels
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import (ApproxRoles, TransformConfig, TransformPlan,
-                             analyze, synthesize, truncate_to_level)
+                             analyze, apply_basis_scaling, synthesize,
+                             truncate_to_level)
 
 from _helpers import pair_cloud, random_cloud
 
@@ -117,9 +119,10 @@ def test_analyze_rejects_wrong_row_count():
 def test_basis_scaling_unit_diagonal():
     cl = random_cloud(47, 80, 3)
     h = rahtp.build_hierarchy(cl, 2)
-    plan = TransformPlan(h, TransformConfig(order=2))
-    for g in plan.grams:
-        assert np.abs(g.mat.diagonal() - 1.0).max() < 1e-12
+    a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], 2)
+              for l in range(h.depth)]
+    for g in apply_basis_scaling(gram_levels(h, a_mats), a_mats)[1]:
+        assert np.abs(g.diagonal() - 1.0).max() < 1e-12
 
 
 def test_truncate_to_level_counts_and_distortion():
