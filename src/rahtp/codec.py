@@ -567,7 +567,8 @@ def decode(data, cloud):
     """Decode attributes onto the provided geometry.
 
     cloud supplies the voxel positions (attributes ignored); they must hash
-    to the digest in the header.  Returns (attributes, header dict).
+    to the digest in the header.  Returns (attributes, header dict).  A
+    stream that decodes to a non-finite value raises CorruptStream.
     """
     head, off = parse_header(data)
     hierarchy = build_hierarchy(cloud, head["order"])
@@ -621,4 +622,8 @@ def decode(data, cloud):
         raise CorruptStream(str(exc)) from None
     if head["colorspace"] == "bt709":
         attrs = bt709_to_rgb(attrs)
+    # an encoder codes finite attributes only; order 1 runs no series that
+    # could catch an overflow from an altered step
+    if not np.isfinite(attrs).all():
+        raise CorruptStream("decoded attributes are not finite")
     return attrs, head

@@ -1,7 +1,9 @@
 """Command-line harness: file encode/decode, RD sweeps, compaction tables.
 
 Subcommands: encode, decode, rd, compaction.  Exit codes: 0 ok, 1 usage
-error, 2 runtime error (bad input or corrupt stream).
+error, 2 runtime error (bad input or corrupt stream).  With 4 or more
+steps, rd also prints the BD-rate (bd_rate) of each further (order, mode)
+curve against the first.
 """
 
 import argparse
@@ -54,6 +56,35 @@ def compute_metrics(reference, reconstructed, payload_bytes, num_points,
                    psnr_combined=_psnr(float(np.mean(mse))),
                    bpp=payload_bytes * 8.0 / num_points,
                    coeff_count=coeff_count)
+
+
+def bd_rate(anchor_rate, anchor_psnr, test_rate, test_psnr):
+    """Bjontegaard delta rate of a test curve against an anchor (VCEG-M33).
+
+    Fits log-rate as a cubic in PSNR for each curve and compares the mean
+    of the two fits over the PSNR range where both curves have points.
+    Returns (percent, (lo, hi)): the average rate change of the test curve
+    at equal PSNR, negative when it needs fewer bits, and that range in dB.
+    Raises ValueError for a curve of fewer than 4 points, a rate that is not
+    positive, a PSNR that is not finite, or ranges that do not overlap.
+    """
+    fits, ranges = [], []
+    for rate, psnr in ((anchor_rate, anchor_psnr), (test_rate, test_psnr)):
+        rate = np.asarray(rate, dtype=np.float64)
+        psnr = np.asarray(psnr, dtype=np.float64)
+        if len(rate) != len(psnr) or len(rate) < 4:
+            raise ValueError("a BD-rate curve needs at least 4 "
+                             "(rate, PSNR) points")
+        if not (np.all(rate > 0.0) and np.isfinite(psnr).all()):
+            raise ValueError("BD-rate needs positive rates and finite PSNRs")
+        fits.append(np.polyint(np.polyfit(psnr, np.log(rate), 3)))
+        ranges.append((psnr.min(), psnr.max()))
+    lo = max(r[0] for r in ranges)
+    hi = min(r[1] for r in ranges)
+    if not lo < hi:
+        raise ValueError("the curves' PSNR ranges do not overlap")
+    mean = [(np.polyval(p, hi) - np.polyval(p, lo)) / (hi - lo) for p in fits]
+    return 100.0 * float(np.expm1(mean[1] - mean[0])), (float(lo), float(hi))
 
 
 def make_synthetic_cloud(kind="sphere", count=10000, depth=6, seed=0,
@@ -172,11 +203,8 @@ def _rd_point(cloud, order, mode, step, k, colorspace, ref_yuv):
     blob, stats = encode(cloud, config, step, colorspace=colorspace)
     attrs, _ = decode(blob, cloud)
     rec_yuv = rgb_to_bt709(attrs)
-    m = compute_metrics(ref_yuv, rec_yuv, stats["payload_bytes"],
-                        len(cloud.positions), stats["coeff_count"])
-    return [order, mode, step, "%.6f" % m.bpp,
-            "%.4f" % m.psnr[0], "%.4f" % m.psnr[1], "%.4f" % m.psnr[2],
-            "%.4f" % m.psnr_combined]
+    return compute_metrics(ref_yuv, rec_yuv, stats["payload_bytes"],
+                           len(cloud.positions), stats["coeff_count"])
 
 
 def cmd_rd(args):
@@ -186,14 +214,34 @@ def cmd_rd(args):
     ref_yuv = rgb_to_bt709(cloud.attributes)
     # steps innermost: encode analyzes once per (order, mode) and reuses
     # that for the other steps of the same cloud
-    rows = [_rd_point(cloud, o, m, s, args.taylor_k, args.colorspace, ref_yuv)
-            for o in args.orders for m in args.modes for s in args.steps]
+    curves = {(o, m): [_rd_point(cloud, o, m, s, args.taylor_k,
+                                 args.colorspace, ref_yuv)
+                       for s in args.steps]
+              for o in args.orders for m in args.modes}
+    rows = [[o, m, s, "%.6f" % p.bpp, "%.4f" % p.psnr[0],
+             "%.4f" % p.psnr[1], "%.4f" % p.psnr[2],
+             "%.4f" % p.psnr_combined]
+            for (o, m), points in curves.items()
+            for s, p in zip(args.steps, points)]
     with open(args.output, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["order", "mode", "step", "bpp",
                      "psnr_y", "psnr_u", "psnr_v", "psnr_yuv"])
         wr.writerows(rows)
     print("wrote %d rate points to %s" % (len(rows), args.output))
+    if len(args.steps) >= 4:
+        (anchor, a_points), *others = curves.items()
+        for (o, m), points in others:
+            try:
+                pct, (lo, hi) = bd_rate(
+                    [p.bpp for p in a_points],
+                    [p.psnr_combined for p in a_points],
+                    [p.bpp for p in points], [p.psnr_combined for p in points])
+                result = "%+.2f%% over %.2f-%.2f dB" % (pct, lo, hi)
+            except ValueError as exc:
+                result = "n/a (%s)" % exc
+            print("BD-rate order %d %s against order %d %s: %s"
+                  % (o, m, anchor[0], anchor[1], result))
     return 0
 
 

@@ -74,6 +74,18 @@ class PointCloud:
     def validate(self):
         if len(self.positions) != len(self.attributes):
             raise ValueError("positions/attributes length mismatch")
+        self.validate_positions()
+        if not np.isfinite(self.attributes).all():
+            raise ValueError("non-finite attributes")
+        # (N, channels) rows, or (N,) for one channel
+        cols = np.shape(self.attributes)[1:]
+        if cols != (self.channels,) and not (cols == () and self.channels == 1):
+            raise ValueError("attributes of shape %s do not carry %d channels"
+                             % (np.shape(self.attributes), self.channels))
+
+    def validate_positions(self):
+        """The checks on positions alone: a geometry for decode need carry
+        no valid attributes."""
         if len(self.positions) == 0:
             raise ValueError("empty point cloud")
         pos = self.positions
@@ -82,13 +94,6 @@ class PointCloud:
             raise ValueError("positions must be finite integers")
         if pos.min() < 0 or pos.max() >= 2 ** self.depth:
             raise ValueError("positions outside [0, 2^L)^3")
-        if not np.isfinite(self.attributes).all():
-            raise ValueError("non-finite attributes")
-        # (N, channels) rows, or (N,) for one channel
-        cols = np.shape(self.attributes)[1:]
-        if cols != (self.channels,) and not (cols == () and self.channels == 1):
-            raise ValueError("attributes of shape %s do not carry %d channels"
-                             % (np.shape(self.attributes), self.channels))
 
 
 @dataclass
@@ -355,11 +360,11 @@ def build_hierarchy(cloud, order):
     Level L holds the voxels, which must be distinct and in Morton order;
     each coarser level is the child-closure of the one below it, and every
     level but the finest carries its parent-child links with their stencil
-    offsets.
+    offsets.  Only the positions are read and checked.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    cloud.validate()
+    cloud.validate_positions()
     L = cloud.depth
     keys = morton_key(cloud.positions, L + 1)
     if not np.all(keys[1:] > keys[:-1]):

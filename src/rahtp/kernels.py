@@ -11,7 +11,9 @@ It is the identity at the finest level and is propagated coarser by
 G_ell = A_ell G_{ell+1} A_ell^T.  Basis supports only overlap between nodes
 in each other's {-1,0,1}^3 neighborhood, so each row has at most 27
 entries.  The series never run on these unscaled Grams; the transform
-scales them to unit diagonal and wraps them in spectral.Operator.
+scales them to unit diagonal and wraps them in spectral.Operator.  It builds
+them for order 2 only: the order-1 Gram is the diagonal of voxel counts, so
+its scaled form is the identity and the transform takes A' from the counts.
 """
 
 import numpy as np

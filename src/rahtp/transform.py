@@ -14,6 +14,13 @@ with W = Ztilde' S_inv(G) Ztilde'^T.  Critical planes are accepted only if
 reapplying the decoder reproduces dF to a tight gate; otherwise the level
 falls back to overcomplete and the per-level mode is recorded for the
 bitstream header.
+
+Order 1 (box) needs no Gram.  Box supports on one level are disjoint, so
+its Gram is the diagonal of voxel counts, and after the unit-diagonal
+scaling every G is exactly the identity.  Its plan is the scaled A' built
+from the counts, and every h(G) v returns what the series returns on I,
+with no series run.  So the stream's K matters only for order 2 and for
+critical levels (the W series and the M^-1 solves of the split).
 """
 
 from dataclasses import dataclass, field
@@ -112,12 +119,40 @@ def apply_basis_scaling(grams, a_mats):
     return scaled_a, scaled_g
 
 
+def _box_a_matrices(hierarchy):
+    """The scaled order-1 A' list, from voxel counts alone.
+
+    The box Gram is diagonal and holds each node's voxel count w, so the
+    scaling of apply_basis_scaling gives A'[p, c] = sqrt(w_c) / sqrt(w_p).
+    One pass per level, finest to coarsest, sums the children's counts into
+    their parents (w = 1 at the voxels).  The links come grouped by parent
+    with children ascending, which is CSR order.  The result equals
+    apply_basis_scaling's A', array for array.
+    """
+    levels = hierarchy.levels
+    w = np.ones(len(levels[-1]))
+    a_mats = [None] * hierarchy.depth
+    for l in range(hierarchy.depth - 1, -1, -1):
+        geom = levels[l]
+        parent, child = geom.link_parent, geom.link_child
+        w_parent = np.bincount(parent, weights=w[child], minlength=len(geom))
+        data = (1.0 / np.sqrt(w_parent))[parent] * np.sqrt(w)[child]
+        indptr = np.searchsorted(parent, np.arange(len(geom) + 1))
+        a_mats[l] = sp.csr_matrix((data, child, indptr),
+                                  shape=(len(geom), len(levels[l + 1])))
+        w = w_parent
+    return a_mats
+
+
 class TransformPlan:
     """Geometry-derived operators shared by analyze and synthesize.
 
     Construction is deterministic from (hierarchy, config), so encoder and
     decoder rebuild identical operators from the transmitted geometry; no
     operator state travels in the bitstream beyond the per-level modes.
+    a_mats holds the scaled A' per level.  Order 2 also holds its scaled
+    Grams, as Operators in grams; order 1 holds none (grams is None), as
+    every scaled box Gram is the identity.  Every h(G') v goes through gram.
     """
 
     def __init__(self, hierarchy: Hierarchy, config: TransformConfig):
@@ -126,6 +161,11 @@ class TransformPlan:
                              % (config.order, hierarchy.order))
         self.hierarchy = hierarchy
         self.config = config
+        self._critical = {}
+        if hierarchy.order == 1:
+            self.a_mats = _box_a_matrices(hierarchy)
+            self.grams = None
+            return
         a_mats = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
                                  hierarchy.order)
                   for l in range(hierarchy.depth)]
@@ -133,7 +173,21 @@ class TransformPlan:
             gram_levels(hierarchy, a_mats), a_mats)
         # each Operator keeps only its series layer L, not the scaled Gram
         self.grams = [Operator(g) for g in grams]
-        self._critical = {}
+
+    def gram(self, level, v, h):
+        """h(G') v on one level, h one of inv, invsqrt and sqrt: the K-term
+        series on the scaled Gram.
+
+        Order 1 runs no series and returns that series' exact output on
+        G' = I: its first term is zero times b_1, which adds +0.0 for inv
+        and invsqrt (so -0.0 becomes +0.0) and -0.0 for sqrt (b_1 < 0, so
+        every zero keeps its sign); K = 0 has no such term.
+        """
+        if self.grams is not None:
+            return apply_series(self.grams[level], v, h, self.config.approx)
+        if h == "sqrt" or self.config.approx.order == 0:
+            return v * 1.0
+        return v + 0.0
 
     def critical_ops(self, level):
         """(zop, dpsi, w_op) for one level step: the ZtildeOp, the high-pass
@@ -157,13 +211,11 @@ class TransformPlan:
         return self._critical[level]
 
     def _w_operator(self, level, zop, dpsi):
-        gram = self.grams[level + 1]
-        cfg = self.config.approx
         dis = 1.0 / np.sqrt(dpsi)
 
         def w_mv(x):
             y = zop.mul_t(dis[:, None] * x)
-            y = apply_series(gram, y, "inv", cfg)
+            y = self.gram(level + 1, y, "inv")
             return dis[:, None] * zop.mul(y)
 
         return Operator(w_mv, zop.n_high)
@@ -172,13 +224,12 @@ class TransformPlan:
     # the encoder feeds back into its state
 
     def forward_over(self, level, df):
-        gram = self.grams[level + 1]
-        return apply_series(gram, gram.matvec(df), "invsqrt",
-                            self.config.approx)
+        # G' df is df itself for order 1
+        x = df if self.grams is None else self.grams[level + 1].matvec(df)
+        return self.gram(level + 1, x, "invsqrt")
 
     def decode_over(self, level, plane):
-        return apply_series(self.grams[level + 1], plane, "invsqrt",
-                            self.config.approx)
+        return self.gram(level + 1, plane, "invsqrt")
 
     def forward_critical(self, level, df, ops):
         zop, dpsi, w_op = ops
@@ -189,8 +240,7 @@ class TransformPlan:
         zop, dpsi, w_op = ops
         y = apply_series(w_op, plane, "invsqrt", self.config.approx)
         x = zop.mul_t(y / np.sqrt(dpsi)[:, None])
-        return apply_series(self.grams[level + 1], x, "inv",
-                            self.config.approx)
+        return self.gram(level + 1, x, "inv")
 
 
 def _as_features(attributes):
@@ -207,7 +257,7 @@ def analyze(hierarchy, attributes, config, plan=None):
     coefficients, DC orthonormalization, then per level the residual
     against the simulated decoder state is coded (critical when requested
     and the gate holds, else overcomplete) and the state is advanced with
-    the decoded plane.
+    the decoded plane.  Non-finite attributes raise ValueError.
     """
     if plan is None:
         plan = TransformPlan(hierarchy, config)
@@ -215,17 +265,20 @@ def analyze(hierarchy, attributes, config, plan=None):
     if len(v) != hierarchy.num_points:
         raise ValueError("attribute rows do not match point count")
     depth = hierarchy.depth
-    cfg = config.approx
 
     f_dual = [None] * (depth + 1)
     f_dual[depth] = v
     for l in range(depth - 1, -1, -1):
         f_dual[l] = plan.a_mats[l] @ f_dual[l + 1]
-    f_ideal = [apply_series(plan.grams[l], f_dual[l], "inv", cfg)
-               for l in range(depth + 1)]
+    # every A' entry is positive, so a NaN or infinity anywhere reaches the
+    # root; order 1 runs no series that would raise on it
+    if not np.isfinite(f_dual[0]).all():
+        raise ValueError("non-finite attributes, or attributes so large "
+                         "that their sums overflow")
+    f_ideal = [plan.gram(l, f_dual[l], "inv") for l in range(depth + 1)]
 
-    lowpass = apply_series(plan.grams[0], f_ideal[0], "sqrt", cfg)
-    state = apply_series(plan.grams[0], lowpass, "invsqrt", cfg)
+    lowpass = plan.gram(0, f_ideal[0], "sqrt")
+    state = plan.gram(0, lowpass, "invsqrt")
 
     requested = "c" if config.residual_mode == "critical" else "o"
     modes = []
@@ -261,8 +314,7 @@ def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
     decoded residual, following the per-level modes recorded at encode."""
     if plan is None:
         plan = TransformPlan(hierarchy, config)
-    state = apply_series(plan.grams[0], _as_features(coeffs.lowpass), "invsqrt",
-                         config.approx)
+    state = plan.gram(0, _as_features(coeffs.lowpass), "invsqrt")
     for l, mode in enumerate(coeffs.modes):
         pred = plan.a_mats[l].T @ state
         plane = _as_features(coeffs.highpass[l])

@@ -409,6 +409,56 @@ def test_decode_of_huge_patched_step_is_finite_or_corrupt(order):
     assert np.all(np.isfinite(recon))
 
 
+@pytest.mark.parametrize("order,mode", [(1, "overcomplete"), (1, "critical"),
+                                        (2, "overcomplete")])
+def test_decode_of_largest_finite_steps_raises_corrupt_stream(order, mode):
+    # parse_header accepts any finite positive step, and 1.7e308 times a
+    # coded integer overflows on the way to the output; order 1 runs no
+    # series that would notice
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(order=order, mode=mode), 1.0)
+    step_at = 12 + blob[6] + 8      # after the mode bytes, K and tau
+    bad = blob
+    for ch in range(cl.channels):
+        bad = _patched(bad, "<d", step_at + 8 * ch, 1.7e308)
+    with pytest.raises(CorruptStream, match="not finite|diverged"):
+        decode(bad, cl)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_decode_ignores_the_geometry_clouds_attributes(order):
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(order=order), 1.0)
+    expected, _ = decode(blob, cl)
+    geometry = _copy(cl, attributes=np.full_like(cl.attributes, np.nan))
+    got, _ = decode(blob, geometry)
+    assert got.tobytes() == expected.tobytes()
+    # encode still reads the attributes, so it still rejects them
+    with pytest.raises(ValueError, match="non-finite attributes"):
+        encode(geometry, _codec_config(order=order), 1.0)
+
+
+def test_order1_codec_builds_no_gram_and_runs_no_series(monkeypatch):
+    import rahtp.kernels
+    import rahtp.spectral
+    import rahtp.transform
+    calls = []
+    for owner in (rahtp.transform, rahtp.kernels, rahtp.spectral):
+        for name in ("apply_series", "gram_levels", "build_a_matrix"):
+            if hasattr(owner, name):
+                def spy(*args, _name=name, _fn=getattr(owner, name), **kw):
+                    calls.append(_name)
+                    return _fn(*args, **kw)
+                monkeypatch.setattr(owner, name, spy)
+    cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    blob, _ = encode(cl, TransformConfig(order=1), 1.0, colorspace="bt709")
+    attrs, _ = decode(blob, cl)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[
+        ("torus3000", 1, "overcomplete")]
+    assert np.isfinite(attrs).all()
+    assert calls == []
+
+
 # encode's memo of the step-independent analysis (hierarchy, cascade and
 # geometry digest): reused only for the same cloud object and content
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rahtp
-from rahtp.evalcli import (builtin_clouds, compute_metrics, main,
+from rahtp.evalcli import (bd_rate, builtin_clouds, compute_metrics, main,
                            make_synthetic_cloud)
 
 
@@ -81,6 +81,43 @@ def test_cli_rd_csv(tmp_path):
             "psnr_yuv"} <= set(rows[0])
     # coarser quantization cannot increase the rate
     assert float(rows[1]["bpp"]) <= float(rows[0]["bpp"])
+
+
+def test_bd_rate_of_a_uniformly_cheaper_curve():
+    rate = np.array([0.4, 0.9, 2.1, 4.4, 9.0])
+    psnr = np.array([31.0, 35.2, 39.1, 43.5, 47.8])
+    pct, (lo, hi) = bd_rate(rate, psnr, 0.8 * rate, psnr)
+    assert abs(pct - (-20.0)) < 1e-9
+    assert (lo, hi) == (31.0, 47.8)
+    # the test curve 1 dB better: integrated over the overlap only
+    pct, (lo, hi) = bd_rate(rate, psnr, rate, psnr + 1.0)
+    assert pct < 0.0 and (lo, hi) == (32.0, 47.8)
+
+
+def test_bd_rate_rejects_short_and_disjoint_curves():
+    rate = [1.0, 2.0, 4.0, 8.0]
+    with pytest.raises(ValueError, match="overlap"):
+        bd_rate(rate, [30.0, 32.0, 34.0, 36.0], rate, [40.0, 42.0, 44.0, 46.0])
+    with pytest.raises(ValueError, match="at least 4"):
+        bd_rate(rate[:3], [30.0, 32.0, 34.0], rate, [30.0, 32.0, 34.0, 36.0])
+    with pytest.raises(ValueError, match="finite"):
+        bd_rate(rate, [30.0, 32.0, 34.0, np.inf], rate, [30.0, 32, 34, 36])
+
+
+def test_cli_rd_prints_bd_rate_against_the_first_curve(tmp_path, capsys):
+    path, _ = _write_cloud(tmp_path)
+    out = tmp_path / "rd.csv"
+    assert main(["rd", str(path), str(out), "--steps", "1", "2", "4", "8",
+                 "--orders", "1", "2"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines()
+             if l.startswith("BD-rate")]
+    assert len(lines) == 1
+    assert lines[0].startswith("BD-rate order 2 overcomplete against "
+                               "order 1 overcomplete: ")
+    assert len(list(csv.DictReader(open(out)))) == 8
+    # fewer than 4 steps: no BD line
+    assert main(["rd", str(path), str(out), "--steps", "2", "8"]) == 0
+    assert "BD-rate" not in capsys.readouterr().out
 
 
 def test_cli_rd_defaults_to_overcomplete(tmp_path):

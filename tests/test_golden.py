@@ -1,19 +1,25 @@
 """Frozen encode output: any change to the bytes of a stream shows here.
 
 The digests pin the streams of format VERSION 1.  A change that is meant to
-alter the bytes must bump VERSION and record the digests again.
+alter the bytes must bump VERSION and record the digests again.  DECODED
+pins what decode returns for each of these streams.
 """
 
 import hashlib
 import struct
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rahtp import spectral
-from rahtp.codec import encode, parse_header, rlgr_decode, rlgr_encode
+from rahtp.codec import (decode, encode, parse_header, rlgr_decode,
+                         rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.geometry import build_hierarchy
-from rahtp.transform import TransformConfig, TransformPlan
+from rahtp.kernels import build_a_matrix, gram_levels
+from rahtp.transform import (TransformConfig, TransformPlan,
+                             apply_basis_scaling)
 
 from _helpers import force_row_split
 
@@ -37,9 +43,34 @@ GOLDEN = {
 }
 
 
+# sha256 of decode's float64 attribute bytes for each golden stream,
+# recorded before the order-1 plan stopped building Grams
+DECODED = {
+    ("sphere200", 1, "overcomplete"):
+        "144a7ad8c0d4231bcb09e11265a4f8d39603156892ad49a01f7c2877fc1f9fe9",
+    ("sphere200", 1, "critical"):
+        "144a7ad8c0d4231bcb09e11265a4f8d39603156892ad49a01f7c2877fc1f9fe9",
+    ("sphere200", 2, "overcomplete"):
+        "e38b227f99ea2498c4b4623d3e7be2e6a64fd0c2d0e2c745431649360ddc1bb5",
+    ("sphere200", 2, "critical"):
+        "e38b227f99ea2498c4b4623d3e7be2e6a64fd0c2d0e2c745431649360ddc1bb5",
+    ("torus3000", 1, "overcomplete"):
+        "41914fd100478cfdf4ebcd34d91438e5717a543a05447c47808c2ce3cb7bb8fd",
+    ("torus3000", 1, "critical"):
+        "41914fd100478cfdf4ebcd34d91438e5717a543a05447c47808c2ce3cb7bb8fd",
+    ("torus3000", 2, "overcomplete"):
+        "4e61f3afbd25237674b71b43533e5b9121e5e0e556a63ba1ba92b3524de1eaba",
+    ("torus3000", 2, "critical"):
+        "4e61f3afbd25237674b71b43533e5b9121e5e0e556a63ba1ba92b3524de1eaba",
+}
+
+
 def _cloud(name):
     if name == "sphere200":
         return builtin_clouds()["sphere200"]
+    if name == "noisy_sphere":
+        return make_synthetic_cloud("sphere", count=20000, depth=8, seed=2,
+                                    noise=3.0)
     return make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
 
 
@@ -73,12 +104,39 @@ def test_encode_bytes_frozen_with_row_split(monkeypatch, name, order, mode):
     assert any(second_blocks) == (order == 2 or mode == "critical")
 
 
-@pytest.mark.parametrize("name", ["sphere200", "torus3000"])
-def test_order1_scaled_grams_have_empty_iteration_matrix(name):
-    plan = TransformPlan(build_hierarchy(_cloud(name), 1),
-                         TransformConfig(order=1))
-    for gram in plan.grams:
-        assert gram.lm.nnz == 0
+@pytest.mark.parametrize("name", ["sphere200", "torus3000", "noisy_sphere"])
+def test_order1_plan_from_counts_matches_generic_scaling(name):
+    # the order-1 plan builds A' from voxel counts and no Gram, which holds
+    # only because the generic path gives the same A' to the bit and a
+    # scaled Gram that is exactly the identity on every level
+    h = build_hierarchy(_cloud(name), 1)
+    a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], 1)
+              for l in range(h.depth)]
+    scaled_a, scaled_g = apply_basis_scaling(gram_levels(h, a_mats), a_mats)
+    plan = TransformPlan(h, TransformConfig(order=1))
+    assert plan.grams is None
+    assert len(plan.a_mats) == len(scaled_a) == h.depth
+    for generic, counted in zip(scaled_a, plan.a_mats):
+        assert generic.shape == counted.shape
+        for part in ("indptr", "indices", "data"):
+            g, c = getattr(generic, part), getattr(counted, part)
+            assert g.dtype == c.dtype and g.tobytes() == c.tobytes(), part
+    for g in scaled_g:
+        assert (g != sp.identity(g.shape[0], format="csr")).nnz == 0
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
+def test_decode_output_frozen(monkeypatch, name, order, mode, split):
+    if split:
+        force_row_split(monkeypatch)
+    cloud = _cloud(name)
+    config = TransformConfig(order=order, residual_mode=mode)
+    blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
+    attrs, _ = decode(blob, cloud)
+    raw = np.ascontiguousarray(attrs, dtype="<f8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == DECODED[(name, order, mode)]
 
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))

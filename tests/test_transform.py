@@ -155,3 +155,14 @@ def test_shared_plan_reuse_across_modes():
     for cfg, co in ((cfg_c, co_c), (cfg_o, co_o)):
         assert np.abs(synthesize(h, co, cfg, plan=plan)
                       - cl.attributes).max() < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("order", [1, 2])
+def test_analyze_rejects_non_finite_attributes(order, bad):
+    cl = builtin_clouds()["sphere200"]
+    attrs = cl.attributes.copy()
+    attrs[17, 1] = bad
+    h = rahtp.build_hierarchy(cl, order)
+    with pytest.raises(ValueError, match="non-finite attributes"):
+        analyze(h, attrs, TransformConfig(order=order))
