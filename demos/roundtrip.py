@@ -9,8 +9,9 @@ The per-level mode string shows the critical-rate gate at work: a 'c' means
 the level stored only N_{l+1} - N_l high-pass rows and the decoder's
 reproduction check held; an 'o' means the encoder fell back to the
 overcomplete plane there.  Critical planes typically survive at the sparse
-fine levels of the order-1 basis; the wider order-2 stencil couples
-neighbors too strongly for the truncated-series gate at this tolerance.
+fine levels of the order-1 basis.  Order 2 never attempts them: the wider
+order-2 stencil couples neighbors too strongly for the truncated-series
+gate, so an order-2 critical request prints 'o' on every level.
 """
 
 import numpy as np

@@ -37,9 +37,18 @@ on the quantization step, so encode keeps its last such result in a
 one-entry memo.  A later encode of the same PointCloud object with the same
 content, order, mode, K and colorspace reuses it and only quantizes and
 codes; any other call drops the entry and analyzes afresh.  The entry holds
-a weak reference to the cloud, a sha256 over its positions and attributes,
-and the coefficient planes in one block of their own (one float64 per
-coefficient and channel).  decode keeps nothing between calls.
+a weak reference to the cloud, a sha256 over its positions and depth and
+another over its attributes and the configuration, the geometry's depth,
+node count per level and digest, the TransformPlan without its hierarchy
+and critical operators, and the coefficient planes.  The plan's matrices
+and the planes each sit in an anonymous mapping of their own.
+
+decode reads the same entry.  A stream decoded onto the cloud object just
+encoded, with the entry's order and K and no critical level, and with
+positions that still hash to the entry's, is checked against the held
+depth, node counts and digest and synthesized on the held plan; the
+hierarchy, digest and plan are not rebuilt.  Any other decode builds them
+from the cloud it is given, and no decode changes the entry.
 """
 
 import dataclasses
@@ -54,7 +63,8 @@ import numpy as np
 from .geometry import build_hierarchy, geometry_digest
 from .sparse_ops import SplitError
 from .spectral import ApproxConfig, SeriesDivergence
-from .transform import CoeffSet, TransformConfig, analyze, synthesize
+from .transform import (CoeffSet, TransformConfig, TransformPlan, analyze,
+                        synthesize)
 
 KP_INIT = 32
 KP_MAX = 384
@@ -245,25 +255,47 @@ def _rlgr_pack(u, ks, prefixes):
     return b"".join(out)
 
 
+# _bit_tables builds its run-of-ones table over this many bits at a time,
+# which bounds its int64 temporaries; the table does not depend on it
+TABLE_CHUNK = 1 << 16
+
+
 def _bit_tables(data):
     """Lookup tables over the payload bits of one plane.
 
-    ones[p] is the length of the run of one-bits starting at bit p, with
-    ones[bits_total] = 0.  win[b] is the 64-bit big-endian window starting
-    at byte b of the data followed by 8 zero bytes, so any read of up to
+    ones is a bytearray: ones[p] is the length of the run of one-bits
+    starting at bit p, capped at 255, with ones[bits_total] = 0.  A
+    codeword of a valid stream starts on a run of at most Q_CAP ones, so
+    only a corrupt stream reaches the cap, and _run_of_ones reads such a
+    run exactly.  win[b] is the 64-bit big-endian window starting at byte
+    b of the data followed by 8 zero bytes, so any read of up to
     ESCAPE_BITS bits from an offset of at most 7 bits fits in one window.
     """
     raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
     bits_total = len(data) << 3
-    nxt = np.full(bits_total + 1, bits_total, dtype=np.int64)
-    zeros = np.flatnonzero(np.unpackbits(raw[:len(data)]) == 0)
-    nxt[zeros] = zeros                  # next zero at or after each bit
-    del zeros
-    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-    nxt -= np.arange(bits_total + 1)
-    ones = nxt.tolist()
+    ones = bytearray(bits_total + 1)
+    nxt = bits_total            # the first zero bit after the current chunk
+    for a in reversed(range(0, bits_total, TABLE_CHUNK)):
+        b = min(a + TABLE_CHUNK, bits_total)
+        at = np.full(b - a + 1, nxt, dtype=np.int64)
+        zeros = np.flatnonzero(np.unpackbits(raw[a >> 3:b >> 3]) == 0)
+        at[zeros] = zeros + a   # next zero at or after each bit
+        at = np.minimum.accumulate(at[::-1])[::-1]
+        nxt = int(at[0])
+        at[:-1] -= np.arange(a, b)
+        ones[a:b] = np.minimum(at[:-1], 255).astype(np.uint8).tobytes()
     win = np.lib.stride_tricks.sliding_window_view(raw, 8).view(">u8")
     return ones, win.ravel().tolist()
+
+
+def _run_of_ones(ones, bit):
+    """The exact length of the run of one-bits at bit, where the table
+    ones caps it at 255: a run of 255 or more is 255 plus the run that
+    starts 255 bits on."""
+    run = 0
+    while ones[bit + run] == 255:
+        run += 255
+    return run + ones[bit + run]
 
 
 def rlgr_decode(data, count):
@@ -312,8 +344,8 @@ def rlgr_decode(data, count):
             if pos >= count:
                 raise CorruptStream("run-mode value past plane end")
         q = ones[bit]
-        bit += q + 1
         if q < Q_CAP:
+            bit += q + 1
             end = bit + k
             if end > bits_total:
                 raise CorruptStream("bitstream truncated")
@@ -321,6 +353,9 @@ def rlgr_decode(data, count):
                             & ((1 << k) - 1))
         else:
             # an over-long unary run reads as an escape too
+            if q == 255:
+                q = _run_of_ones(ones, bit)
+            bit += q + 1
             end = bit + ESCAPE_BITS
             if end > bits_total:
                 raise CorruptStream("bitstream truncated")
@@ -383,13 +418,23 @@ def bt709_to_rgb(yuv):
 
 @dataclasses.dataclass
 class _Analysis:
-    """encode's step-independent result for one cloud and configuration."""
+    """encode's step-independent result for one cloud and configuration,
+    with the geometry that a decode onto the same cloud reuses."""
     cloud: weakref.ref      # the PointCloud object analyzed
-    key: bytes              # _analysis_key of that cloud and configuration
-    depth: int
-    num_points: int
+    geometry_key: bytes     # _geometry_key of that cloud
+    key: bytes              # _content_key of that cloud and configuration
+    sizes: tuple            # node count per level, coarsest first
     digest: int             # geometry_digest, as the header stores it
-    coeffs: CoeffSet        # planes in one block, see _in_one_block
+    plan: TransformPlan     # without_geometry; matrices in one mapping
+    coeffs: CoeffSet        # planes in one mapping
+
+    @property
+    def depth(self):
+        return len(self.sizes) - 1
+
+    @property
+    def num_points(self):
+        return self.sizes[-1]
 
 
 # the memo: at most one _Analysis, replaced under the lock and computed
@@ -398,62 +443,104 @@ _memo = None
 _memo_lock = threading.Lock()
 
 
-def _analysis_key(cloud, config, colorspace):
-    """sha256 over what analyze reads: the positions and attributes (with
-    their dtypes and shapes) and the configuration."""
+def _hash_array(h, arr):
+    arr = np.ascontiguousarray(arr)
+    h.update(("%s %r;" % (arr.dtype.str, arr.shape)).encode())
+    h.update(arr)
+
+
+def _geometry_key(cloud):
+    """sha256 over what the geometry is built from: the positions (with
+    their dtype and shape) and the depth."""
     h = hashlib.sha256()
-    for arr in (cloud.positions, cloud.attributes):
-        arr = np.ascontiguousarray(arr)
-        h.update(("%s %r;" % (arr.dtype.str, arr.shape)).encode())
-        h.update(arr)
-    h.update(repr((cloud.depth, cloud.channels, config.order,
-                   config.residual_mode, config.approx.order,
-                   config.approx.tolerance, colorspace)).encode())
+    _hash_array(h, cloud.positions)
+    h.update(repr(cloud.depth).encode())
     return h.digest()
 
 
-def _in_one_block(coeffs):
-    """coeffs with every plane copied into one anonymous mapping.
+def _content_key(cloud, config, colorspace):
+    """sha256 over the rest of what analyze reads: the attributes (with
+    their dtype and shape) and the configuration."""
+    h = hashlib.sha256()
+    _hash_array(h, cloud.attributes)
+    h.update(repr((cloud.channels, config.order, config.residual_mode,
+                   config.approx.order, config.approx.tolerance,
+                   colorspace)).encode())
+    return h.digest()
 
-    The memo holds its planes between calls.  Left where analyze allocated
-    them, they pin the heap around them and raise the peak RSS of what
-    runs next; in a mapping of their own they return to the system as soon
-    as the entry is dropped.
+
+def _in_one_mapping(arrays):
+    """Equal copies of arrays, all in one anonymous mapping.
+
+    The memo holds its planes and its plan's matrices between calls.  Left
+    where they were allocated, they pin the heap around them and raise the
+    peak RSS of what runs next; in a mapping of their own they return to
+    the system as soon as the entry is dropped.
     """
-    planes = [coeffs.lowpass] + list(coeffs.highpass)
-    rows = sum(len(p) for p in planes)
-    cols = coeffs.lowpass.shape[1]
+    sizes = [-(-a.nbytes // 8) * 8 for a in arrays]    # 8-byte aligned
     # a mapping cannot be empty, and a 0-channel cloud has no coefficients
-    block = np.frombuffer(mmap.mmap(-1, max(8 * rows * cols, 1)),
-                          dtype=np.float64, count=rows * cols)
-    block = np.concatenate(planes, out=block.reshape(rows, cols))
-    cuts = np.cumsum([len(p) for p in planes[:-1]])
-    lowpass, *highpass = np.split(block, cuts)
-    return dataclasses.replace(coeffs, lowpass=lowpass, highpass=highpass)
+    buf = mmap.mmap(-1, max(sum(sizes), 1))
+    copies, off = [], 0
+    for a, size in zip(arrays, sizes):
+        c = np.frombuffer(buf, dtype=a.dtype, count=a.size, offset=off)
+        c = c.reshape(a.shape)
+        c[...] = a
+        copies.append(c)
+        off += size
+    return copies
 
 
 def _analysis(cloud, config, colorspace):
     """The memo's entry for this cloud object and content, analyzing on a
     miss.  A miss drops the old entry before analyzing, so the old planes
-    are freed before the new ones are allocated."""
+    and plan are freed before the new ones are allocated."""
     global _memo
-    key = _analysis_key(cloud, config, colorspace)
+    geometry_key = _geometry_key(cloud)
+    key = _content_key(cloud, config, colorspace)
     with _memo_lock:
         if (_memo is not None and _memo.cloud() is cloud
-                and _memo.key == key):
+                and _memo.geometry_key == geometry_key and _memo.key == key):
             return _memo
         _memo = None
     hierarchy = build_hierarchy(cloud, config.order)
+    plan = TransformPlan(hierarchy, config)
+    # before analyze, so that the heap copies are freed before its peak
+    plan.move_matrices(_in_one_mapping)
     attrs = cloud.attributes
     if colorspace == "bt709":
         attrs = rgb_to_bt709(attrs)
-    coeffs = _in_one_block(analyze(hierarchy, attrs, config))
-    entry = _Analysis(cloud=weakref.ref(cloud), key=key,
-                      depth=hierarchy.depth, num_points=hierarchy.num_points,
+    coeffs = analyze(hierarchy, attrs, config, plan)
+    lowpass, *highpass = _in_one_mapping([coeffs.lowpass, *coeffs.highpass])
+    entry = _Analysis(cloud=weakref.ref(cloud), geometry_key=geometry_key,
+                      key=key,
+                      sizes=tuple(len(level) for level in hierarchy.levels),
                       digest=geometry_digest(hierarchy),
-                      coeffs=coeffs)
+                      plan=plan.without_geometry(),
+                      coeffs=dataclasses.replace(coeffs, lowpass=lowpass,
+                                                 highpass=highpass))
     with _memo_lock:
         _memo = entry
+    return entry
+
+
+def _held_geometry(cloud, head):
+    """The memo's entry when it may stand in for cloud's geometry in
+    decoding a stream with header head, else None.
+
+    It may when cloud is the object the entry was encoded from, the
+    stream's order and K are the entry's, the stream has no critical level
+    (the held plan keeps no critical operators), and the positions and
+    depth still hash to the entry's key.  The identity check comes first,
+    so a decode onto any other object hashes nothing.
+    """
+    with _memo_lock:
+        entry = _memo
+    if (entry is None or entry.cloud() is not cloud
+            or entry.plan.config.order != head["order"]
+            or entry.plan.config.approx.order != head["k"]
+            or "c" in head["modes"]
+            or _geometry_key(cloud) != entry.geometry_key):
+        return None
     return entry
 
 
@@ -567,25 +654,36 @@ def decode(data, cloud):
     """Decode attributes onto the provided geometry.
 
     cloud supplies the voxel positions (attributes ignored); they must hash
-    to the digest in the header.  Returns (attributes, header dict).  A
-    stream that decodes to a non-finite value raises CorruptStream.
+    to the digest in the header.  Returns (attributes, header dict).
+    Decoding onto the cloud object that encode was last called with reuses
+    that call's geometry and plan (see the module docstring); the output
+    is the same either way.  A plane that dequantizes to a non-finite
+    value raises CorruptStream before any transform work, and so does a
+    stream that decodes to a non-finite value.
     """
     head, off = parse_header(data)
-    hierarchy = build_hierarchy(cloud, head["order"])
-    if hierarchy.depth != head["depth"]:
+    entry = _held_geometry(cloud, head)
+    if entry is None:
+        hierarchy = build_hierarchy(cloud, head["order"])
+        depth, plan = hierarchy.depth, None
+        sizes = [len(level) for level in hierarchy.levels]
+    else:
+        hierarchy, depth, plan = None, entry.depth, entry.plan
+        sizes = entry.sizes
+    if depth != head["depth"]:
         raise CorruptStream("geometry depth %d does not match stream depth %d"
-                            % (hierarchy.depth, head["depth"]))
-    if hierarchy.num_points != head["node_count"]:
+                            % (depth, head["depth"]))
+    if sizes[-1] != head["node_count"]:
         raise CorruptStream("geometry node count mismatch")
-    if geometry_digest(hierarchy) != head["digest"]:
+    digest = geometry_digest(hierarchy) if entry is None else entry.digest
+    if digest != head["digest"]:
         raise CorruptStream("geometry digest mismatch")
 
     config = TransformConfig(order=head["order"],
                              approx=ApproxConfig(order=head["k"]))
-    counts = [len(hierarchy.levels[0].nodes)]
+    counts = [sizes[0]]
     for l, mode in enumerate(head["modes"]):
-        n_child = len(hierarchy.levels[l + 1].nodes)
-        n_parent = len(hierarchy.levels[l].nodes)
+        n_child, n_parent = sizes[l + 1], sizes[l]
         if mode == "c" and n_child < n_parent:
             raise CorruptStream("critical mode at level %d, where %d parents "
                                 "outnumber %d children" % (l, n_parent, n_child))
@@ -603,7 +701,13 @@ def decode(data, cloud):
                 raise CorruptStream("plane payload truncated")
             q = rlgr_decode(data[off:off + blen], len(plane))
             off += blen
-            plane[:, ch] = dequantize(q, head["steps"][ch])
+            # an encoder codes finite planes only; an altered step can
+            # overflow here, which is caught before any transform work
+            with np.errstate(over="ignore"):
+                plane[:, ch] = dequantize(q, head["steps"][ch])
+            if not np.isfinite(plane[:, ch]).all():
+                raise CorruptStream("plane %d of channel %d dequantizes to "
+                                    "values that are not finite" % (p, ch))
     if off != len(data):
         raise CorruptStream("%d trailing bytes after the last plane"
                             % (len(data) - off))
@@ -612,7 +716,7 @@ def decode(data, cloud):
                       lowpass=planes[0], highpass=planes[1:],
                       modes=head["modes"])
     try:
-        attrs = synthesize(hierarchy, coeffs, config)
+        attrs = synthesize(hierarchy, coeffs, config, plan)
     except SeriesDivergence as exc:
         # at tau = 1/bound every series contracts on encoder-written planes;
         # divergence means the planes or steps were altered
@@ -622,8 +726,8 @@ def decode(data, cloud):
         raise CorruptStream(str(exc)) from None
     if head["colorspace"] == "bt709":
         attrs = bt709_to_rgb(attrs)
-    # an encoder codes finite attributes only; order 1 runs no series that
-    # could catch an overflow from an altered step
+    # finite planes can still sum past the float range; order 1 runs no
+    # series that could catch that
     if not np.isfinite(attrs).all():
         raise CorruptStream("decoded attributes are not finite")
     return attrs, head

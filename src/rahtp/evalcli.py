@@ -286,6 +286,10 @@ def _add_common(p, taylor_k):
     p.add_argument("--taylor-k", type=int, default=taylor_k)
 
 
+_MODE_HELP = ("residual planes; critical applies to order 1 only, where "
+              "a level whose gate fails falls back to overcomplete")
+
+
 def _add_sweep(p):
     """Arguments that rd and compaction both read."""
     p.add_argument("--orders", type=int, nargs="+", choices=(1, 2),
@@ -293,7 +297,7 @@ def _add_sweep(p):
     # critical mode stays selectable, but it falls back to overcomplete on
     # most real-sized levels after a long search, so it is not a default
     p.add_argument("--modes", nargs="+", choices=("critical", "overcomplete"),
-                   default=["overcomplete"])
+                   default=["overcomplete"], help=_MODE_HELP)
 
 
 def build_parser():
@@ -304,7 +308,7 @@ def build_parser():
     _add_common(p, taylor_k=16)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.add_argument("--mode", choices=("critical", "overcomplete"),
-                   default="overcomplete")
+                   default="overcomplete", help=_MODE_HELP)
     p.add_argument("--colorspace", choices=("raw", "bt709"), default="raw")
     p.add_argument("--step", type=float, default=1.0)
     p.set_defaults(fn=cmd_encode)

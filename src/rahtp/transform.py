@@ -13,7 +13,11 @@ Residual planes come in two flavours per level:
 with W = Ztilde' S_inv(G) Ztilde'^T.  Critical planes are accepted only if
 reapplying the decoder reproduces dF to a tight gate; otherwise the level
 falls back to overcomplete and the per-level mode is recorded for the
-bitstream header.
+bitstream header.  Only order 1 attempts critical planes: on order 2 the
+truncated W series is far from a projection, so the gate held on no
+realistic level, and the attempt cost more than the rest of the analysis.
+An order-2 request codes overcomplete planes, and synthesize still decodes
+an order-2 critical plane that an older encoder wrote.
 
 Order 1 (box) needs no Gram.  Box supports on one level are disjoint, so
 its Gram is the diagonal of voxel counts, and after the unit-diagonal
@@ -23,6 +27,7 @@ with no series run.  So the stream's K matters only for order 2 and for
 critical levels (the W series and the M^-1 solves of the split).
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,10 +194,37 @@ class TransformPlan:
             return v * 1.0
         return v + 0.0
 
+    def move_matrices(self, place):
+        """Rebuild every CSR matrix of the plan, each A' and for order 2
+        each series layer L, on copies of its arrays.  place(arrays)
+        returns equal copies of a list of arrays, for instance in memory of
+        their own.  The operators and their bounds are unchanged."""
+        mats = list(self.a_mats)
+        if self.grams is not None:
+            mats += [g.lm for g in self.grams]
+        parts = place([x for m in mats for x in (m.data, m.indices, m.indptr)])
+        moved = [sp.csr_matrix(tuple(parts[3 * i:3 * i + 3]), shape=m.shape)
+                 for i, m in enumerate(mats)]
+        self.a_mats = moved[:len(self.a_mats)]
+        for g, lm in zip(self.grams or (), moved[len(self.a_mats):]):
+            g.lm = lm
+
+    def without_geometry(self):
+        """A copy of the plan that shares its matrices but holds neither
+        the hierarchy nor any critical operators: enough to synthesize
+        overcomplete levels, at a fraction of the memory."""
+        plan = copy.copy(self)
+        plan.hierarchy = None
+        plan._critical = {}
+        return plan
+
     def critical_ops(self, level):
         """(zop, dpsi, w_op) for one level step: the ZtildeOp, the high-pass
         diagonal scale and the matrix-free W operator, bounded by power
         iteration; None when no injective split exists there."""
+        if self.hierarchy is None:
+            raise ValueError("a plan without its geometry has no critical "
+                             "operators")
         if level in self._critical:
             return self._critical[level]
         try:
@@ -256,8 +288,9 @@ def analyze(hierarchy, attributes, config, plan=None):
     Steps: dual low-pass cascade, per-level normalization to ideal primal
     coefficients, DC orthonormalization, then per level the residual
     against the simulated decoder state is coded (critical when requested
-    and the gate holds, else overcomplete) and the state is advanced with
-    the decoded plane.  Non-finite attributes raise ValueError.
+    for order 1 and the gate holds, else overcomplete) and the state is
+    advanced with the decoded plane.  Non-finite attributes raise
+    ValueError.
     """
     if plan is None:
         plan = TransformPlan(hierarchy, config)
@@ -280,7 +313,9 @@ def analyze(hierarchy, attributes, config, plan=None):
     lowpass = plan.gram(0, f_ideal[0], "sqrt")
     state = plan.gram(0, lowpass, "invsqrt")
 
-    requested = "c" if config.residual_mode == "critical" else "o"
+    # order 2 never attempts critical planes (see the module docstring)
+    requested = ("c" if config.residual_mode == "critical"
+                 and hierarchy.order == 1 else "o")
     modes = []
     highpass = []
     for l in range(depth):

@@ -1,6 +1,9 @@
 import hashlib
+import mmap
 import struct
 import sys
+import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,7 +17,7 @@ from rahtp.codec import (CorruptStream, bt709_to_rgb, decode, dequantize,
                          rlgr_decode, rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.spectral import ApproxConfig
-from rahtp.transform import TransformConfig
+from rahtp.transform import TransformConfig, TransformPlan
 
 from _helpers import random_cloud, reference_rlgr_encode
 from test_golden import GOLDEN
@@ -211,6 +214,32 @@ def test_rlgr_decode_fuzz_only_corrupt_stream():
             except CorruptStream:
                 continue
             assert out.dtype == np.int64 and out.shape == (len(vals),)
+        # runs of 64-384 one-bits, past the run table's cap of 255: the
+        # results recorded when the table held exact runs.  Prepended to
+        # mixed, whose first codeword is an escape, they lengthen its unary
+        # run, which reads as the same escape
+        for n in range(8, 49, 8):
+            ones = b"\xff" * n
+            if vals is mixed:
+                assert np.array_equal(rlgr_decode(ones + data, len(vals)),
+                                      vals)
+            else:
+                with pytest.raises(CorruptStream, match="truncated"):
+                    rlgr_decode(ones + data, len(vals))
+            with pytest.raises(CorruptStream, match="truncated"):
+                rlgr_decode(data[:len(data) // 2] + ones, len(vals))
+
+
+def test_bit_tables_hold_one_capped_byte_per_bit():
+    data = b"\xff" * 40 + b"\x7f\x00" + b"\xff" * 3
+    ones, win = codec._bit_tables(data)
+    assert isinstance(ones, bytearray) and len(ones) == 8 * len(data) + 1
+    assert ones[0] == ones[320 - 255] == 255
+    assert ones[320 - 254] == 254 and ones[320] == 0 and ones[321] == 7
+    assert ones[-1] == 0 and ones[-2] == 1 and ones[-25] == 24
+    assert [codec._run_of_ones(ones, b) for b in (0, 1, 65, 300)] == [
+        320, 319, 255, 20]
+    assert len(win) == len(data) + 1
 
 
 def test_quantize_rounds_half_away_from_zero():
@@ -425,6 +454,25 @@ def test_decode_of_largest_finite_steps_raises_corrupt_stream(order, mode):
         decode(bad, cl)
 
 
+@pytest.mark.parametrize("order,mode", [(1, "overcomplete"), (1, "critical"),
+                                        (2, "overcomplete")])
+def test_decode_rejects_overflowing_planes_before_any_transform_work(
+        monkeypatch, order, mode):
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(order=order, mode=mode), 1.0)
+    step_at = 12 + blob[6] + 8      # after the mode bytes, K and tau
+    bad = blob
+    for ch in range(cl.channels):
+        bad = _patched(bad, "<d", step_at + 8 * ch, 1.7e308)
+    calls = _count_calls(monkeypatch, "synthesize")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptStream, match="plane 0 of channel 0 "
+                           "dequantizes to values that are not finite"):
+            decode(bad, cl)
+    assert calls == []
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_decode_ignores_the_geometry_clouds_attributes(order):
     cl = builtin_clouds()["sphere200"]
@@ -432,6 +480,11 @@ def test_decode_ignores_the_geometry_clouds_attributes(order):
     expected, _ = decode(blob, cl)
     geometry = _copy(cl, attributes=np.full_like(cl.attributes, np.nan))
     got, _ = decode(blob, geometry)
+    assert got.tobytes() == expected.tobytes()
+    # the decode that reuses the encoded object's geometry reads no
+    # attributes either
+    cl.attributes = geometry.attributes
+    got, _ = decode(blob, cl)
     assert got.tobytes() == expected.tobytes()
     # encode still reads the attributes, so it still rejects them
     with pytest.raises(ValueError, match="non-finite attributes"):
@@ -571,3 +624,110 @@ def test_threads_sharing_the_memo_write_the_serial_bytes():
     finally:
         sys.setswitchinterval(interval)
     assert blobs == serial
+
+
+# decode onto the cloud object just encoded reuses the memo's geometry
+
+def _spy_plans(monkeypatch, calls):
+    """Append "TransformPlan" to calls on each TransformPlan construction."""
+    init = TransformPlan.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append("TransformPlan")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransformPlan, "__init__", spy)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_decode_onto_the_encoded_cloud_rebuilds_no_geometry(monkeypatch,
+                                                            order):
+    cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    config = TransformConfig(order=order)
+    blob, _ = encode(cl, config, 4.0, colorspace="bt709")
+    calls = _count_calls(monkeypatch, "build_hierarchy", "geometry_digest",
+                         "_hash_array")
+    _spy_plans(monkeypatch, calls)
+    got, _ = decode(blob, cl)
+    # one sha256 over the positions, and nothing rebuilt
+    assert calls == ["_hash_array"]
+    # a decode onto another object rebuilds all and hashes nothing
+    want, _ = decode(blob, _copy(cl))
+    assert sorted(calls[1:]) == ["TransformPlan", "build_hierarchy",
+                                 "geometry_digest"]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_memo_holds_the_plan_in_a_mapping_without_the_hierarchy():
+    cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    encode(cl, TransformConfig(order=2, residual_mode="critical"), 1.0)
+    plan = codec._memo.plan
+    assert plan.hierarchy is None and plan._critical == {}
+    with pytest.raises(ValueError, match="no critical operators"):
+        plan.critical_ops(0)
+    mats = plan.a_mats + [g.lm for g in plan.grams]
+    assert len(mats) == 2 * codec._memo.depth + 1
+    for m in mats:
+        for part in (m.data, m.indices, m.indptr):
+            while isinstance(part, np.ndarray):
+                part = part.base
+            assert isinstance(part.obj, mmap.mmap)
+    assert codec._memo.sizes[-1] == codec._memo.num_points == len(
+        cl.positions)
+
+
+def test_decode_after_positions_change_in_place_sees_the_new_geometry():
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(), 1.0)
+    _shift_last_voxel(cl)
+    with pytest.raises(CorruptStream, match="geometry digest mismatch"):
+        decode(blob, cl)
+
+
+@pytest.mark.parametrize("name,order,mode,k", [
+    ("sphere200", 1, "overcomplete", 0), ("sphere200", 1, "overcomplete", 8),
+    ("sphere200", 2, "overcomplete", 16), ("pair", 1, "critical", 16)])
+def test_decode_of_another_stream_onto_the_encoded_cloud(monkeypatch, name,
+                                                         order, mode, k):
+    # the memo holds the cloud at order 1, K=16; a stream with another K
+    # or order, or with a critical level, decodes as onto a cold geometry
+    cl = builtin_clouds()[name]
+    other, stats = encode(_copy(cl), _codec_config(order, mode, k), 2.0)
+    assert ("c" in stats["modes"]) == (mode == "critical")
+    encode(cl, _codec_config(), 1.0)
+    calls = _count_calls(monkeypatch, "build_hierarchy")
+    got, head = decode(other, cl)
+    assert calls == ["build_hierarchy"]
+    want, _ = decode(other, _copy(cl))
+    assert (head["order"], head["k"]) == (order, k)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_threads_decoding_while_encodes_swap_the_memo_read_serial_outputs():
+    a = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    b = builtin_clouds()["sphere200"]
+    config = TransformConfig(order=2)
+    blobs = [(cl, encode(_copy(cl), config, step)[0])
+             for step in (1.0, 4.0) for cl in (a, b)]
+    serial = [decode(blob, _copy(cl))[0].tobytes() for cl, blob in blobs]
+    stop = threading.Event()
+
+    def swap():
+        while not stop.is_set():
+            for cl in (a, b):
+                encode(cl, config, 2.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    swapper = threading.Thread(target=swap)
+    swapper.start()
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futs = [pool.submit(decode, blob, cl)
+                    for _ in range(3) for cl, blob in blobs]
+            got = [f.result(timeout=120)[0].tobytes() for f in futs]
+    finally:
+        stop.set()
+        swapper.join()
+        sys.setswitchinterval(interval)
+    assert got == serial * 3

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rahtp import spectral
+from rahtp import codec, spectral
 from rahtp.codec import (decode, encode, parse_header, rlgr_decode,
                          rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
@@ -137,6 +137,52 @@ def test_decode_output_frozen(monkeypatch, name, order, mode, split):
     attrs, _ = decode(blob, cloud)
     raw = np.ascontiguousarray(attrs, dtype="<f8").tobytes()
     assert hashlib.sha256(raw).hexdigest() == DECODED[(name, order, mode)]
+
+
+@pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
+def test_decode_output_frozen_on_the_held_and_a_rebuilt_geometry(
+        monkeypatch, name, order, mode):
+    # decoding onto the object just encoded reuses the encode's geometry
+    # and plan; onto an equal new cloud it rebuilds them.  None of these
+    # streams has a critical level, so the first decode reuses
+    cloud = _cloud(name)
+    config = TransformConfig(order=order, residual_mode=mode)
+    blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
+    builds = []
+    build = codec.build_hierarchy
+    monkeypatch.setattr(codec, "build_hierarchy",
+                        lambda *args: builds.append(args) or build(*args))
+    equal = type(cloud)(positions=cloud.positions.copy(),
+                        attributes=cloud.attributes.copy(),
+                        depth=cloud.depth, channels=cloud.channels)
+    for geometry, rebuilds in ((cloud, 0), (equal, 1)):
+        attrs, _ = decode(blob, geometry)
+        assert len(builds) == rebuilds
+        raw = np.ascontiguousarray(attrs, dtype="<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == DECODED[(name, order, mode)]
+
+
+# the one-voxel builtin cloud's order-2 stream at K=16 and step 1, as the
+# encoder wrote it when order 2 still attempted critical planes: its one
+# level is critical, with a plane of zero rows
+SINGLE_ORDER2_CRITICAL = bytes.fromhex(
+    "524148540102010103006310000000000000000000000000000000f03f00000000"
+    "0000f03f000000000000f03f01000000c3f5cc9bd28814a60b000000ffffffffffff"
+    "00000080000000000005000000ffffffff000000000003000000ffff0000000000")
+
+
+def test_order2_critical_stream_still_decodes():
+    cloud = builtin_clouds()["single"]
+    head, _ = parse_header(SINGLE_ORDER2_CRITICAL)
+    assert (head["order"], head["k"], head["modes"]) == (2, 16, "c")
+    attrs, _ = decode(SINGLE_ORDER2_CRITICAL, cloud)
+    assert attrs.tolist() == [[128.0, 64.0, 32.0]]
+    # order 2 now codes that level overcomplete when critical is requested
+    critical = TransformConfig(order=2, residual_mode="critical")
+    blob, stats = encode(cloud, critical, 1.0)
+    assert stats["modes"] == "o"
+    assert blob == encode(cloud, TransformConfig(order=2), 1.0)[0]
+    assert decode(blob, cloud)[0].tolist() == [[128.0, 64.0, 32.0]]
 
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))

@@ -75,8 +75,8 @@ def test_constant_field_concentrates_in_dc():
 
 
 def test_structural_fallback_to_overcomplete():
-    # odd-coordinate voxel: no injective split exists at the top level, the
-    # requested critical mode must degrade to overcomplete and be recorded
+    # odd-coordinate voxel: no injective split exists at the top level (8
+    # hat parents, 1 child); order 2 records overcomplete without trying
     cl = rahtp.PointCloud(positions=np.array([[1, 1, 1]], dtype=np.int64),
                           attributes=np.array([[9.0]]), depth=1, channels=1)
     h = rahtp.build_hierarchy(cl, 2)
@@ -86,6 +86,31 @@ def test_structural_fallback_to_overcomplete():
     assert co.modes == "o"
     back = synthesize(h, co, cfg)
     assert np.abs(back - cl.attributes).max() < 1e-9
+
+
+def test_order2_never_attempts_critical_planes(monkeypatch):
+    tried = []
+    critical_ops = TransformPlan.critical_ops
+
+    def spy(self, level):
+        tried.append((self.hierarchy.order, level))
+        return critical_ops(self, level)
+
+    monkeypatch.setattr(TransformPlan, "critical_ops", spy)
+    cl = random_cloud(42, 100, 3)
+    series = ApproxConfig(order=16)
+    for order in (1, 2):
+        h = rahtp.build_hierarchy(cl, order)
+        got = analyze(h, cl.attributes, TransformConfig(
+            order=order, residual_mode="critical", approx=series))
+        want = analyze(h, cl.attributes, TransformConfig(
+            order=order, residual_mode="overcomplete", approx=series))
+        assert got.modes == want.modes == "ooo"
+        for g, w in zip([got.lowpass, *got.highpass],
+                        [want.lowpass, *want.highpass]):
+            assert g.tobytes() == w.tobytes()
+    # order 1 still tries every level
+    assert tried == [(1, 0), (1, 1), (1, 2)]
 
 
 def test_config_rejects_unknown_mode():
