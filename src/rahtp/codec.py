@@ -389,8 +389,8 @@ def rlgr_decode(data, count):
 
 def quantize(values, step):
     """Uniform scalar quantization, round half away from zero."""
-    if step <= 0:
-        raise ValueError("quantization step must be positive")
+    if not 0.0 < step < np.inf:     # also rejects nan
+        raise ValueError("quantization step must be finite and positive")
     x = np.asarray(values, dtype=np.float64) / step
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 

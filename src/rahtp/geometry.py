@@ -72,9 +72,9 @@ class PointCloud:
     channels: int
 
     def validate(self):
+        self.validate_positions()
         if len(self.positions) != len(self.attributes):
             raise ValueError("positions/attributes length mismatch")
-        self.validate_positions()
         if not np.isfinite(self.attributes).all():
             raise ValueError("non-finite attributes")
         # (N, channels) rows, or (N,) for one channel
@@ -89,6 +89,9 @@ class PointCloud:
         if len(self.positions) == 0:
             raise ValueError("empty point cloud")
         pos = self.positions
+        if np.ndim(pos) != 2 or np.shape(pos)[1] != 3:
+            raise ValueError("positions of shape %s are not (N, 3)"
+                             % (np.shape(pos),))
         if pos.dtype.kind == "f" and not (np.isfinite(pos).all()
                                           and (pos == np.floor(pos)).all()):
             raise ValueError("positions must be finite integers")

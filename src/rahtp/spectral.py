@@ -17,36 +17,18 @@ given the power-iteration bound of eigen_bound.  apply_series reads the
 step from op.bound.
 
 A series term is one layer of the paper's feedforward network, and on an
-explicit L it is one CSR product.  Every output row of that product
-is its own dot product, so when the process may run on two or more CPUs
-and L holds at least SPLIT_NNZ entries, the rows are cut into two blocks
-of about equal nnz: the caller computes the first block and a helper
-thread the second, each writing its rows of the next term and of the
-running sum.  Every element goes through the same floating-point
-operations as in one block, so the result is bit-identical.  Each split
-series starts its own helper and joins it before it returns, so no
-thread outlives the series.
+explicit L it is one CSR product, L @ term.
 """
 
-import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
-
-# an explicit iteration matrix with at least this many stored entries runs
-# each series term as two row blocks on two threads (see the module
-# docstring).  It never changes the bytes, only the speed: below it the
-# hand-off to the helper thread costs more than the second core saves
-# (measured sweep in CHANGES.md)
-SPLIT_NNZ = 65536
 
 # sums of squares over at least this many elements avoid BLAS: OpenBLAS
-# threads ddot above 10000 elements, and its spinning helper thread would
-# take the core that the second row block runs on
+# threads ddot above 10000 elements, so its order of summation depends on
+# the BLAS thread count, and einsum's does not.  The series' stop tests
+# then read the same term norms whatever that count is
 BLAS_DOT_CUTOFF = 8192
 
 # power iteration for matrix-free bounds: fixed step count from a fixed
@@ -112,14 +94,13 @@ class Operator:
 
     An explicit matrix (ndarray or any scipy sparse format) is read once as
     CSR, and the operator keeps only its bound, the max absolute row sum of
-    that CSR, and the series layer lm = I - X/bound, with cut, the row where
-    a second block starts (None for one block).  That bound is fixed.  A
+    that CSR, and the series layer lm = I - X/bound.  That bound is fixed.  A
     callable fn(x) of a given dimension is matrix-free: it has no lm and no
     bound until one is assigned, usually eigen_bound(op).
     """
 
     def __init__(self, source, dim=None):
-        self.lm = self.cut = None
+        self.lm = None
         if callable(source):
             self.dim = dim
             self._fn = source
@@ -132,11 +113,6 @@ class Operator:
         tau = 1.0 / self.bound if self.bound > 0.0 else 0.0   # X = 0: L = I
         self.lm = (sp.identity(self.dim, format="csr")
                    - x.multiply(tau)).tocsr()
-        if self.lm.nnz >= SPLIT_NNZ and _cpu_count() >= 2:
-            # first row whose block start reaches half the entries
-            cut = int(np.searchsorted(self.lm.indptr, self.lm.nnz // 2))
-            if 0 < cut < self.dim:
-                self.cut = cut
 
     def __len__(self):
         return self.dim
@@ -146,13 +122,6 @@ class Operator:
             return self._fn(x)
         x = np.asarray(x)
         return (x - self.lm @ x) * self._lm_bound
-
-
-def _cpu_count():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # not on every platform
-        return os.cpu_count() or 1
 
 
 def _sumsq(term):
@@ -170,39 +139,6 @@ def _add_term(acc, term, bk, tmp):
         np.multiply(term, bk, out=tmp)
         np.add(acc, tmp, out=acc)
     return _sumsq(term)
-
-
-def _rows_term(lm, lo, hi, term, nxt, acc, tmp, bk, clear):
-    """Rows lo:hi of the next term L @ term, written into nxt and added to
-    acc; returns their squared norm.  clear when nxt is not all zeros.
-
-    Calls the CSR kernel that `lm @ term` dispatches to for this shape, so
-    each row sums the same products in the same order.
-    """
-    out = nxt[lo:hi]
-    if clear:
-        out.fill(0.0)
-    ptr = lm.indptr[lo:hi + 1]
-    if term.ndim == 1 or term.shape[1] == 1:
-        _sparsetools.csr_matvec(hi - lo, lm.shape[1], ptr, lm.indices,
-                                lm.data, term.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(hi - lo, lm.shape[1], term.shape[1], ptr,
-                                 lm.indices, lm.data, term.ravel(),
-                                 out.ravel())
-    return _add_term(acc[lo:hi], out, bk, tmp[lo:hi])
-
-
-def _second_blocks(jobs, done):
-    """Helper thread of one split series: _rows_term on each job from jobs,
-    its result or exception onto done, until the job None.  A bare queue
-    pair hands a job over in about half the time of a ThreadPoolExecutor,
-    which matters once per term."""
-    while (args := jobs.get()) is not None:
-        try:
-            done.put(_rows_term(*args))
-        except BaseException as exc:    # re-raised in the caller
-            done.put(exc)
 
 
 def eigen_bound(op):
@@ -266,54 +202,29 @@ def apply_series(op, v, h, cfg):
     if cfg.tolerance is not None:
         stop = cfg.tolerance * (1.0 + scale0)
         stop2 = stop * stop
-    # an explicit operator holds L = I - tau X in CSR: one row-block
-    # product per term there, instead of the callable's matvec + scale +
-    # subtract
-    lmat, cut = op.lm, op.cut
-    n = len(term)
-    if cut is not None:
-        jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
-        helper = threading.Thread(target=_second_blocks, args=(jobs, done),
-                                  name="rahtp-series", daemon=True)
-        helper.start()
-    # zeroed pages stay unmapped until written, so the first product of an
-    # all-zero L (X exactly the identity) adds no resident memory
-    nxt = np.zeros_like(term) if lmat is not None else None
+    # an explicit operator holds L = I - tau X in CSR: one product per
+    # term there, instead of the callable's matvec + scale + subtract
+    lmat = op.lm
     tmp = np.empty_like(term)
     mv = op.matvec
-    try:
-        for k in range(1, cfg.order + 1):
-            if lmat is not None:
-                args = (term, nxt, acc, tmp, b[k], k > 1)
-                if cut is None:
-                    n2 = _rows_term(lmat, 0, n, *args)
-                else:
-                    jobs.put((lmat, cut, n) + args)
-                    n2 = _rows_term(lmat, 0, cut, *args)
-                    second = done.get()
-                    if isinstance(second, BaseException):
-                        raise second
-                    n2 += second
-                term, nxt = nxt, term
-            else:
-                z = np.asarray(mv(term), dtype=np.float64)
-                if z is term:    # an identity-like op may hand back its input
-                    z = term.copy()
-                np.multiply(z, tau, out=z)
-                term = np.subtract(term, z, out=z)   # (I - tau X) term
-                n2 = _add_term(acc, term, b[k], tmp)
-            if not (n2 <= blow2):    # also catches nan
-                raise SeriesDivergence(
-                    "series term %d/%d diverged (|term|=%.3e); operator is "
-                    "not a contraction at step tau=%.3e"
-                    % (k, cfg.order, np.sqrt(n2), tau))
-            if n2 == 0.0:
-                break       # exact fixed point; all remaining terms vanish
-            if stop2 is not None and n2 <= stop2:
-                break
-    finally:
-        if cut is not None:
-            jobs.put(None)
-            helper.join()
-    # in place: term, nxt and tmp are still alive here
+    for k in range(1, cfg.order + 1):
+        if lmat is not None:
+            term = lmat @ term
+        else:
+            z = np.asarray(mv(term), dtype=np.float64)
+            if z is term:    # an identity-like op may hand back its input
+                z = term.copy()
+            np.multiply(z, tau, out=z)
+            term = np.subtract(term, z, out=z)   # (I - tau X) term
+        n2 = _add_term(acc, term, b[k], tmp)
+        if not (n2 <= blow2):    # also catches nan
+            raise SeriesDivergence(
+                "series term %d/%d diverged (|term|=%.3e); operator is "
+                "not a contraction at step tau=%.3e"
+                % (k, cfg.order, np.sqrt(n2), tau))
+        if n2 == 0.0:
+            break       # exact fixed point; all remaining terms vanish
+        if stop2 is not None and n2 <= stop2:
+            break
+    # in place: term and tmp are still alive here
     return np.multiply(acc, c, out=acc)

@@ -1,11 +1,8 @@
 """Shared fixtures for the test suite."""
 
-import os
-
 import numpy as np
 
 import rahtp
-from rahtp import spectral
 from rahtp.codec import (ESCAPE_BITS, KP_INIT, KP_MAX, KRP_INIT, KRP_MAX,
                          Q_CAP)
 
@@ -26,14 +23,6 @@ def pair_cloud(y1=3.0, y2=11.0):
         positions=np.array([[0, 0, 0], [1, 1, 1]], dtype=np.int64),
         attributes=np.array([[y1], [y2]], dtype=np.float64),
         depth=1, channels=1)
-
-
-def force_row_split(monkeypatch):
-    """Run every explicit sparse series as two row blocks on two threads,
-    whatever the matrix size and the machine's CPU count."""
-    monkeypatch.setattr(spectral, "SPLIT_NNZ", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
 
 
 def reference_rlgr_encode(values):

@@ -246,8 +246,10 @@ def test_quantize_rounds_half_away_from_zero():
     vals = np.array([0.49, 0.5, -0.5, -1.49, -1.5, 2.5])
     assert quantize(vals, 1.0).tolist() == [0, 1, -1, -1, -2, 3]
     assert dequantize(np.array([3]), 0.5)[0] == 1.5
-    with pytest.raises(ValueError):
-        quantize(vals, 0.0)
+    # a nan step used to quantize every value to -2**63, an inf one to 0
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            quantize(vals, bad)
 
 
 def test_bt709_known_points_and_inverse():

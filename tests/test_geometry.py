@@ -97,6 +97,23 @@ def test_pointcloud_validate_rejects_non_integer_positions(bad):
     cloud.validate()
 
 
+@pytest.mark.parametrize("reshape", [lambda p: p[:, :2], np.ravel])
+def test_positions_that_are_not_n_by_3_are_rejected(reshape):
+    # (N, 2) positions used to raise IndexError from morton_key, and a
+    # flattened (3N,) array reached decode as a node count mismatch
+    cloud = random_cloud(3, 60, 3)
+    blob, _ = rahtp.encode(cloud, rahtp.TransformConfig(), 1.0)
+    bad = rahtp.PointCloud(positions=reshape(cloud.positions),
+                           attributes=cloud.attributes, depth=cloud.depth,
+                           channels=cloud.channels)
+    for call in (bad.validate_positions,
+                 lambda: rahtp.build_hierarchy(bad, 1),
+                 lambda: rahtp.encode(bad, rahtp.TransformConfig(), 1.0),
+                 lambda: rahtp.decode(blob, bad)):
+        with pytest.raises(ValueError, match=r"not \(N, 3\)"):
+            call()
+
+
 def test_voxelize_scales_float_extent_into_grid():
     rng = np.random.default_rng(2)
     pos = rng.uniform(-5.0, 12.0, (200, 3))

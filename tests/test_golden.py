@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rahtp import codec, spectral
+from rahtp import codec
 from rahtp.codec import (decode, encode, parse_header, rlgr_decode,
                          rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
@@ -20,8 +20,6 @@ from rahtp.geometry import build_hierarchy
 from rahtp.kernels import build_a_matrix, gram_levels
 from rahtp.transform import (TransformConfig, TransformPlan,
                              apply_basis_scaling)
-
-from _helpers import force_row_split
 
 GOLDEN = {
     ("sphere200", 1, "overcomplete"):
@@ -82,28 +80,6 @@ def test_encode_bytes_frozen(name, order, mode):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
 
 
-@pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
-def test_encode_bytes_frozen_with_row_split(monkeypatch, name, order, mode):
-    # the golden clouds are too small to reach SPLIT_NNZ, so force the
-    # two-block series on and check that it ran.  Order-1 scaled Grams are
-    # exactly the identity, so their series stop before any product; only
-    # order 2 and critical mode's M^-1 series have a term to split
-    force_row_split(monkeypatch)
-    second_blocks = []
-    rows_term = spectral._rows_term
-
-    def spy(lm, lo, *args):
-        second_blocks.append(lo > 0)
-        return rows_term(lm, lo, *args)
-
-    monkeypatch.setattr(spectral, "_rows_term", spy)
-    cloud = _cloud(name)
-    config = TransformConfig(order=order, residual_mode=mode)
-    blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
-    assert any(second_blocks) == (order == 2 or mode == "critical")
-
-
 @pytest.mark.parametrize("name", ["sphere200", "torus3000", "noisy_sphere"])
 def test_order1_plan_from_counts_matches_generic_scaling(name):
     # the order-1 plan builds A' from voxel counts and no Gram, which holds
@@ -125,11 +101,8 @@ def test_order1_plan_from_counts_matches_generic_scaling(name):
         assert (g != sp.identity(g.shape[0], format="csr")).nnz == 0
 
 
-@pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
-def test_decode_output_frozen(monkeypatch, name, order, mode, split):
-    if split:
-        force_row_split(monkeypatch)
+def test_decode_output_frozen(name, order, mode):
     cloud = _cloud(name)
     config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")

@@ -7,7 +7,7 @@ binding is checked here.  perfbench/run.py builds one TransformConfig per
 workload through compatibility names (ApproxRoles.uniform, scaling=True),
 so each workload's config is built here too.  The tracer keeps its span
 stack in one plain list, so every traced binding must run on the thread
-that called the codec, never on the series' second-block worker.
+that called the codec.
 """
 
 import importlib.util
@@ -15,11 +15,8 @@ import threading
 from pathlib import Path
 
 import rahtp
-from rahtp import spectral
 from rahtp.evalcli import make_synthetic_cloud
 from rahtp.transform import TransformConfig
-
-from _helpers import force_row_split
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,21 +67,9 @@ def test_traced_bindings_run_on_the_main_thread(monkeypatch):
     for name, bindings in spans.FUNCTION_SPANS.items():
         for owner, attr in bindings:
             monkeypatch.setattr(owner, attr, guarded(name, getattr(owner, attr)))
-    force_row_split(monkeypatch)
-    second_blocks = []
-    rows_term = spectral._rows_term
-
-    def spy(lm, lo, *args):
-        if lo > 0:
-            second_blocks.append(threading.current_thread())
-        return rows_term(lm, lo, *args)
-
-    monkeypatch.setattr(spectral, "_rows_term", spy)
     cloud = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
     blob, _ = rahtp.codec.encode(cloud, TransformConfig(order=2), 1.0,
                                  colorspace="bt709")
     rahtp.codec.decode(blob, cloud)
     assert "spectral.apply_series" in calls
-    assert second_blocks       # the split ran, off the main thread
-    assert threading.main_thread() not in second_blocks
     assert off_main == []

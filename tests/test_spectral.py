@@ -1,7 +1,3 @@
-import multiprocessing
-import os
-import threading
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +9,7 @@ from rahtp.spectral import (ApproxConfig, Operator, SeriesDivergence,
                             apply_series, eigen_bound, series_coefficients)
 
 import _oracle as oracle
-from _helpers import force_row_split, random_cloud
+from _helpers import random_cloud
 
 
 def test_coefficients_frozen_values():
@@ -212,116 +208,13 @@ def test_dense_source_is_held_as_csr():
 
 
 @pytest.mark.parametrize("cols", [None, 1, 3])
-def test_row_split_is_bit_identical_to_one_block(monkeypatch, cols):
+def test_series_is_bit_identical_to_one_block_product(cols):
     mat = _banded_spd()
-    lam = Operator(mat).bound
+    op = Operator(mat)
     rng = np.random.default_rng(6)
     v = rng.standard_normal(mat.shape[0] if cols is None
                             else (mat.shape[0], cols))
     cfg = ApproxConfig(order=40)
-    one_block = {}
     for h in ("inv", "invsqrt", "sqrt"):
-        op = Operator(mat)
-        one_block[h] = apply_series(op, v, h, cfg)
-        assert op.cut is None
-        ref = _reference_series(op.lm, v, h, cfg.order, 1.0 / lam)
-        assert np.array_equal(one_block[h], ref), h
-    force_row_split(monkeypatch)
-    for h in ("inv", "invsqrt", "sqrt"):
-        op = Operator(mat)
-        out = apply_series(op, v, h, cfg)
-        assert 0 < op.cut < mat.shape[0]
-        assert np.array_equal(out, one_block[h]), h
-
-
-def test_row_split_keeps_early_stop_and_divergence(monkeypatch):
-    mat = _banded_spd()
-    v = np.random.default_rng(7).standard_normal((mat.shape[0], 3))
-    early = ApproxConfig(order=4000, tolerance=1e-12)
-
-    def run():
-        out = apply_series(Operator(mat), v, "invsqrt", early)
-        with pytest.raises(SeriesDivergence) as exc:
-            apply_series(Operator(_banded_sym()), v, "inv",
-                         ApproxConfig(order=400))
-        return out, str(exc.value)
-
-    out, msg = run()
-    force_row_split(monkeypatch)
-    split_out, split_msg = run()
-    assert np.array_equal(split_out, out)
-    assert split_msg == msg
-
-
-def _series_threads():
-    return [t for t in threading.enumerate() if t.name == "rahtp-series"]
-
-
-def test_one_cpu_runs_one_block_and_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(spectral, "SPLIT_NNZ", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    before = set(threading.enumerate())
-    op = Operator(_banded_spd())
-    v = np.ones((len(op), 3))
-    apply_series(op, v, "inv", ApproxConfig(order=8))
-    assert op.cut is None
-    assert set(threading.enumerate()) <= before
-
-
-def test_split_series_joins_its_thread_when_it_diverges(monkeypatch):
-    force_row_split(monkeypatch)
-    op = Operator(_banded_sym())
-    with pytest.raises(SeriesDivergence):
-        apply_series(op, np.ones((len(op), 3)), "inv",
-                     ApproxConfig(order=400))
-    assert op.cut is not None
-    assert _series_threads() == []
-
-
-def _child_series(mat, v, expected):
-    out = apply_series(Operator(mat), v, "invsqrt", ApproxConfig(order=30))
-    os._exit(0 if np.array_equal(out, expected) else 3)
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
-def test_row_split_series_completes_in_forked_child(monkeypatch):
-    force_row_split(monkeypatch)
-    mat = _banded_spd()
-    v = np.ones((mat.shape[0], 3))
-    expected = apply_series(Operator(mat), v, "invsqrt",
-                            ApproxConfig(order=30))
-    # hold the parent's helper thread inside its first second block while
-    # the main thread forks
-    parent, rows_term = os.getpid(), spectral._rows_term
-    inside, release = threading.Event(), threading.Event()
-
-    def paused(lm, lo, *args):
-        if lo > 0 and os.getpid() == parent:
-            inside.set()
-            release.wait()
-        return rows_term(lm, lo, *args)
-
-    monkeypatch.setattr(spectral, "_rows_term", paused)
-    results = []
-    series = threading.Thread(target=lambda: results.append(apply_series(
-        Operator(mat), v, "invsqrt", ApproxConfig(order=30))))
-    series.start()
-    try:
-        assert inside.wait(timeout=60)
-        assert len(_series_threads()) == 1
-        child = multiprocessing.get_context("fork").Process(
-            target=_child_series, args=(mat, v, expected))
-        child.start()
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-            child.join()
-            pytest.fail("split series hung in a forked child")
-    finally:
-        release.set()
-        series.join()
-    assert child.exitcode == 0
-    assert np.array_equal(results[0], expected)
-    assert _series_threads() == []
+        ref = _reference_series(op.lm, v, h, cfg.order, 1.0 / op.bound)
+        assert np.array_equal(apply_series(op, v, h, cfg), ref), h
