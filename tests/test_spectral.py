@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -208,7 +211,7 @@ def test_dense_source_is_held_as_csr():
 
 
 @pytest.mark.parametrize("cols", [None, 1, 3])
-def test_series_is_bit_identical_to_one_block_product(cols):
+def test_row_split_is_bit_identical_to_one_block(cols):
     mat = _banded_spd()
     op = Operator(mat)
     rng = np.random.default_rng(6)
@@ -218,3 +221,44 @@ def test_series_is_bit_identical_to_one_block_product(cols):
     for h in ("inv", "invsqrt", "sqrt"):
         ref = _reference_series(op.lm, v, h, cfg.order, 1.0 / op.bound)
         assert np.array_equal(apply_series(op, v, h, cfg), ref), h
+
+
+def test_row_split_keeps_early_stop_and_divergence():
+    # the one-block series stops at the first term under the tolerance,
+    # and names the first term past the divergence bound
+    mat = _banded_spd()
+    op = Operator(mat)
+    v = np.random.default_rng(7).standard_normal((mat.shape[0], 3))
+    scale0 = float(np.sqrt(spectral._sumsq(v)))
+    stop = 1e-12 * (1.0 + scale0)
+    k, term = 1, op.lm @ v
+    while spectral._sumsq(term) > stop * stop:
+        k, term = k + 1, op.lm @ term
+    assert k < 4000
+    out = apply_series(op, v, "invsqrt",
+                       ApproxConfig(order=4000, tolerance=1e-12))
+    ref = _reference_series(op.lm, v, "invsqrt", k, 1.0 / op.bound)
+    assert np.array_equal(out, ref)
+
+    sym = Operator(_banded_sym())
+    blow = 1e9 * (1.0 + scale0)
+    k, term = 1, sym.lm @ v
+    while spectral._sumsq(term) <= blow * blow:
+        k, term = k + 1, sym.lm @ term
+    assert k < 400
+    with pytest.raises(SeriesDivergence, match=r"series term %d/400 " % k):
+        apply_series(sym, v, "inv", ApproxConfig(order=400))
+
+
+def test_one_cpu_runs_one_block_and_starts_no_thread(monkeypatch):
+    # the series reads no CPU count: on one CPU, as on any, every term is
+    # one product on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    before = set(threading.enumerate())
+    op = Operator(_banded_spd())
+    v = np.ones((len(op), 3))
+    out = apply_series(op, v, "inv", ApproxConfig(order=8))
+    assert np.array_equal(out, _reference_series(op.lm, v, "inv", 8,
+                                                 1.0 / op.bound))
+    assert set(threading.enumerate()) <= before
