@@ -15,11 +15,16 @@ zero run (u - 1 = 2**32 - 1) and not as a regular-mode symbol.  All
 constants below are part of the format; changing any of them breaks stream
 compatibility, so they are asserted by regression tests.
 
-The encoder runs in two passes.  A scan in Python carries kp/krp over the
-values and records each codeword's k and the sparse run-mode prefixes; a
-pack in numpy then lays out the bits, a fixed number of positions at a
-time.  The scan and rlgr_decode are the format and must stay in step with
-each other; packing only lays out the bits.
+Both directions run in two passes, a scan in Python that carries kp/krp
+and a numpy pass over a fixed number of positions at a time.  The
+encoder's scan walks the values and records each codeword's k and the
+sparse run-mode prefixes; its pack then lays out the bits.  The decoder's
+scan walks the codeword boundaries, reading a quotient and whether a
+value is 0 from run tables over the bits, and records each codeword's
+start bit and k; its unpack then reads the values.  It decodes the sparse
+run-mode prefixes, the codewords after them and escapes itself.  The two
+scans are the format and must stay in step with each other; packing and
+unpacking only move bits.
 
 Container layout (little endian):
   magic "RAHT" | version u8 | order u8 | depth u8 | reserved u8 | channels u8
@@ -57,6 +62,7 @@ import mmap
 import struct
 import threading
 import weakref
+from array import array
 
 import numpy as np
 
@@ -168,10 +174,10 @@ def _rlgr_scan(us):
     return ks, prefixes
 
 
-# The pack lays out this many positions at a time.  The chunk size bounds
-# the packing temporaries and never changes the bytes.  At 1 << 13 they stay
-# near 1 MB; 1 << 15 ran no faster and raised a whole codec's peak RSS by
-# 2-5 MB on a 34k-voxel order-2 cloud.
+# The pack lays out, and the unpack reads, this many positions at a time.
+# The chunk size bounds their temporaries and never changes the bytes or the
+# values.  At 1 << 13 they stay near 1 MB; 1 << 15 ran no faster and raised
+# a whole codec's peak RSS by 2-5 MB on a 34k-voxel order-2 cloud.
 PACK_CHUNK = 1 << 13
 
 
@@ -255,37 +261,46 @@ def _rlgr_pack(u, ks, prefixes):
     return b"".join(out)
 
 
-# _bit_tables builds its run-of-ones table over this many bits at a time,
-# which bounds its int64 temporaries; the table does not depend on it
+# _bit_tables builds its run tables over this many bits at a time, which
+# bounds its int64 temporaries; the tables do not depend on it
 TABLE_CHUNK = 1 << 16
 
 
 def _bit_tables(data):
     """Lookup tables over the payload bits of one plane.
 
-    ones is a bytearray: ones[p] is the length of the run of one-bits
-    starting at bit p, capped at 255, with ones[bits_total] = 0.  A
-    codeword of a valid stream starts on a run of at most Q_CAP ones, so
-    only a corrupt stream reaches the cap, and _run_of_ones reads such a
-    run exactly.  win[b] is the 64-bit big-endian window starting at byte
-    b of the data followed by 8 zero bytes, so any read of up to
-    ESCAPE_BITS bits from an offset of at most 7 bits fits in one window.
+    ones and zeros are bytearrays: ones[p] is the length of the run of
+    one-bits starting at bit p, and zeros[p] that of zero-bits, each capped
+    at 255 and 0 at p = bits_total.  A codeword of a valid stream starts on
+    a run of at most Q_CAP ones, so only a corrupt stream reaches the cap,
+    and _run_of_ones reads such a run exactly.  win is a read-only numpy
+    view: win[b] is the 64-bit big-endian window starting at byte b of the
+    data followed by 8 zero bytes, so any read of up to ESCAPE_BITS bits
+    from an offset of at most 7 bits fits in one window.
     """
     raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
     bits_total = len(data) << 3
     ones = bytearray(bits_total + 1)
-    nxt = bits_total            # the first zero bit after the current chunk
+    zeros = bytearray(bits_total + 1)
+    # per chunk, at[i] is the end of the run through bit a + i: the first
+    # bit after it that differs from it, or bits_total.  nxt and first are
+    # at[0] and the first bit of the chunk after; for the last chunk, built
+    # first, nxt = b = bits_total, so first may be anything
+    nxt, first = bits_total, 0
     for a in reversed(range(0, bits_total, TABLE_CHUNK)):
         b = min(a + TABLE_CHUNK, bits_total)
-        at = np.full(b - a + 1, nxt, dtype=np.int64)
-        zeros = np.flatnonzero(np.unpackbits(raw[a >> 3:b >> 3]) == 0)
-        at[zeros] = zeros + a   # next zero at or after each bit
+        seg = np.unpackbits(raw[a >> 3:b >> 3])
+        at = np.full(b - a, nxt if seg[-1] == first else b, dtype=np.int64)
+        change = np.flatnonzero(seg[1:] != seg[:-1])
+        at[change] = change + (a + 1)
         at = np.minimum.accumulate(at[::-1])[::-1]
-        nxt = int(at[0])
-        at[:-1] -= np.arange(a, b)
-        ones[a:b] = np.minimum(at[:-1], 255).astype(np.uint8).tobytes()
-    win = np.lib.stride_tricks.sliding_window_view(raw, 8).view(">u8")
-    return ones, win.ravel().tolist()
+        nxt, first = int(at[0]), seg[0]
+        run = np.minimum(at - np.arange(a, b), 255).astype(np.uint8)
+        one = run * seg
+        ones[a:b] = one.tobytes()
+        zeros[a:b] = (run - one).tobytes()
+    win = np.lib.stride_tricks.sliding_window_view(raw, 8).view(">u8")[:, 0]
+    return ones, zeros, win
 
 
 def _run_of_ones(ones, bit):
@@ -301,25 +316,53 @@ def _run_of_ones(ones, bit):
 def rlgr_decode(data, count):
     """Decode exactly count signed integers from bytes.
 
-    Table-driven mirror of the encoder's scan: the run-mode prefix, then
-    one shared codeword read and one kp update.  A unary quotient is one
-    lookup in the run-of-ones table, and a remainder, escape value or run
-    length of nb bits is one window lookup and a shift (see _bit_tables).  The
-    loop keeps the unsigned zigzag values, u + 1 after a run; the signed
-    map runs once, in numpy, at the end.  Any read past the last bit, a
-    run-mode value past the plane end, 8 or more bits left after the last
-    symbol, or a padding bit of 1 raises CorruptStream: the encoder writes
-    none of them.
+    Two passes, mirroring the encoder.  The scan walks the codeword
+    boundaries in Python, carrying kp/krp over the symbols.  A unary
+    quotient is one lookup in the run-of-ones table, and whether a
+    regular-mode codeword codes u = 0, which is all krp needs, is one
+    lookup in the run-of-zeros table (see _bit_tables).  So a regular-mode
+    codeword with q < Q_CAP is only located: the scan records its start bit
+    and its k, and the unpack reads all their values at once in numpy,
+    PACK_CHUNK positions at a time.  The rare rest, run-mode prefixes with
+    the codeword after them and escapes, is decoded in the scan from the
+    64-bit windows.  Any read past the last bit, a run-mode value past the
+    plane end, 8 or more bits left after the last symbol, or a padding bit
+    of 1 raises CorruptStream: the encoder writes none of them.
     """
     data = bytes(data)
     bits_total = len(data) << 3
-    ones, win = _bit_tables(data)
-    out = [0] * count
-    bit = 0                         # bit cursor into data
+    ones, zeros, win = _bit_tables(data)
+    window = win.item               # win[b] as a Python int
+    ks = bytearray(b"\xff") * count     # k per position, 255: no codeword
+    starts = array("q", [0]) * count
+    at, vals = [], []               # where the scan decoded a value, and
+    bit = 0                         # its u (u + 1 after a run)
     kp, krp = KP_INIT, KRP_INIT
     pos = 0
     while pos < count:
         k = kp >> 4
+        if krp < 16:
+            q = ones[bit]
+            if q < Q_CAP:
+                # regular mode: the unpack reads the value
+                end = bit + q + 1 + k
+                if end > bits_total:
+                    raise CorruptStream("bitstream truncated")
+                ks[pos] = k
+                starts[pos] = bit
+                if zeros[bit] > k:      # q = 0 and k zero bits: u = 0
+                    krp += 4            # krp < 16 here, far below KRP_MAX
+                else:
+                    krp = krp - 5 if krp > 5 else 0
+                if q == 0:
+                    kp = kp - 2 if kp > 2 else 0
+                elif q > 1:
+                    kp = kp + q + 1
+                    if kp > KP_MAX:
+                        kp = KP_MAX
+                bit = end
+                pos += 1
+                continue
         kr = krp >> 4
         if kr:
             if ones[bit] == 0:
@@ -339,7 +382,8 @@ def rlgr_decode(data, count):
             end = bit + kr
             if end > bits_total:
                 raise CorruptStream("bitstream truncated")
-            pos += (win[bit >> 3] >> (64 - (bit & 7) - kr)) & ((1 << kr) - 1)
+            pos += ((window(bit >> 3) >> (64 - (bit & 7) - kr))
+                    & ((1 << kr) - 1))
             bit = end
             if pos >= count:
                 raise CorruptStream("run-mode value past plane end")
@@ -349,7 +393,7 @@ def rlgr_decode(data, count):
             end = bit + k
             if end > bits_total:
                 raise CorruptStream("bitstream truncated")
-            u = (q << k) | ((win[bit >> 3] >> (64 - (bit & 7) - k))
+            u = (q << k) | ((window(bit >> 3) >> (64 - (bit & 7) - k))
                             & ((1 << k) - 1))
         else:
             # an over-long unary run reads as an escape too
@@ -359,15 +403,16 @@ def rlgr_decode(data, count):
             end = bit + ESCAPE_BITS
             if end > bits_total:
                 raise CorruptStream("bitstream truncated")
-            u = ((win[bit >> 3] >> (64 - ESCAPE_BITS - (bit & 7)))
+            u = ((window(bit >> 3) >> (64 - ESCAPE_BITS - (bit & 7)))
                  & ((1 << ESCAPE_BITS) - 1))
             q = Q_CAP
         bit = end
+        at.append(pos)
         if kr:
-            out[pos] = u + 1
+            vals.append(u + 1)
             krp = krp - 6 if krp > 6 else 0
         else:
-            out[pos] = u
+            vals.append(u)
             if u == 0:
                 krp += 4                # krp < 16 here, far below KRP_MAX
             else:
@@ -380,11 +425,43 @@ def rlgr_decode(data, count):
                 kp = KP_MAX
         pos += 1
     left = bits_total - bit
-    if left >= 8 or (left and (win[bit >> 3] >> (64 - (bit & 7) - left))
+    if left >= 8 or (left and (window(bit >> 3) >> (64 - (bit & 7) - left))
                      & ((1 << left) - 1)):
         raise CorruptStream("%d bits left after the last symbol" % left)
-    u = np.array(out, dtype=np.int64)
-    return (u >> 1) ^ -(u & 1)
+    del zeros                       # the unpack does not read it
+    return _rlgr_unpack(ones, win, ks, starts, at, vals)
+
+
+def _rlgr_unpack(ones, win, ks, starts, at, vals):
+    """The signed values of a scanned plane, as an int64 array.
+
+    Per chunk of positions, each codeword that the scan located (ks[p] !=
+    255) gets its q from the run-of-ones table at its start bit and its k
+    remainder bits from the window of the byte they start in; u is q << k
+    | remainder.  The values the scan decoded are in place before, and
+    positions with neither stay 0.  Each chunk undoes its zigzag in place,
+    so the temporaries stay at chunk size.
+    """
+    count = len(ks)
+    ones = np.frombuffer(ones, dtype=np.uint8)
+    starts = np.frombuffer(starts, dtype=np.int64)
+    out = np.zeros(count, dtype=np.int64)
+    out[at] = vals
+    for a in range(0, count, PACK_CHUNK):
+        kk = np.frombuffer(ks, dtype=np.uint8,
+                           count=min(PACK_CHUNK, count - a), offset=a)
+        cw = np.flatnonzero(kk != 255)
+        k = kk[cw].astype(np.int64)
+        s = starts[a + cw]
+        q = ones[s].astype(np.int64)
+        r = s + q + 1                   # the first remainder bit
+        # the window wraps to int64; k + (r & 7) <= 31, so the shift and
+        # mask never reach its sign
+        w = win[r >> 3].astype(np.int64)
+        u = out[a:a + PACK_CHUNK]
+        u[cw] = (q << k) | ((w >> (64 - (r & 7) - k)) & ((1 << k) - 1))
+        u[:] = (u >> 1) ^ -(u & 1)
+    return out
 
 
 def quantize(values, step):
@@ -657,9 +734,10 @@ def decode(data, cloud):
     to the digest in the header.  Returns (attributes, header dict).
     Decoding onto the cloud object that encode was last called with reuses
     that call's geometry and plan (see the module docstring); the output
-    is the same either way.  A plane that dequantizes to a non-finite
-    value raises CorruptStream before any transform work, and so does a
-    stream that decodes to a non-finite value.
+    is the same either way.  A plane that RLGR rejects or that dequantizes
+    to a non-finite value raises CorruptStream naming the plane and its
+    channel, before any transform work, and a stream that decodes to a
+    non-finite value raises it too.
     """
     head, off = parse_header(data)
     entry = _held_geometry(cloud, head)
@@ -699,7 +777,11 @@ def decode(data, cloud):
             off += 4
             if off + blen > len(data):
                 raise CorruptStream("plane payload truncated")
-            q = rlgr_decode(data[off:off + blen], len(plane))
+            try:
+                q = rlgr_decode(data[off:off + blen], len(plane))
+            except CorruptStream as exc:
+                raise CorruptStream("plane %d of channel %d: %s"
+                                    % (p, ch, exc)) from None
             off += blen
             # an encoder codes finite planes only; an altered step can
             # overflow here, which is caught before any transform work

@@ -369,7 +369,7 @@ def build_hierarchy(cloud, order):
         raise ValueError("order must be 1 or 2")
     cloud.validate_positions()
     L = cloud.depth
-    keys = morton_key(cloud.positions, L + 1)
+    keys = morton_key(cloud.positions, L)
     if not np.all(keys[1:] > keys[:-1]):
         raise ValueError("cloud positions must be distinct and Morton-sorted "
                          "(voxelize does this)")

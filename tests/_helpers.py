@@ -4,7 +4,7 @@ import numpy as np
 
 import rahtp
 from rahtp.codec import (ESCAPE_BITS, KP_INIT, KP_MAX, KRP_INIT, KRP_MAX,
-                         Q_CAP)
+                         Q_CAP, CorruptStream)
 
 
 def random_cloud(seed, count, depth, channels=3, scale=255.0):
@@ -99,3 +99,105 @@ def reference_rlgr_encode(values):
     # drain the whole bytes still held, then zero-pad the last one
     buf += (acc << (-nbits & 7)).to_bytes((nbits + 7) >> 3, "big")
     return bytes(buf)
+
+
+def _reference_bit_tables(data):
+    """(ones, win) for reference_rlgr_decode: ones[p] is the run of one-bits
+    starting at bit p, capped at 255, with ones[bits_total] = 0, and win is
+    a list of the 64-bit big-endian windows starting at each byte of the
+    data followed by 8 zero bytes."""
+    raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    bits = np.unpackbits(raw[:len(data)])
+    n = len(bits)
+    at = np.full(n + 1, n, dtype=np.int64)
+    zeros = np.flatnonzero(bits == 0)
+    at[zeros] = zeros                   # next zero at or after each bit
+    at = np.minimum.accumulate(at[::-1])[::-1]
+    ones = bytearray(np.minimum(at - np.arange(n + 1), 255)
+                     .astype(np.uint8).tobytes())
+    win = np.lib.stride_tricks.sliding_window_view(raw, 8).view(">u8")
+    return ones, win.ravel().tolist()
+
+
+def reference_rlgr_decode(data, count):
+    """The per-symbol RLGR decoder that rlgr_decode replaced.
+
+    One inlined loop reads each symbol's prefix and codeword from a list of
+    64-bit windows and keeps the zigzag values in a list.  Tests compare
+    rlgr_decode's two passes against it: the same array, or CorruptStream
+    with the same message.
+    """
+    data = bytes(data)
+    bits_total = len(data) << 3
+    ones, win = _reference_bit_tables(data)
+    out = [0] * count
+    bit = 0
+    kp, krp = KP_INIT, KRP_INIT
+    pos = 0
+    while pos < count:
+        k = kp >> 4
+        kr = krp >> 4
+        if kr:
+            if ones[bit] == 0:
+                if bit >= bits_total:
+                    raise CorruptStream("bitstream truncated")
+                bit += 1
+                pos += 1 << kr
+                if pos > count:
+                    pos = count
+                krp = krp + 4
+                if krp > KRP_MAX:
+                    krp = KRP_MAX
+                continue
+            bit += 1
+            end = bit + kr
+            if end > bits_total:
+                raise CorruptStream("bitstream truncated")
+            pos += (win[bit >> 3] >> (64 - (bit & 7) - kr)) & ((1 << kr) - 1)
+            bit = end
+            if pos >= count:
+                raise CorruptStream("run-mode value past plane end")
+        q = ones[bit]
+        if q < Q_CAP:
+            bit += q + 1
+            end = bit + k
+            if end > bits_total:
+                raise CorruptStream("bitstream truncated")
+            u = (q << k) | ((win[bit >> 3] >> (64 - (bit & 7) - k))
+                            & ((1 << k) - 1))
+        else:
+            if q == 255:                # past the table's cap: count on
+                run = 0
+                while ones[bit + run] == 255:
+                    run += 255
+                q = run + ones[bit + run]
+            bit += q + 1
+            end = bit + ESCAPE_BITS
+            if end > bits_total:
+                raise CorruptStream("bitstream truncated")
+            u = ((win[bit >> 3] >> (64 - ESCAPE_BITS - (bit & 7)))
+                 & ((1 << ESCAPE_BITS) - 1))
+            q = Q_CAP
+        bit = end
+        if kr:
+            out[pos] = u + 1
+            krp = krp - 6 if krp > 6 else 0
+        else:
+            out[pos] = u
+            if u == 0:
+                krp += 4
+            else:
+                krp = krp - 5 if krp > 5 else 0
+        if q == 0:
+            kp = kp - 2 if kp > 2 else 0
+        elif q > 1:
+            kp = kp + q + 1
+            if kp > KP_MAX:
+                kp = KP_MAX
+        pos += 1
+    left = bits_total - bit
+    if left >= 8 or (left and (win[bit >> 3] >> (64 - (bit & 7) - left))
+                     & ((1 << left) - 1)):
+        raise CorruptStream("%d bits left after the last symbol" % left)
+    u = np.array(out, dtype=np.int64)
+    return (u >> 1) ^ -(u & 1)

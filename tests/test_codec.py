@@ -3,6 +3,7 @@ import mmap
 import struct
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,8 @@ from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import TransformConfig, TransformPlan
 
-from _helpers import random_cloud, reference_rlgr_encode
+from _helpers import (random_cloud, reference_rlgr_decode,
+                      reference_rlgr_encode)
 from test_golden import GOLDEN
 
 
@@ -162,6 +164,67 @@ def test_rlgr_encode_matches_per_symbol_reference(monkeypatch, chunk):
             assert np.array_equal(rlgr_decode(got, len(vals)), vals), name
 
 
+def _decode_or_error(decoder, data, count):
+    try:
+        return decoder(data, count)
+    except CorruptStream as exc:
+        return "CorruptStream: %s" % exc
+
+
+def test_rlgr_decode_matches_per_symbol_reference(monkeypatch):
+    # the two-pass decoder returns the per-symbol decoder's array, or raises
+    # CorruptStream with its message.  Each valid plane is compared whole;
+    # the corrupt streams are made from its first 400 values, cut at every
+    # byte, with 1-3 bits flipped and with one-bits before or after them,
+    # and unpacked 61 positions at a time
+    rng = np.random.default_rng(24)
+    planes = [(name, vals) for name, vals in _differential_planes()
+              if not name.startswith("out of range")]
+    for name, vals in planes:
+        data = rlgr_encode(vals)
+        got = rlgr_decode(data, len(vals))
+        assert got.dtype == np.int64, name
+        assert np.array_equal(got, vals), name
+        want = reference_rlgr_decode(data, len(vals))
+        assert np.array_equal(want, vals), name
+    monkeypatch.setattr(codec, "PACK_CHUNK", 61)
+    for name, vals in planes:
+        vals = vals[:400]
+        data = rlgr_encode(vals)
+        cases = [data[:i] for i in range(len(data) + 1)]
+        if data:
+            cases += [_flip_bits(data, rng, n) for n in (1, 2, 3) * 20]
+        for n in range(8, 49, 8):
+            cases += [b"\xff" * n + data, data + b"\xff" * n]
+        for case in cases:
+            want = _decode_or_error(reference_rlgr_decode, case, len(vals))
+            got = _decode_or_error(rlgr_decode, case, len(vals))
+            if isinstance(want, str):
+                assert got == want, name
+            else:
+                assert isinstance(got, np.ndarray), (name, got)
+                assert got.dtype == np.int64, name
+                assert np.array_equal(got, want), name
+
+
+def test_rlgr_decode_memory_does_not_rise():
+    # a plane the size of box-fresh-hirate's largest (about 95 KB for 149k
+    # symbols); the per-symbol decoder with its list of windows and its list
+    # of values peaked at 9.73 MB of tracemalloc on this plane
+    rng = np.random.default_rng(5)
+    vals = np.round(rng.laplace(0.0, 6.0, 149275)).astype(np.int64)
+    data = rlgr_encode(vals)
+    assert 95_000 < len(data) < 97_000
+    tracemalloc.start()
+    try:
+        got = rlgr_decode(data, len(vals))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, vals)
+    assert peak <= 9.73e6, peak
+
+
 def test_rlgr_decode_rejects_bits_left_after_last_symbol():
     vals = np.array([3, -1, 0, 2], dtype=np.int64)
     data = rlgr_encode(vals)
@@ -182,6 +245,21 @@ def test_decode_rejects_an_extra_byte_in_a_plane():
     bad = (_patched(blob[:start], "<I", off, blen + 1) + b"\x00"
            + blob[start:])
     with pytest.raises(CorruptStream):
+        decode(bad, cl)
+
+
+def test_decode_names_the_plane_rlgr_rejects():
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(), 1.0)
+    _, off = parse_header(blob)
+    (blen,) = struct.unpack_from("<I", blob, off)
+    off += 4 + blen                     # the second plane of channel 0
+    (blen,) = struct.unpack_from("<I", blob, off)
+    start = off + 4
+    bad = (_patched(blob[:start], "<I", off, blen - 1)
+           + blob[start:start + blen - 1] + blob[start + blen:])
+    with pytest.raises(CorruptStream,
+                       match="^plane 1 of channel 0: bitstream truncated$"):
         decode(bad, cl)
 
 
@@ -230,16 +308,39 @@ def test_rlgr_decode_fuzz_only_corrupt_stream():
                 rlgr_decode(data[:len(data) // 2] + ones, len(vals))
 
 
-def test_bit_tables_hold_one_capped_byte_per_bit():
+def test_bit_tables_hold_one_capped_byte_per_bit(monkeypatch):
     data = b"\xff" * 40 + b"\x7f\x00" + b"\xff" * 3
-    ones, win = codec._bit_tables(data)
+    ones, zeros, win = codec._bit_tables(data)
     assert isinstance(ones, bytearray) and len(ones) == 8 * len(data) + 1
     assert ones[0] == ones[320 - 255] == 255
     assert ones[320 - 254] == 254 and ones[320] == 0 and ones[321] == 7
     assert ones[-1] == 0 and ones[-2] == 1 and ones[-25] == 24
     assert [codec._run_of_ones(ones, b) for b in (0, 1, 65, 300)] == [
         320, 319, 255, 20]
+    assert isinstance(zeros, bytearray) and len(zeros) == len(ones)
+    assert zeros[320] == 1 and zeros[328] == 8 and zeros[335] == 1
+    assert zeros[0] == zeros[321] == zeros[336] == zeros[-1] == 0
+    # the zero runs of the inverted bits are the one runs above, capped alike
+    _, flipped_zeros, _ = codec._bit_tables(bytes(b ^ 0xFF for b in data))
+    assert flipped_zeros == ones
     assert len(win) == len(data) + 1
+    # runs across the chunks the tables are built in: against a per-bit count
+    rng = np.random.default_rng(9)
+    bits = np.repeat(np.arange(60) % 2, rng.integers(1, 300, 60))
+    data = np.packbits(bits[:len(bits) // 8 * 8]).tobytes()
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
+    runs = [0] * (len(bits) + 1)
+    for i in reversed(range(len(bits))):
+        same = i + 1 < len(bits) and bits[i + 1] == bits[i]
+        runs[i] = runs[i + 1] + 1 if same else 1
+    want_ones = bytes(min(r, 255) if b else 0
+                      for r, b in zip(runs, bits + [0]))
+    want_zeros = bytes(0 if b else min(r, 255)
+                       for r, b in zip(runs, bits + [1]))
+    for chunk in (8, 64, 1 << 16):
+        monkeypatch.setattr(codec, "TABLE_CHUNK", chunk)
+        ones, zeros, _ = codec._bit_tables(data)
+        assert ones == want_ones and zeros == want_zeros, chunk
 
 
 def test_quantize_rounds_half_away_from_zero():

@@ -286,3 +286,17 @@ def test_pointcloud_validate_checks_channels(layout, channels, ok):
     rec, head = rahtp.decode(blob, cloud)
     assert head["channels"] == channels
     assert np.abs(rec.reshape(attrs.shape) - attrs).max() < 0.1
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_depth_21_cloud_roundtrips(order):
+    # depth 21 fills a 63-bit Morton key, the most a uint64 key holds; the
+    # finest level is keyed with depth bits, as voxelize keys it
+    cloud = random_cloud(21, 300, 21)
+    assert cloud.depth == 21 and cloud.positions.max() >= 2 ** 20
+    config = rahtp.TransformConfig(order=order,
+                                   approx=rahtp.ApproxConfig(order=16))
+    blob, _ = rahtp.encode(cloud, config, 0.1)
+    recon, head = rahtp.decode(blob, cloud)
+    assert head["depth"] == 21
+    assert np.abs(recon - cloud.attributes).max() < 1.0
