@@ -65,16 +65,17 @@ def bd_rate(anchor_rate, anchor_psnr, test_rate, test_psnr):
     of the two fits over the PSNR range where both curves have points.
     Returns (percent, (lo, hi)): the average rate change of the test curve
     at equal PSNR, negative when it needs fewer bits, and that range in dB.
-    Raises ValueError for a curve of fewer than 4 points, a rate that is not
-    positive, a PSNR that is not finite, or ranges that do not overlap.
+    Raises ValueError for a curve with fewer than 4 distinct PSNRs (its
+    log-rate is then no cubic of PSNR), a rate that is not positive, a PSNR
+    that is not finite, or ranges that do not overlap.
     """
     fits, ranges = [], []
     for rate, psnr in ((anchor_rate, anchor_psnr), (test_rate, test_psnr)):
         rate = np.asarray(rate, dtype=np.float64)
         psnr = np.asarray(psnr, dtype=np.float64)
-        if len(rate) != len(psnr) or len(rate) < 4:
-            raise ValueError("a BD-rate curve needs at least 4 "
-                             "(rate, PSNR) points")
+        if len(rate) != len(psnr) or len(np.unique(psnr)) < 4:
+            raise ValueError("a BD-rate curve needs at least 4 (rate, PSNR) "
+                             "points with distinct PSNRs")
         if not (np.all(rate > 0.0) and np.isfinite(psnr).all()):
             raise ValueError("BD-rate needs positive rates and finite PSNRs")
         fits.append(np.polyint(np.polyfit(psnr, np.log(rate), 3)))
@@ -142,10 +143,13 @@ def builtin_clouds():
 
 def _infer_depth(positions):
     pos = np.asarray(positions)
-    if np.all(pos == np.floor(pos)) and pos.min() >= 0:
-        return max(1, int(pos.max()).bit_length())
-    raise ValueError("cannot infer depth for non-integer coordinates; "
-                     "pass --depth")
+    if not np.all(pos == np.floor(pos)):
+        raise ValueError("cannot infer depth for non-integer coordinates; "
+                         "pass --depth")
+    if pos.min() < 0:
+        raise ValueError("cannot infer depth for negative coordinates; "
+                         "pass --depth")
+    return max(1, int(pos.max()).bit_length())
 
 
 def _load_voxelized(path, depth):
@@ -198,25 +202,49 @@ def cmd_decode(args):
     return 0
 
 
-def _rd_point(cloud, order, mode, step, k, colorspace, ref_yuv):
+def rd_curve(cloud, order, mode, k, steps, colorspace):
+    """One Metrics per step: bpp and YUV PSNR of an encode/decode round trip.
+
+    Steps run innermost, so encode analyzes the cloud once per curve.
+    """
+    if cloud.channels != 3:
+        raise ValueError("rate-distortion sweep needs 3-channel attributes")
     config = _config(order, mode, k)
-    blob, stats = encode(cloud, config, step, colorspace=colorspace)
-    attrs, _ = decode(blob, cloud)
-    rec_yuv = rgb_to_bt709(attrs)
-    return compute_metrics(ref_yuv, rec_yuv, stats["payload_bytes"],
-                           len(cloud.positions), stats["coeff_count"])
+    ref_yuv = rgb_to_bt709(cloud.attributes)
+    points = []
+    for step in steps:
+        blob, stats = encode(cloud, config, step, colorspace=colorspace)
+        attrs, _ = decode(blob, cloud)
+        points.append(compute_metrics(
+            ref_yuv, rgb_to_bt709(attrs), stats["payload_bytes"],
+            len(cloud.positions), stats["coeff_count"]))
+    return points
+
+
+def compaction_curve(cloud, order, mode, k):
+    """(kept, mse_db) per level: the error of keeping the planes up to it.
+
+    Truncated reconstructions are meaningful only with converged
+    projections, so the K-term series stops early at term norm 1e-12.  An
+    exact reconstruction (MSE below 1e-10) reads -100 dB.
+    """
+    config = _config(order, mode, k, tolerance=1e-12)
+    hierarchy = build_hierarchy(cloud, order)
+    plan = TransformPlan(hierarchy, config)
+    coeffs = analyze(hierarchy, cloud.attributes, config, plan=plan)
+    curve = []
+    for level in range(hierarchy.depth + 1):
+        cut, kept = truncate_to_level(coeffs, level)
+        rec = synthesize(hierarchy, cut, config, plan=plan)
+        mse = float(np.mean((cloud.attributes - rec) ** 2))
+        curve.append((kept, -100.0 if mse < 1e-10 else 10.0 * np.log10(mse)))
+    return curve
 
 
 def cmd_rd(args):
     cloud = _load_voxelized(args.input, args.depth)
-    if cloud.channels != 3:
-        raise ValueError("rate-distortion sweep needs 3-channel attributes")
-    ref_yuv = rgb_to_bt709(cloud.attributes)
-    # steps innermost: encode analyzes once per (order, mode) and reuses
-    # that for the other steps of the same cloud
-    curves = {(o, m): [_rd_point(cloud, o, m, s, args.taylor_k,
-                                 args.colorspace, ref_yuv)
-                       for s in args.steps]
+    curves = {(o, m): rd_curve(cloud, o, m, args.taylor_k, args.steps,
+                               args.colorspace)
               for o in args.orders for m in args.modes}
     rows = [[o, m, s, "%.6f" % p.bpp, "%.4f" % p.psnr[0],
              "%.4f" % p.psnr[1], "%.4f" % p.psnr[2],
@@ -247,21 +275,10 @@ def cmd_rd(args):
 
 def cmd_compaction(args):
     cloud = _load_voxelized(args.input, args.depth)
-    rows = []
-    for order in args.orders:
-        for mode in args.modes:
-            # truncated reconstructions are meaningful only with converged
-            # projections, so compaction runs a long series with early stop
-            config = _config(order, mode, args.taylor_k, tolerance=1e-12)
-            hierarchy = build_hierarchy(cloud, order)
-            plan = TransformPlan(hierarchy, config)
-            coeffs = analyze(hierarchy, cloud.attributes, config, plan=plan)
-            for level in range(hierarchy.depth + 1):
-                cut, kept = truncate_to_level(coeffs, level)
-                rec = synthesize(hierarchy, cut, config, plan=plan)
-                mse = float(np.mean((cloud.attributes - rec) ** 2))
-                mse_db = -100.0 if mse < 1e-10 else 10.0 * np.log10(mse)
-                rows.append([order, mode, level, kept, "%.4f" % mse_db])
+    rows = [[o, m, level, kept, "%.4f" % mse_db]
+            for o in args.orders for m in args.modes
+            for level, (kept, mse_db) in enumerate(
+                compaction_curve(cloud, o, m, args.taylor_k))]
     with open(args.output, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["order", "mode", "level", "coeff_count", "mse_db"])

@@ -289,8 +289,8 @@ def voxelize(cloud, depth):
     Attributes of points landing in the same voxel are averaged; the result
     always holds (N, channels) rows, also for (N,) one-channel input.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not 1 <= depth <= 21:   # a morton key holds 3 x 21 bits
+        raise ValueError("depth must be in 1..21, got %d" % depth)
     pos = np.asarray(cloud.positions, dtype=np.float64)
     if not np.isfinite(pos).all():
         raise ValueError("non-finite coordinates")

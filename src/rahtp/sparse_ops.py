@@ -131,10 +131,6 @@ class ZtildeOp:
         self.approx = approx
 
     @property
-    def n_parent(self):
-        return self.aa.shape[0]
-
-    @property
     def n_high(self):
         return self.ab.shape[1]
 

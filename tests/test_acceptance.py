@@ -16,12 +16,12 @@ import pytest
 
 import rahtp
 from rahtp.codec import decode, encode, rlgr_decode, rlgr_encode
-from rahtp.evalcli import make_synthetic_cloud
+from rahtp.evalcli import compaction_curve, make_synthetic_cloud
 from rahtp.kernels import build_a_matrix, gram_levels
 from rahtp.sparse_ops import SplitError, build_split
 from rahtp.spectral import ApproxConfig, Operator, apply_series
 from rahtp.transform import (TransformConfig, TransformPlan, analyze,
-                             synthesize, truncate_to_level)
+                             synthesize)
 
 import _oracle as oracle
 from _helpers import pair_cloud
@@ -323,29 +323,13 @@ def test_criterion7_entropy_coder_lossless():
     assert elapsed <= 5.0
 
 
-def _compaction_curve(cl, order):
-    h = rahtp.build_hierarchy(cl, order)
-    series = ApproxConfig(order=1024, tolerance=1e-12)
-    cfg = TransformConfig(order=order, residual_mode="overcomplete",
-                          approx=series)
-    plan = TransformPlan(h, cfg)
-    co = analyze(h, cl.attributes, cfg, plan=plan)
-    curve = []
-    for lev in range(h.depth + 1):
-        trunc, kept = truncate_to_level(co, lev)
-        back = synthesize(h, trunc, cfg, plan=plan)
-        mse = float(np.mean((back - cl.attributes) ** 2))
-        curve.append((kept, 10.0 * np.log10(max(mse, 1e-10))))
-    return curve
-
-
 def test_criterion8_energy_compaction():
     """On the built-in smooth synthetic cloud (1e4 points, depth 6) the hat
     basis reaches lower distortion than the box basis at every matched
     mid-level coefficient count, by >= 1 dB somewhere."""
     cl = make_synthetic_cloud("sphere", count=10000, depth=6, seed=0)
-    c1 = _compaction_curve(cl, 1)
-    c2 = _compaction_curve(cl, 2)
+    c1 = compaction_curve(cl, 1, "overcomplete", 1024)
+    c2 = compaction_curve(cl, 2, "overcomplete", 1024)
     log_n1 = np.log([n for n, _ in c1])
     db1 = np.array([d for _, d in c1])
     gaps = []

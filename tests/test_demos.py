@@ -5,6 +5,9 @@ import importlib.util
 import re
 from pathlib import Path
 
+from rahtp import codec
+from rahtp.transform import analyze
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -41,9 +44,18 @@ def test_energy_compaction_demo(capsys):
         assert block.strip().splitlines()[-1].split()[-1] == "-100.00"
 
 
-def test_rate_distortion_demo(capsys):
+def test_rate_distortion_demo(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "analyze", counting)
     module = _load("rate_distortion")
     module.main()
+    # steps innermost: encode analyzes once per order, not once per point
+    assert len(calls) == 2
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     steps = [float(row[0]) for row in rows
              if len(row) == 5 and row[0][0].isdigit()]

@@ -1,15 +1,18 @@
+import argparse
 import csv
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rahtp
-from rahtp.evalcli import (bd_rate, builtin_clouds, compute_metrics, main,
-                           make_synthetic_cloud)
+from rahtp.evalcli import (bd_rate, build_parser, builtin_clouds,
+                           compute_metrics, main, make_synthetic_cloud)
 
 
 def _write_cloud(tmp_path, name="cloud.ply", count=400, depth=3, seed=1):
@@ -104,6 +107,17 @@ def test_bd_rate_rejects_short_and_disjoint_curves():
         bd_rate(rate, [30.0, 32.0, 34.0, np.inf], rate, [30.0, 32, 34, 36])
 
 
+def test_bd_rate_rejects_a_curve_that_is_not_a_function_of_psnr():
+    # two rates at 33 dB leave 3 distinct PSNRs: the cubic fit used to
+    # return +0.00% with only a RankWarning
+    rate = [1.0, 2.0, 4.0, 8.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distinct PSNRs"):
+            bd_rate(rate, [30.0, 32.0, 34.0, 36.0],
+                    rate, [30.0, 33.0, 33.0, 36.0])
+
+
 def test_cli_rd_prints_bd_rate_against_the_first_curve(tmp_path, capsys):
     path, _ = _write_cloud(tmp_path)
     out = tmp_path / "rd.csv"
@@ -181,6 +195,45 @@ def test_cli_runtime_errors_exit_2(tmp_path):
     bad.write_bytes(b"not a stream")
     ply, _ = _write_cloud(tmp_path)
     assert main(["decode", str(bad), str(ply), str(tmp_path / "r.ply")]) == 2
+
+
+def test_cli_names_negative_coordinates_when_inferring_depth(tmp_path,
+                                                            capsys):
+    path = tmp_path / "negative.ply"
+    rahtp.save_ply(path, np.array([[-1, 0, 0], [2, 3, 1]]), np.ones((2, 3)))
+    assert main(["encode", str(path), str(tmp_path / "o.bin")]) == 2
+    assert "negative coordinates" in capsys.readouterr().err
+
+
+def _defaults(text):
+    # "1 2" -> ["1", "2"]; "0 = infer" -> ["0"]
+    return text.split("=")[0].split()
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Each subcommand takes only the options it reads:",
+                         1)[1].strip().split("\n\n")[0]
+    documented = {name: dict(re.findall(r"`(--[\w-]+)`(?: \(([^)]*)\))?",
+                                        cells))
+                  for name, cells in re.findall(r"^\| `(\w+)` \| (.*) \|$",
+                                                table, re.M)}
+    assert documented
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, parser in commands.items():
+        options = {a.option_strings[-1]: a.default for a in parser._actions
+                   if a.option_strings and a.dest != "help"}
+        assert documented.get(name, {}).keys() == options.keys(), name
+        for option, text in documented.get(name, {}).items():
+            if not text:
+                continue
+            want = options[option]
+            want = want if isinstance(want, list) else [want]
+            got = _defaults(text)
+            assert len(got) == len(want), (name, option)
+            assert all(g == w if isinstance(w, str) else float(g) == w
+                       for g, w in zip(got, want)), (name, option)
 
 
 def test_python_dash_m_rahtp_runs_the_cli():

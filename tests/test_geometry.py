@@ -83,6 +83,13 @@ def test_voxelize_rejects_non_finite_coordinates(bad):
         rahtp.voxelize(cloud, 3)
 
 
+@pytest.mark.parametrize("depth", [0, 22])
+def test_voxelize_rejects_depth_outside_the_morton_key(depth):
+    # depth 22 used to fail later, inside morton_key, as a key overflow
+    with pytest.raises(ValueError, match=r"1\.\.21"):
+        rahtp.voxelize(random_cloud(1, 10, 3), depth)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
 def test_pointcloud_validate_rejects_non_integer_positions(bad):
     pos = np.array([[bad, 0.0, 0.0], [1.0, 1.0, 1.0]])

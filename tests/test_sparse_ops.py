@@ -105,5 +105,5 @@ def test_ztilde_shapes():
     h, a, lev = _level_pair(27, 2, count=90)
     split = build_split(h.levels[lev], h.levels[lev + 1], 2)
     zop = ZtildeOp(a, split, approx=CONVERGED)
-    assert zop.n_parent == a.shape[0]
+    assert zop.aa.shape == (a.shape[0], a.shape[0])
     assert zop.n_high == a.shape[1] - a.shape[0]
