@@ -5,13 +5,12 @@ modes without quantization (errors should sit at numerical noise), then
 pushes a smooth cloud through the full bitstream path with a fine step and
 reports the coded size.
 
-The per-level mode string shows the critical-rate gate at work: a 'c' means
-the level stored only N_{l+1} - N_l high-pass rows and the decoder's
-reproduction check held; an 'o' means the encoder fell back to the
-overcomplete plane there.  Critical planes typically survive at the sparse
-fine levels of the order-1 basis.  Order 2 never attempts them: the wider
-order-2 stencil couples neighbors too strongly for the truncated-series
-gate, so an order-2 critical request prints 'o' on every level.
+The per-level mode string shows what each level stored: a 'c' is a critical
+plane of N_{l+1} - N_l high-pass rows, order 1's orthonormal RAHT
+coordinates in closed form, so an order-1 critical request codes exactly
+one coefficient per voxel; an 'o' is an overcomplete plane of N_{l+1} rows.
+Order 2 has no critical planes, so an order-2 critical request prints 'o'
+on every level.
 """
 
 import numpy as np

@@ -27,15 +27,15 @@ scans are the format and must stay in step with each other; packing and
 unpacking only move bits.
 
 Container layout (little endian):
-  magic "RAHT" | version u8 | order u8 | depth u8 | reserved u8 | channels u8
-  | colorspace u8 | modes (depth bytes, 'c'/'o') | K u16 | tau f64
+  magic "RAHT" | version u8 | order u8 | depth u8 | channels u8
+  | colorspace u8 | modes (depth bytes, 'c'/'o') | K u16
   | quant steps (channels x f64) | node_count u32 | geometry digest u64
-  | per channel, per plane (lowpass then each level): u32 length + payload
+  | header CRC32 u32
+  | per channel, per plane (lowpass then each level): u32 length
+  + CRC32 u32 of the payload + payload
 
-The reserved u8 (byte 7) is always 1: it flagged the unit-diagonal basis
-scaling, which is now the only basis.  The tau slot is reserved and always
-0.0: every series runs at tau = 1/bound, with the bound recomputed from the
-geometry on both sides.
+The header CRC covers every header byte before it.  Only order 1 writes
+'c' levels; an order-2 stream with one is corrupt.
 
 The hierarchy, the analysis cascade and the geometry digest do not depend
 on the quantization step, so encode keeps its last such result in a
@@ -45,15 +45,18 @@ codes; any other call drops the entry and analyzes afresh.  The entry holds
 a weak reference to the cloud, a sha256 over its positions and depth and
 another over its attributes and the configuration, the geometry's depth,
 node count per level and digest, the TransformPlan without its hierarchy
-and critical operators, and the coefficient planes.  The plan's matrices
-and the planes each sit in an anonymous mapping of their own.
+and the coefficient planes.  The plan's arrays and the planes each sit
+in an anonymous mapping of their own.
 
 decode reads the same entry.  A stream decoded onto the cloud object just
-encoded, with the entry's order and K and no critical level, and with
-positions that still hash to the entry's, is checked against the held
-depth, node counts and digest and synthesized on the held plan; the
-hierarchy, digest and plan are not rebuilt.  Any other decode builds them
-from the cloud it is given, and no decode changes the entry.
+encoded, with the entry's order and K, and with positions that still hash
+to the entry's, is checked against the held depth, node counts and digest
+and synthesized on the held plan; the hierarchy, digest and plan are not
+rebuilt.  A stream with a critical level needs a plan that holds the
+critical synthesis matrices, so it takes the held plan only after a
+critical encode.
+Any other decode builds them from the cloud it is given, and no decode
+changes the entry.
 """
 
 import dataclasses
@@ -62,12 +65,12 @@ import mmap
 import struct
 import threading
 import weakref
+import zlib
 from array import array
 
 import numpy as np
 
 from .geometry import build_hierarchy, geometry_digest
-from .sparse_ops import SplitError
 from .spectral import ApproxConfig, SeriesDivergence
 from .transform import (CoeffSet, TransformConfig, TransformPlan, analyze,
                         synthesize)
@@ -80,7 +83,7 @@ Q_CAP = 48
 ESCAPE_BITS = 32
 
 MAGIC = b"RAHT"
-VERSION = 1
+VERSION = 2
 COLORSPACES = {"raw": 0, "bt709": 1}
 COLORSPACE_NAMES = {v: k for k, v in COLORSPACES.items()}
 
@@ -605,17 +608,17 @@ def _held_geometry(cloud, head):
     decoding a stream with header head, else None.
 
     It may when cloud is the object the entry was encoded from, the
-    stream's order and K are the entry's, the stream has no critical level
-    (the held plan keeps no critical operators), and the positions and
-    depth still hash to the entry's key.  The identity check comes first,
-    so a decode onto any other object hashes nothing.
+    stream's order and K are the entry's, the held plan holds the critical
+    matrices if the stream has a critical level, and the positions and depth
+    still hash to the entry's key.  The identity check comes first, so a
+    decode onto any other object hashes nothing.
     """
     with _memo_lock:
         entry = _memo
     if (entry is None or entry.cloud() is not cloud
             or entry.plan.config.order != head["order"]
             or entry.plan.config.approx.order != head["k"]
-            or "c" in head["modes"]
+            or ("c" in head["modes"] and entry.plan.critical is None)
             or _geometry_key(cloud) != entry.geometry_key):
         return None
     return entry
@@ -651,13 +654,13 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
     entry = _analysis(cloud, config, colorspace)
     coeffs = entry.coeffs
 
-    header = struct.pack("<4sBBBBBB", MAGIC, VERSION, config.order,
-                         entry.depth, 1, cloud.channels,
-                         COLORSPACES[colorspace])
+    header = struct.pack("<4sBBBBB", MAGIC, VERSION, config.order,
+                         entry.depth, cloud.channels, COLORSPACES[colorspace])
     header += coeffs.modes.encode("ascii")
-    header += struct.pack("<Hd", config.approx.order, 0.0)
+    header += struct.pack("<H", config.approx.order)
     header += struct.pack("<%dd" % cloud.channels, *steps)
     header += struct.pack("<IQ", entry.num_points, entry.digest)
+    header += struct.pack("<I", zlib.crc32(header))
 
     planes = [coeffs.lowpass] + list(coeffs.highpass)
     payload = bytearray()
@@ -666,10 +669,10 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
         for plane in planes:
             q = quantize(plane[:, ch], steps[ch])
             blob = rlgr_encode(q)
-            payload += struct.pack("<I", len(blob))
+            payload += struct.pack("<II", len(blob), zlib.crc32(blob))
             payload += blob
             payload_bytes += len(blob)
-    stats = {"header_bytes": len(header) + 4 * cloud.channels * len(planes),
+    stats = {"header_bytes": len(header) + 8 * cloud.channels * len(planes),
              "payload_bytes": payload_bytes,
              "modes": coeffs.modes,
              "coeff_count": coeffs.total_coeffs()}
@@ -679,52 +682,48 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
 def parse_header(data):
     """Validate the container header; returns (header dict, payload offset).
 
-    Fields outside the range an encoder writes (order, colorspace, modes,
-    steps, bt709 on other than 3 channels) raise CorruptStream instead of
-    steering the decoder, and so do the reserved slots: byte 7 must hold 1
-    and tau must be 0.0.  An altered value inside its range is not detected
-    here.
+    A stream of another version, or whose header fails its CRC, raises
+    CorruptStream.  So do fields outside the range an encoder writes
+    (order, colorspace, modes, a critical level of order 2, steps, bt709 on
+    other than 3 channels), which a header with a matching CRC can still
+    hold.
     """
-    base = struct.calcsize("<4sBBBBBB")
+    base = struct.calcsize("<4sBBBBB")
     if len(data) < base:
         raise CorruptStream("stream shorter than fixed header")
-    fields = struct.unpack_from("<4sBBBBBB", data, 0)
-    magic, version, order, depth, reserved, channels, cspace = fields
+    magic, version, order, depth, channels, cspace = struct.unpack_from(
+        "<4sBBBBB", data, 0)
     if magic != MAGIC:
         raise CorruptStream("bad magic")
     if version != VERSION:
         raise CorruptStream("unsupported version %d" % version)
+    off = base + depth + 2 + 8 * channels + 12
+    if len(data) < off + 4:
+        raise CorruptStream("stream shorter than its header")
+    if zlib.crc32(data[:off]) != struct.unpack_from("<I", data, off)[0]:
+        raise CorruptStream("header CRC mismatch")
     if order not in (1, 2):
         raise CorruptStream("unsupported spline order %d" % order)
-    if reserved != 1:
-        raise CorruptStream("reserved byte 7 holds %d, not 1" % reserved)
     if cspace not in COLORSPACE_NAMES:
         raise CorruptStream("unknown colorspace id %d" % cspace)
     if COLORSPACE_NAMES[cspace] == "bt709" and channels != 3:
         raise CorruptStream("bt709 colorspace on %d channels, not 3"
                             % channels)
-    off = base
-    modes = data[off:off + depth].decode("ascii", errors="replace")
-    if len(modes) != depth or any(m not in "co" for m in modes):
+    modes = data[base:base + depth].decode("ascii", errors="replace")
+    if any(m not in "co" for m in modes):
         raise CorruptStream("bad per-level mode bytes")
-    off += depth
-    try:
-        k_order, tau = struct.unpack_from("<Hd", data, off)
-        off += struct.calcsize("<Hd")
-        steps = np.array(struct.unpack_from("<%dd" % channels, data, off))
-        off += 8 * channels
-        node_count, digest = struct.unpack_from("<IQ", data, off)
-        off += struct.calcsize("<IQ")
-    except struct.error:
-        raise CorruptStream("stream shorter than its header") from None
-    if tau != 0.0:
-        raise CorruptStream("reserved tau slot holds %r, not 0.0" % tau)
+    if order == 2 and "c" in modes:
+        raise CorruptStream("critical level in an order-2 stream")
+    (k_order,) = struct.unpack_from("<H", data, base + depth)
+    steps = np.array(struct.unpack_from("<%dd" % channels, data,
+                                        base + depth + 2))
     if not np.all((steps > 0.0) & (steps < np.inf)):
         raise CorruptStream("quantization steps must be finite and positive")
+    node_count, digest = struct.unpack_from("<IQ", data, off - 12)
     return {"order": order, "depth": depth, "channels": channels,
             "colorspace": COLORSPACE_NAMES[cspace], "modes": modes,
             "k": k_order, "steps": steps,
-            "node_count": node_count, "digest": digest}, off
+            "node_count": node_count, "digest": digest}, off + 4
 
 
 def decode(data, cloud):
@@ -734,10 +733,10 @@ def decode(data, cloud):
     to the digest in the header.  Returns (attributes, header dict).
     Decoding onto the cloud object that encode was last called with reuses
     that call's geometry and plan (see the module docstring); the output
-    is the same either way.  A plane that RLGR rejects or that dequantizes
-    to a non-finite value raises CorruptStream naming the plane and its
-    channel, before any transform work, and a stream that decodes to a
-    non-finite value raises it too.
+    is the same either way.  A plane that fails its CRC, that RLGR rejects
+    or that dequantizes to a non-finite value raises CorruptStream naming
+    the plane and its channel, before any transform work, and a stream
+    that decodes to a non-finite value raises it too.
     """
     head, off = parse_header(data)
     entry = _held_geometry(cloud, head)
@@ -757,28 +756,29 @@ def decode(data, cloud):
     if digest != head["digest"]:
         raise CorruptStream("geometry digest mismatch")
 
-    config = TransformConfig(order=head["order"],
-                             approx=ApproxConfig(order=head["k"]))
-    counts = [sizes[0]]
-    for l, mode in enumerate(head["modes"]):
-        n_child, n_parent = sizes[l + 1], sizes[l]
-        if mode == "c" and n_child < n_parent:
-            raise CorruptStream("critical mode at level %d, where %d parents "
-                                "outnumber %d children" % (l, n_parent, n_child))
-        counts.append(n_child - n_parent if mode == "c" else n_child)
+    config = TransformConfig(
+        order=head["order"], approx=ApproxConfig(order=head["k"]),
+        residual_mode="critical" if "c" in head["modes"] else "overcomplete")
+    # every order-1 parent has a child, so a critical plane has >= 0 rows
+    counts = [sizes[0]] + [sizes[l + 1] - (sizes[l] if mode == "c" else 0)
+                           for l, mode in enumerate(head["modes"])]
 
     nch = head["channels"]
     planes = [np.zeros((c, nch)) for c in counts]
     for ch in range(nch):
         for p, plane in enumerate(planes):
-            if off + 4 > len(data):
+            if off + 8 > len(data):
                 raise CorruptStream("missing plane length")
-            (blen,) = struct.unpack_from("<I", data, off)
-            off += 4
+            blen, crc = struct.unpack_from("<II", data, off)
+            off += 8
             if off + blen > len(data):
                 raise CorruptStream("plane payload truncated")
+            payload = data[off:off + blen]
+            if zlib.crc32(payload) != crc:
+                raise CorruptStream("plane %d of channel %d: CRC mismatch"
+                                    % (p, ch))
             try:
-                q = rlgr_decode(data[off:off + blen], len(plane))
+                q = rlgr_decode(payload, len(plane))
             except CorruptStream as exc:
                 raise CorruptStream("plane %d of channel %d: %s"
                                     % (p, ch, exc)) from None
@@ -803,9 +803,6 @@ def decode(data, cloud):
         # at tau = 1/bound every series contracts on encoder-written planes;
         # divergence means the planes or steps were altered
         raise CorruptStream("series diverged: %s" % exc) from None
-    except SplitError as exc:
-        # the encoder writes critical planes only where a split exists
-        raise CorruptStream(str(exc)) from None
     if head["colorspace"] == "bt709":
         attrs = bt709_to_rgb(attrs)
     # finite planes can still sum past the float range; order 1 runs no

@@ -164,12 +164,6 @@ def _config(order, mode, k, tolerance=None):
                            approx=ApproxConfig(order=k, tolerance=tolerance))
 
 
-def _fallback_levels(requested, actual):
-    if requested != "critical":
-        return []
-    return [l for l, m in enumerate(actual) if m == "o"]
-
-
 def cmd_encode(args):
     cloud = _load_voxelized(args.input, args.depth)
     config = _config(args.order, args.mode, args.taylor_k)
@@ -178,10 +172,8 @@ def cmd_encode(args):
     dt = time.perf_counter() - t0
     with open(args.output, "wb") as fh:
         fh.write(blob)
-    fb = _fallback_levels(args.mode, stats["modes"])
-    if fb:
-        print("warning: critical mode unavailable at levels %s; "
-              "used overcomplete there" % fb)
+    if args.mode == "critical" and args.order == 2:
+        print("warning: order 2 has no critical planes; coded overcomplete")
     print("encoded %d voxels depth %d order %d modes %s: %d payload bytes, "
           "%.4f bpp, %.3f s"
           % (cloud.positions.shape[0], cloud.depth, args.order,
@@ -303,16 +295,14 @@ def _add_common(p, taylor_k):
     p.add_argument("--taylor-k", type=int, default=taylor_k)
 
 
-_MODE_HELP = ("residual planes; critical applies to order 1 only, where "
-              "a level whose gate fails falls back to overcomplete")
+_MODE_HELP = ("residual planes; critical codes N_child - N_parent rows per "
+              "level for order 1 (RAHT) and overcomplete planes for order 2")
 
 
 def _add_sweep(p):
     """Arguments that rd and compaction both read."""
     p.add_argument("--orders", type=int, nargs="+", choices=(1, 2),
                    default=[1, 2])
-    # critical mode stays selectable, but it falls back to overcomplete on
-    # most real-sized levels after a long search, so it is not a default
     p.add_argument("--modes", nargs="+", choices=("critical", "overcomplete"),
                    default=["overcomplete"], help=_MODE_HELP)
 

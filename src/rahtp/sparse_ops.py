@@ -11,6 +11,10 @@ inverted explicitly; both (A^a)^-1 and (A^a)^-T are realized through the
 SPD product M = A^a (A^a)^T and a truncated Neumann series for M^-1:
 
     (A^a)^-T x = M^-1 (A^a x)        (A^a)^-1 y = (A^a)^T M^-1 y
+
+Compatibility module: no coding path uses it since format v2 codes order-1
+critical planes in closed form (transform.py).  perfbench/spans.py traces
+its names, so it stays until the benchmark drops those bindings.
 """
 
 from dataclasses import dataclass

@@ -1,4 +1,4 @@
-"""Matrix-free application of h(X)v for h in {x^-1, x^-1/2, x^1/2}.
+"""Series application of h(X)v for sparse X and h in {x^-1, x^-1/2, x^1/2}.
 
 Everything is a truncated series around 1/tau:
 
@@ -9,15 +9,14 @@ so one matvec per term and no eigen-decomposition anywhere.  tau is
 iteration matrix L has spectrum in [0, 1) on the range of X and the partial
 sums converge geometrically at rate 1 - tau*lambda_min.
 
-Every X is an Operator, and the operator carries its own bound.  An
-explicit matrix (the scaled Grams, the lifting product M) keeps only its
-fixed Gershgorin bound and its series layer L = I - X/bound in CSR, both
-built once.  A matrix-free callable (the critical-mode W composite) is
-given the power-iteration bound of eigen_bound.  apply_series reads the
-step from op.bound.
+Every X is an Operator: an explicit matrix (the scaled Grams, the lifting
+product M) that keeps only its fixed Gershgorin bound and its series layer
+L = I - X/bound in CSR, both built once.  apply_series reads the step from
+op.bound.  eigen_bound, a power-iteration bound, is kept as a compatibility
+name for perfbench/spans.py; no operator uses it.
 
-A series term is one layer of the paper's feedforward network, and on an
-explicit L it is one CSR product, L @ term.
+A series term is one layer of the paper's feedforward network: one CSR
+product, L @ term.
 """
 
 from dataclasses import dataclass
@@ -31,9 +30,8 @@ import scipy.sparse as sp
 # then read the same term norms whatever that count is
 BLAS_DOT_CUTOFF = 8192
 
-# power iteration for matrix-free bounds: fixed step count from a fixed
-# start vector (so encoder and decoder agree) and the inflation of its
-# final Rayleigh quotient
+# eigen_bound's power iteration: fixed step count from a fixed start vector
+# and the inflation of its final Rayleigh quotient
 POWER_ITERS = 24
 POWER_SAFETY = 1.05
 
@@ -90,22 +88,14 @@ def _series_scale(h, tau):
 
 
 class Operator:
-    """A symmetric PSD operator X: an explicit matrix or a callable.
+    """An explicit symmetric PSD matrix X.
 
-    An explicit matrix (ndarray or any scipy sparse format) is read once as
-    CSR, and the operator keeps only its bound, the max absolute row sum of
-    that CSR, and the series layer lm = I - X/bound.  That bound is fixed.  A
-    callable fn(x) of a given dimension is matrix-free: it has no lm and no
-    bound until one is assigned, usually eigen_bound(op).
+    The matrix (ndarray or any scipy sparse format) is read once as CSR,
+    and the operator keeps only its bound, the max absolute row sum of
+    that CSR, and the series layer lm = I - X/bound.  That bound is fixed.
     """
 
-    def __init__(self, source, dim=None):
-        self.lm = None
-        if callable(source):
-            self.dim = dim
-            self._fn = source
-            self.bound = None
-            return
+    def __init__(self, source):
         x = sp.csr_matrix(source, dtype=np.float64)
         self.dim = x.shape[0]
         self.bound = self._lm_bound = float(
@@ -118,8 +108,6 @@ class Operator:
         return self.dim
 
     def matvec(self, x):
-        if self.lm is None:
-            return self._fn(x)
         x = np.asarray(x)
         return (x - self.lm @ x) * self._lm_bound
 
@@ -145,9 +133,9 @@ def eigen_bound(op):
     """Upper bound on the top eigenvalue of a symmetric PSD operator.
 
     Runs POWER_ITERS deterministic power steps from the all-ones vector and
-    inflates the final Rayleigh quotient by POWER_SAFETY.  Works through
-    matvec alone, so it also bounds matrix-free composites; an explicit
-    matrix carries the cheaper, never-underestimating Gershgorin bound.
+    inflates the final Rayleigh quotient by POWER_SAFETY, through matvec
+    alone.  An Operator carries the cheaper, never-underestimating
+    Gershgorin bound instead.
     """
     n = len(op)
     if n == 0:
@@ -175,11 +163,8 @@ def apply_series(op, v, h, cfg):
     """
     v = np.asarray(v, dtype=np.float64)
     bound = op.bound
-    if bound is None:
-        raise ValueError("matrix-free operator has no bound; "
-                         "assign op.bound = eigen_bound(op) first")
     # by identity, so any reassignment counts, also of a NaN bound
-    if op.lm is not None and bound is not op._lm_bound:
+    if bound is not op._lm_bound:
         raise ValueError("an explicit operator's bound is fixed: its L was "
                          "built at %r, and op.bound was reassigned to %r"
                          % (op._lm_bound, bound))
@@ -202,20 +187,10 @@ def apply_series(op, v, h, cfg):
     if cfg.tolerance is not None:
         stop = cfg.tolerance * (1.0 + scale0)
         stop2 = stop * stop
-    # an explicit operator holds L = I - tau X in CSR: one product per
-    # term there, instead of the callable's matvec + scale + subtract
-    lmat = op.lm
+    lmat = op.lm            # L = I - tau X
     tmp = np.empty_like(term)
-    mv = op.matvec
     for k in range(1, cfg.order + 1):
-        if lmat is not None:
-            term = lmat @ term
-        else:
-            z = np.asarray(mv(term), dtype=np.float64)
-            if z is term:    # an identity-like op may hand back its input
-                z = term.copy()
-            np.multiply(z, tau, out=z)
-            term = np.subtract(term, z, out=z)   # (I - tau X) term
+        term = lmat @ term
         n2 = _add_term(acc, term, b[k], tmp)
         if not (n2 <= blow2):    # also catches nan
             raise SeriesDivergence(

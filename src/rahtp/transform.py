@@ -8,23 +8,28 @@ the identity, which makes the last fold exact and gives machine-precision
 round trips without quantization.
 
 Residual planes come in two flavours per level:
-  overcomplete  store S_invsqrt(G) G dF          (N_{l+1} rows)
-  critical      store S_invsqrt(W) Ztilde' dF    (N_{l+1}-N_l rows)
-with W = Ztilde' S_inv(G) Ztilde'^T.  Critical planes are accepted only if
-reapplying the decoder reproduces dF to a tight gate; otherwise the level
-falls back to overcomplete and the per-level mode is recorded for the
-bitstream header.  Only order 1 attempts critical planes: on order 2 the
-truncated W series is far from a projection, so the gate held on no
-realistic level, and the attempt cost more than the rest of the analysis.
-An order-2 request codes overcomplete planes, and synthesize still decodes
-an order-2 critical plane that an older encoder wrote.
+  overcomplete  store S_invsqrt(G) G dF             (N_{l+1} rows)
+  critical      store rows 2..n of each parent's
+                Householder reflector times F       (N_{l+1}-N_l rows)
+Critical planes exist for order 1 only, where they are RAHT's orthonormal
+transform.  Each parent's row u of the scaled A' is a unit vector over its
+children c_1 < ... < c_n (Morton order), and with v = u + e_1 the reflector
+H = I - v v^T / (1 + u_1) maps u to -e_1, so its rows 2..n are an
+orthonormal basis of u's complement.  Their coefficients are
+x_i - u_i s, i >= 2, with s = (A'x + x_1) / (1 + u_1), and for two
+children the one coefficient is (u_1 x_2 - u_2 x_1), (second - first)/sqrt2
+for equal weights.  With R these rows for every parent, S = [A'^T | R^T]
+is orthogonal, so the planes are orthonormal coordinates and need no
+decoder replica: the encoder codes R F, and the decoder's step is
+state' = S [state; plane], one CSR product per level (_critical_synthesis).
+An order-2 critical request codes overcomplete planes: no closed form
+exists there.
 
 Order 1 (box) needs no Gram.  Box supports on one level are disjoint, so
 its Gram is the diagonal of voxel counts, and after the unit-diagonal
 scaling every G is exactly the identity.  Its plan is the scaled A' built
 from the counts, and every h(G) v returns what the series returns on I,
-with no series run.  So the stream's K matters only for order 2 and for
-critical levels (the W series and the M^-1 solves of the split).
+with no series run.  So the stream's K matters only for order 2.
 """
 
 import copy
@@ -35,15 +40,11 @@ import scipy.sparse as sp
 
 from .geometry import Hierarchy
 from .kernels import build_a_matrix, gram_levels
-from .sparse_ops import SplitError, ZtildeOp, build_split
-from .spectral import ApproxConfig, Operator, apply_series, eigen_bound
-
-# accept a critical plane only when the decoder reproduces the residual to
-# this relative tolerance; with attribute scales near 255 and up to ~8
-# levels this keeps the worst-case accumulated error two decades under the
-# 1e-6 round-trip budget, and rejected levels fall back to the (exact at
-# the finest level) overcomplete plane
-GATE_RTOL = 1e-10
+from .spectral import ApproxConfig, Operator, apply_series
+# compatibility names kept for perfbench/spans.py, which traces them here;
+# nothing in this module calls them
+from .sparse_ops import build_split  # noqa: F401
+from .spectral import eigen_bound  # noqa: F401
 
 
 class ApproxRoles:
@@ -56,7 +57,7 @@ class ApproxRoles:
 
 @dataclass
 class TransformConfig:
-    """One series config drives every operator: encoder, decoder and split.
+    """One series config drives every operator of encoder and decoder.
 
     The bitstream carries its order K, so encoder and decoder run the same
     series and stay bit-identical.
@@ -78,9 +79,9 @@ class TransformConfig:
 class CoeffSet:
     """Transform output: DC block plus one high-pass plane per level step.
 
-    modes[l] is the mode actually used coding level l -> l+1 ('c' or 'o'),
-    which can differ from the requested mode when the critical gate failed.
-    All rows follow Morton order of the owning nodes.
+    modes[l] is the mode used coding level l -> l+1 ('c' or 'o'): 'o' on
+    every level of order 2, whatever was requested.  All rows follow Morton
+    order of the owning nodes.
     """
     order: int
     depth: int
@@ -149,6 +150,43 @@ def _box_a_matrices(hierarchy):
     return a_mats
 
 
+def _critical_synthesis(a_mats):
+    """Per level, the order-1 critical synthesis matrix S = [A'^T | R^T]
+    in CSR, with R the reflector rows 2..n of every parent, one per plane
+    row.  S is orthogonal: S^T f is [A' f; plane], and S [state; plane] is
+    the next level's state.
+
+    Each A' row holds one parent's children, which follow one another in
+    Morton order, so A'.indices is 0..N_child-1.  Row k of S, a child of
+    parent p, holds u_k at column p, then at the column of each other child
+    i of p (after the N_parent parent columns) H[i, k] = delta_ik - u_i w_k,
+    with w_k = u_k / (1 + u_first) and w = 1 at the first child.
+    """
+    mats = []
+    for a in a_mats:
+        n_parent, n_child = a.shape
+        head, u = a.indptr[:-1], a.data
+        count = np.diff(a.indptr)
+        parent = np.repeat(np.arange(n_parent), count)
+        w = u / (1.0 + u[head])[parent]
+        w[head] = 1.0
+        indptr = np.zeros(n_child + 1, dtype=np.int64)
+        np.cumsum(count[parent], out=indptr[1:])
+        # entry j of row k sits in the column of sibling i = head_p + j;
+        # entry 0, at the first sibling, becomes the parent's column below
+        row = np.repeat(np.arange(n_child), count[parent])
+        p = parent[row]
+        i = head[p] + np.arange(indptr[-1]) - indptr[row]
+        cols = i + (n_parent - 1) - p       # child i's plane row is i - p - 1
+        vals = -u[i] * w[row]
+        vals[row == i] += 1.0
+        cols[indptr[:-1]] = parent
+        vals[indptr[:-1]] = u
+        mats.append(sp.csr_matrix((vals, cols, indptr),
+                                  shape=(n_child, n_child)))
+    return mats
+
+
 class TransformPlan:
     """Geometry-derived operators shared by analyze and synthesize.
 
@@ -158,6 +196,8 @@ class TransformPlan:
     a_mats holds the scaled A' per level.  Order 2 also holds its scaled
     Grams, as Operators in grams; order 1 holds none (grams is None), as
     every scaled box Gram is the identity.  Every h(G') v goes through gram.
+    An order-1 plan built for critical planes also holds critical, the
+    per-level matrices of _critical_synthesis; any other plan holds None.
     """
 
     def __init__(self, hierarchy: Hierarchy, config: TransformConfig):
@@ -166,10 +206,12 @@ class TransformPlan:
                              % (config.order, hierarchy.order))
         self.hierarchy = hierarchy
         self.config = config
-        self._critical = {}
+        self.critical = None
         if hierarchy.order == 1:
             self.a_mats = _box_a_matrices(hierarchy)
             self.grams = None
+            if config.residual_mode == "critical":
+                self.critical = _critical_synthesis(self.a_mats)
             return
         a_mats = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
                                  hierarchy.order)
@@ -195,62 +237,29 @@ class TransformPlan:
         return v + 0.0
 
     def move_matrices(self, place):
-        """Rebuild every CSR matrix of the plan, each A' and for order 2
-        each series layer L, on copies of its arrays.  place(arrays)
-        returns equal copies of a list of arrays, for instance in memory of
-        their own.  The operators and their bounds are unchanged."""
-        mats = list(self.a_mats)
+        """Rebuild every CSR matrix of the plan, each A', each series layer
+        L of order 2 and each critical synthesis matrix, on copies of its
+        arrays.  place(arrays) returns equal copies of a list of arrays,
+        for instance in memory of their own.  The operators and their
+        bounds are unchanged."""
+        mats = list(self.a_mats) + list(self.critical or ())
         if self.grams is not None:
             mats += [g.lm for g in self.grams]
         parts = place([x for m in mats for x in (m.data, m.indices, m.indptr)])
         moved = [sp.csr_matrix(tuple(parts[3 * i:3 * i + 3]), shape=m.shape)
                  for i, m in enumerate(mats)]
-        self.a_mats = moved[:len(self.a_mats)]
-        for g, lm in zip(self.grams or (), moved[len(self.a_mats):]):
+        self.a_mats, rest = moved[:len(self.a_mats)], moved[len(self.a_mats):]
+        if self.critical is not None:
+            self.critical = rest
+        for g, lm in zip(self.grams or (), rest):
             g.lm = lm
 
     def without_geometry(self):
-        """A copy of the plan that shares its matrices but holds neither
-        the hierarchy nor any critical operators: enough to synthesize
-        overcomplete levels, at a fraction of the memory."""
+        """A copy of the plan that shares its arrays but not the hierarchy:
+        enough to synthesize, at a fraction of the memory."""
         plan = copy.copy(self)
         plan.hierarchy = None
-        plan._critical = {}
         return plan
-
-    def critical_ops(self, level):
-        """(zop, dpsi, w_op) for one level step: the ZtildeOp, the high-pass
-        diagonal scale and the matrix-free W operator, bounded by power
-        iteration; None when no injective split exists there."""
-        if self.hierarchy is None:
-            raise ValueError("a plan without its geometry has no critical "
-                             "operators")
-        if level in self._critical:
-            return self._critical[level]
-        try:
-            split = build_split(self.hierarchy.levels[level],
-                                self.hierarchy.levels[level + 1],
-                                self.hierarchy.order)
-        except SplitError:
-            self._critical[level] = None
-            return None
-        zop = ZtildeOp(self.a_mats[level], split, approx=self.config.approx)
-        dpsi = zop.dpsi_estimate()
-        w_op = self._w_operator(level, zop, dpsi)
-        # composite operator: only power iteration applies
-        w_op.bound = eigen_bound(w_op)
-        self._critical[level] = (zop, dpsi, w_op)
-        return self._critical[level]
-
-    def _w_operator(self, level, zop, dpsi):
-        dis = 1.0 / np.sqrt(dpsi)
-
-        def w_mv(x):
-            y = zop.mul_t(dis[:, None] * x)
-            y = self.gram(level + 1, y, "inv")
-            return dis[:, None] * zop.mul(y)
-
-        return Operator(w_mv, zop.n_high)
 
     # per-plane forward/backward maps; the decoder-side maps are the ones
     # the encoder feeds back into its state
@@ -263,16 +272,12 @@ class TransformPlan:
     def decode_over(self, level, plane):
         return self.gram(level + 1, plane, "invsqrt")
 
-    def forward_critical(self, level, df, ops):
-        zop, dpsi, w_op = ops
-        z = zop.mul(df) / np.sqrt(dpsi)[:, None]
-        return apply_series(w_op, z, "invsqrt", self.config.approx)
-
-    def decode_critical(self, level, plane, ops):
-        zop, dpsi, w_op = ops
-        y = apply_series(w_op, plane, "invsqrt", self.config.approx)
-        x = zop.mul_t(y / np.sqrt(dpsi)[:, None])
-        return self.gram(level + 1, x, "inv")
+    def critical_synthesis(self):
+        """The critical synthesis matrices, built here for a plan that
+        lacks them."""
+        if self.grams is not None:
+            raise ValueError("critical planes exist for order 1 only")
+        return self.critical or _critical_synthesis(self.a_mats)
 
 
 def _as_features(attributes):
@@ -286,11 +291,11 @@ def analyze(hierarchy, attributes, config, plan=None):
     """Full encoder cascade.  Returns a CoeffSet.
 
     Steps: dual low-pass cascade, per-level normalization to ideal primal
-    coefficients, DC orthonormalization, then per level the residual
-    against the simulated decoder state is coded (critical when requested
-    for order 1 and the gate holds, else overcomplete) and the state is
-    advanced with the decoded plane.  Non-finite attributes raise
-    ValueError.
+    coefficients and DC orthonormalization.  Order-1 critical planes are
+    then each level's reflector coordinates.  Otherwise, per level, the
+    residual against the simulated decoder state is coded as an
+    overcomplete plane and the state is advanced with the decoded plane.
+    Non-finite attributes raise ValueError.
     """
     if plan is None:
         plan = TransformPlan(hierarchy, config)
@@ -309,59 +314,40 @@ def analyze(hierarchy, attributes, config, plan=None):
         raise ValueError("non-finite attributes, or attributes so large "
                          "that their sums overflow")
     f_ideal = [plan.gram(l, f_dual[l], "inv") for l in range(depth + 1)]
-
     lowpass = plan.gram(0, f_ideal[0], "sqrt")
-    state = plan.gram(0, lowpass, "invsqrt")
 
-    # order 2 never attempts critical planes (see the module docstring)
-    requested = ("c" if config.residual_mode == "critical"
-                 and hierarchy.order == 1 else "o")
-    modes = []
-    highpass = []
-    for l in range(depth):
-        pred = plan.a_mats[l].T @ state
-        df = f_ideal[l + 1] - pred
-        mode = requested
-        plane = decoded = None
-        if mode == "c":
-            ops = plan.critical_ops(l)
-            if ops is None:
-                mode = "o"
-            else:
-                plane = plan.forward_critical(l, df, ops)
-                decoded = plan.decode_critical(l, plane, ops)
-                gate = GATE_RTOL * (1.0 + np.abs(df).max(initial=0.0))
-                if np.abs(df - decoded).max(initial=0.0) > gate:
-                    mode = "o"
-        if mode == "o":
-            plane = plan.forward_over(l, df)
-            decoded = plan.decode_over(l, plane)
-        modes.append(mode)
-        highpass.append(plane)
-        state = pred + decoded
-
+    if config.residual_mode == "critical" and hierarchy.order == 1:
+        synth = plan.critical_synthesis()
+        highpass = [(synth[l].T @ f_ideal[l + 1])[len(f_ideal[l]):]
+                    for l in range(depth)]
+        modes = "c" * depth
+    else:
+        state = plan.gram(0, lowpass, "invsqrt")
+        highpass = []
+        for l in range(depth):
+            pred = plan.a_mats[l].T @ state
+            plane = plan.forward_over(l, f_ideal[l + 1] - pred)
+            highpass.append(plane)
+            state = pred + plan.decode_over(l, plane)
+        modes = "o" * depth
     return CoeffSet(order=hierarchy.order, depth=depth, channels=v.shape[1],
-                    lowpass=lowpass, highpass=highpass, modes="".join(modes))
+                    lowpass=lowpass, highpass=highpass, modes=modes)
 
 
 def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
-    """Decoder cascade: DC renormalization then per-level prediction plus
-    decoded residual, following the per-level modes recorded at encode."""
+    """Decoder cascade: DC renormalization then, per level, the critical
+    step or prediction plus decoded residual, following the modes recorded
+    at encode."""
     if plan is None:
         plan = TransformPlan(hierarchy, config)
     state = plan.gram(0, _as_features(coeffs.lowpass), "invsqrt")
+    synth = plan.critical_synthesis() if "c" in coeffs.modes else None
     for l, mode in enumerate(coeffs.modes):
-        pred = plan.a_mats[l].T @ state
         plane = _as_features(coeffs.highpass[l])
         if mode == "c":
-            ops = plan.critical_ops(l)
-            if ops is None:
-                raise SplitError("stream says critical at level %d but no "
-                                 "injective split exists" % l)
-            decoded = plan.decode_critical(l, plane, ops)
+            state = synth[l] @ np.vstack([state, plane])
         else:
-            decoded = plan.decode_over(l, plane)
-        state = pred + decoded
+            state = plan.a_mats[l].T @ state + plan.decode_over(l, plane)
     return state
 
 

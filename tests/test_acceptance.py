@@ -107,8 +107,8 @@ def test_criterion2_projection_equivalence():
 def _parseval_error(order):
     """Worst relative coefficient-vs-signal energy mismatch over the sweep,
     encoding with requested critical mode in the production configuration
-    (levels the gate rejects emit overcomplete planes, which also carry
-    exactly the residual function's energy when the operators are exact)."""
+    (order 2 codes overcomplete planes, which also carry exactly the
+    residual function's energy when the operators are exact)."""
     series = ApproxConfig(order=64)
     worst = 0.0
     for cl in _sweep_clouds():
@@ -129,6 +129,25 @@ def test_criterion3_parseval_box_basis():
     worst = _parseval_error(1)
     print("criterion 3 (order 1): worst energy err %.3e" % worst)
     assert worst <= 1e-4
+
+
+def test_criterion3_parseval_box_critical_planes():
+    """Order-1 critical planes are orthonormal coordinates: every level
+    codes 'c', with N_child - N_parent rows, and coefficient energy equals
+    signal energy to 1e-10."""
+    worst = 0.0
+    for cl in _sweep_clouds():
+        h = rahtp.build_hierarchy(cl, 1)
+        co = analyze(h, cl.attributes,
+                     TransformConfig(order=1, residual_mode="critical"))
+        assert co.modes == "c" * h.depth
+        assert co.total_coeffs() == len(cl.positions)
+        signal = float((cl.attributes ** 2).sum())
+        coeff = sum(float((p ** 2).sum())
+                    for p in [co.lowpass, *co.highpass])
+        worst = max(worst, abs(coeff - signal) / signal)
+    print("criterion 3 (order 1, critical): worst energy err %.3e" % worst)
+    assert worst <= 1e-10
 
 
 def test_criterion3_parseval_hat_basis():

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -236,15 +237,20 @@ def test_rlgr_decode_rejects_bits_left_after_last_symbol():
             rlgr_decode(bad, 4)
 
 
+def _plane(payload):
+    """One plane as the container holds it: length, CRC, payload."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
 def test_decode_rejects_an_extra_byte_in_a_plane():
     cl = builtin_clouds()["sphere200"]
     blob, _ = encode(cl, _codec_config(), 1.0)
     _, off = parse_header(blob)
     (blen,) = struct.unpack_from("<I", blob, off)
-    start = off + 4 + blen
-    bad = (_patched(blob[:start], "<I", off, blen + 1) + b"\x00"
-           + blob[start:])
-    with pytest.raises(CorruptStream):
+    start = off + 8
+    bad = (blob[:off] + _plane(blob[start:start + blen] + b"\x00")
+           + blob[start + blen:])
+    with pytest.raises(CorruptStream, match="^plane 0 of channel 0: .*left"):
         decode(bad, cl)
 
 
@@ -253,14 +259,27 @@ def test_decode_names_the_plane_rlgr_rejects():
     blob, _ = encode(cl, _codec_config(), 1.0)
     _, off = parse_header(blob)
     (blen,) = struct.unpack_from("<I", blob, off)
-    off += 4 + blen                     # the second plane of channel 0
+    off += 8 + blen                     # the second plane of channel 0
     (blen,) = struct.unpack_from("<I", blob, off)
-    start = off + 4
-    bad = (_patched(blob[:start], "<I", off, blen - 1)
-           + blob[start:start + blen - 1] + blob[start + blen:])
+    start = off + 8
+    bad = (blob[:off] + _plane(blob[start:start + blen - 1])
+           + blob[start + blen:])
     with pytest.raises(CorruptStream,
                        match="^plane 1 of channel 0: bitstream truncated$"):
         decode(bad, cl)
+
+
+def test_decode_names_the_plane_or_header_whose_crc_fails():
+    cl = builtin_clouds()["sphere200"]
+    blob, _ = encode(cl, _codec_config(), 1.0)
+    _, off = parse_header(blob)
+    with pytest.raises(CorruptStream, match="^header CRC mismatch$"):
+        decode(_patched(blob, "<B", off - 1, blob[off - 1] ^ 4), cl)
+    (blen,) = struct.unpack_from("<I", blob, off)
+    off += 8 + blen                     # the second plane of channel 0
+    with pytest.raises(CorruptStream,
+                       match="^plane 1 of channel 0: CRC mismatch$"):
+        decode(_patched(blob, "<B", off + 8, blob[off + 8] ^ 1), cl)
 
 
 def _flip_bits(data, rng, nflips):
@@ -456,11 +475,37 @@ def _patched(blob, fmt, offset, value):
     return bytes(out)
 
 
+def _forged(blob, edit):
+    """blob with its header, CRC dropped, passed through edit and sealed
+    again with a CRC of its own, so the checks behind the CRC see the edit."""
+    _, off = parse_header(blob)
+    header = edit(blob[:off - 4])
+    return header + struct.pack("<I", zlib.crc32(header)) + blob[off:]
+
+
+def _steps_at(header):
+    """Offset of the first quantization step: after the mode bytes and K."""
+    return 11 + header[6]
+
+
+def _with_steps(blob, *steps):
+    """blob with its first quantization steps replaced, header resealed."""
+    def edit(header):
+        for ch, step in enumerate(steps):
+            header = _patched(header, "<d", _steps_at(header) + 8 * ch, step)
+        return header
+    return _forged(blob, edit)
+
+
 @pytest.mark.parametrize("field", [
     "step=0", "step=-1", "step=nan", "step=inf", "tau=nan", "tau=-0.5",
     "tau=inf", "tau=100", "tau=1e-300", "order=3", "scaling=0", "scaling=7",
     "trailing", "mono_colorspace=1"])
 def test_decode_rejects_hostile_header_fields(field):
+    # each field is forged into a header sealed with a matching CRC.  tau
+    # and scaling splice back the reserved slots of format v1, an f64
+    # after K and a byte at offset 7: v2 has neither, so the CRC is read
+    # where the fields say the header ends, inside the spliced header
     cl = builtin_clouds()["sphere200"]
     if field.startswith("mono"):
         # the encoder writes bt709 only for 3 channels
@@ -468,52 +513,37 @@ def test_decode_rejects_hostile_header_fields(field):
                               attributes=cl.attributes[:, :1],
                               depth=cl.depth, channels=1)
     blob, _ = encode(cl, _codec_config(), 1.0)
-    depth = blob[6]
-    tau_at = 12 + depth            # after the mode bytes and the u16 K
     name, _, value = field.partition("=")
     if name == "step":
-        bad = _patched(blob, "<d", tau_at + 8, float(value))
+        bad = _with_steps(blob, float(value))
     elif name == "tau":
-        bad = _patched(blob, "<d", tau_at, float(value))
+        bad = _forged(blob, lambda h: h[:_steps_at(h)] + struct.pack(
+            "<d", float(value)) + h[_steps_at(h):])
     elif name == "order":
-        bad = _patched(blob, "<B", 5, int(value))
+        bad = _forged(blob, lambda h: _patched(h, "<B", 5, int(value)))
     elif name == "scaling":
-        bad = _patched(blob, "<B", 7, int(value))
+        bad = _forged(blob, lambda h: h[:7] + bytes([int(value)]) + h[7:])
     elif name == "mono_colorspace":
-        bad = _patched(blob, "<B", 9, int(value))
+        bad = _forged(blob, lambda h: _patched(h, "<B", 8, int(value)))
     else:
         bad = blob + b"\x00"
     with pytest.raises(CorruptStream):
         decode(bad, cl)
 
 
-@pytest.mark.parametrize("case,why", [("more_parents", "outnumber"),
-                                      ("no_split", "no injective split")])
-def test_decode_rejects_critical_mode_without_a_split(case, why):
-    if case == "more_parents":
-        # one odd voxel: 8 hat parents over 1 child at level 0
-        cl = rahtp.PointCloud(positions=np.array([[1, 1, 1]], dtype=np.int64),
-                              attributes=np.array([[9.0]]), depth=1,
-                              channels=1)
-        level, rows = 0, None
-    else:
-        # 26 parents and 60 children at level 1, but no injective split;
-        # the patched plane is a valid one of 60 - 26 rows
-        cl = random_cloud(17, 30, 3, channels=1)
-        level, rows = 1, 34
-    blob, _ = encode(cl, _codec_config(order=2), 1.0)
-    head, off = parse_header(blob)
-    bad = bytearray(blob[:off])
-    bad[10 + level] = ord("c")
-    for p in range(1 + head["depth"]):
-        (n,) = struct.unpack_from("<I", blob, off)
-        plane = blob[off + 4:off + 4 + n]
-        off += 4 + n
-        if p == 1 + level and rows is not None:
-            plane = rlgr_encode(np.zeros(rows, dtype=np.int64))
-        bad += struct.pack("<I", len(plane)) + plane
-    with pytest.raises(CorruptStream, match=why):
-        decode(bytes(bad), cl)
+def test_decode_rejects_a_critical_level_in_an_order2_stream():
+    # order 2 codes no critical planes; the one-voxel cloud has 8 hat
+    # parents over 1 child at level 0, and the random cloud's level 1 has
+    # no injective split
+    one_voxel = rahtp.PointCloud(positions=np.array([[1, 1, 1]]),
+                                 attributes=np.array([[9.0]]), depth=1,
+                                 channels=1)
+    for cl, level in ((one_voxel, 0), (random_cloud(17, 30, 3, channels=1), 1)):
+        blob, _ = encode(cl, _codec_config(order=2), 1.0)
+        bad = _forged(blob, lambda h: _patched(h, "<B", 9 + level, ord("c")))
+        with pytest.raises(CorruptStream,
+                           match="^critical level in an order-2 stream$"):
+            decode(bad, cl)
 
 
 def test_huge_attributes_roundtrip_within_one_step():
@@ -532,8 +562,7 @@ def test_huge_attributes_roundtrip_within_one_step():
 def test_decode_of_huge_patched_step_is_finite_or_corrupt(order):
     cl = builtin_clouds()["sphere200"]
     blob, _ = encode(cl, _codec_config(order=order), 1.0)
-    step_at = 12 + blob[6] + 8      # after the mode bytes, K and tau
-    bad = _patched(blob, "<d", step_at, 1e150)
+    bad = _with_steps(blob, 1e150)
     try:
         recon, _ = decode(bad, cl)
     except CorruptStream:
@@ -549,10 +578,7 @@ def test_decode_of_largest_finite_steps_raises_corrupt_stream(order, mode):
     # series that would notice
     cl = builtin_clouds()["sphere200"]
     blob, _ = encode(cl, _codec_config(order=order, mode=mode), 1.0)
-    step_at = 12 + blob[6] + 8      # after the mode bytes, K and tau
-    bad = blob
-    for ch in range(cl.channels):
-        bad = _patched(bad, "<d", step_at + 8 * ch, 1.7e308)
+    bad = _with_steps(blob, *[1.7e308] * cl.channels)
     with pytest.raises(CorruptStream, match="not finite|diverged"):
         decode(bad, cl)
 
@@ -563,10 +589,7 @@ def test_decode_rejects_overflowing_planes_before_any_transform_work(
         monkeypatch, order, mode):
     cl = builtin_clouds()["sphere200"]
     blob, _ = encode(cl, _codec_config(order=order, mode=mode), 1.0)
-    step_at = 12 + blob[6] + 8      # after the mode bytes, K and tau
-    bad = blob
-    for ch in range(cl.channels):
-        bad = _patched(bad, "<d", step_at + 8 * ch, 1.7e308)
+    bad = _with_steps(blob, *[1.7e308] * cl.channels)
     calls = _count_calls(monkeypatch, "synthesize")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -763,20 +786,21 @@ def test_decode_onto_the_encoded_cloud_rebuilds_no_geometry(monkeypatch,
 
 def test_memo_holds_the_plan_in_a_mapping_without_the_hierarchy():
     cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
-    encode(cl, TransformConfig(order=2, residual_mode="critical"), 1.0)
-    plan = codec._memo.plan
-    assert plan.hierarchy is None and plan._critical == {}
-    with pytest.raises(ValueError, match="no critical operators"):
-        plan.critical_ops(0)
-    mats = plan.a_mats + [g.lm for g in plan.grams]
-    assert len(mats) == 2 * codec._memo.depth + 1
-    for m in mats:
-        for part in (m.data, m.indices, m.indptr):
+    for order, mode in ((2, "critical"), (1, "critical")):
+        encode(cl, TransformConfig(order=order, residual_mode=mode), 1.0)
+        plan = codec._memo.plan
+        assert plan.hierarchy is None
+        # order 2: each A' and each series layer L; order 1 critical: each
+        # A' and each critical synthesis matrix
+        mats = plan.a_mats + [g.lm for g in plan.grams or ()]
+        mats += plan.critical or []
+        assert len(mats) == 2 * codec._memo.depth + (order == 2)
+        for part in (x for m in mats for x in (m.data, m.indices, m.indptr)):
             while isinstance(part, np.ndarray):
                 part = part.base
             assert isinstance(part.obj, mmap.mmap)
-    assert codec._memo.sizes[-1] == codec._memo.num_points == len(
-        cl.positions)
+        assert codec._memo.sizes[-1] == codec._memo.num_points == len(
+            cl.positions)
 
 
 def test_decode_after_positions_change_in_place_sees_the_new_geometry():
@@ -792,8 +816,9 @@ def test_decode_after_positions_change_in_place_sees_the_new_geometry():
     ("sphere200", 2, "overcomplete", 16), ("pair", 1, "critical", 16)])
 def test_decode_of_another_stream_onto_the_encoded_cloud(monkeypatch, name,
                                                          order, mode, k):
-    # the memo holds the cloud at order 1, K=16; a stream with another K
-    # or order, or with a critical level, decodes as onto a cold geometry
+    # the memo holds the cloud at order 1, K=16, overcomplete; a stream
+    # with another K or order, or with a critical level, whose arrays the
+    # held plan lacks, decodes as onto a cold geometry
     cl = builtin_clouds()[name]
     other, stats = encode(_copy(cl), _codec_config(order, mode, k), 2.0)
     assert ("c" in stats["modes"]) == (mode == "critical")

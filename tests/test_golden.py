@@ -1,6 +1,6 @@
 """Frozen encode output: any change to the bytes of a stream shows here.
 
-The digests pin the streams of format VERSION 1.  A change that is meant to
+The digests pin the streams of format VERSION 2.  A change that is meant to
 alter the bytes must bump VERSION and record the digests again.  DECODED
 pins what decode returns for each of these streams.
 """
@@ -13,8 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 from rahtp import codec
-from rahtp.codec import (decode, encode, parse_header, rlgr_decode,
-                         rlgr_encode)
+from rahtp.codec import (CorruptStream, decode, encode, parse_header,
+                         rlgr_decode, rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.geometry import build_hierarchy
 from rahtp.kernels import build_a_matrix, gram_levels
@@ -23,31 +23,33 @@ from rahtp.transform import (TransformConfig, TransformPlan,
 
 GOLDEN = {
     ("sphere200", 1, "overcomplete"):
-        "7dd431428791b3536efc135811741e9a93e91389acb84a7d778614a4ea4d655d",
+        "928f3d88756955431a44bd652f9b2625c91c15db22d471bd887a1c399a1657ae",
     ("sphere200", 1, "critical"):
-        "7dd431428791b3536efc135811741e9a93e91389acb84a7d778614a4ea4d655d",
+        "e8441e1030779adebbb10422d6d15d69ba2be4ce287e80e2c6284b78905ae587",
     ("sphere200", 2, "overcomplete"):
-        "2e4277f023354e4849d4bf0d52462ba4eabc8d5cca1a1e11b2e53341708d7fce",
+        "59e24a4ca0f92da265c1baf6c1aa1c10bb6c6c973cbb56148d39c22bd0997db6",
     ("sphere200", 2, "critical"):
-        "2e4277f023354e4849d4bf0d52462ba4eabc8d5cca1a1e11b2e53341708d7fce",
+        "59e24a4ca0f92da265c1baf6c1aa1c10bb6c6c973cbb56148d39c22bd0997db6",
     ("torus3000", 1, "overcomplete"):
-        "aa67a4ca7905325b75462a13991e808a66876e5345fd54e87676a2b61ad07fa2",
+        "870edcc67e785718ab0c16cce87c627b2e0794b972ee83ea6183d48924aa42c3",
     ("torus3000", 1, "critical"):
-        "aa67a4ca7905325b75462a13991e808a66876e5345fd54e87676a2b61ad07fa2",
+        "76502841aee374124f80bd71085a3bd901b0afdb529859b0cca3c9b9be40a7af",
     ("torus3000", 2, "overcomplete"):
-        "21a41543e2f5c15bb1d0c91a22072a2f11f9c204fd0ebe3abd4f1c3aa81b97f6",
+        "7bed18b148437f625c04f9aeac6e2a38302a5bae278cf89c0ab135f6ec6c48d8",
     ("torus3000", 2, "critical"):
-        "21a41543e2f5c15bb1d0c91a22072a2f11f9c204fd0ebe3abd4f1c3aa81b97f6",
+        "7bed18b148437f625c04f9aeac6e2a38302a5bae278cf89c0ab135f6ec6c48d8",
 }
 
 
-# sha256 of decode's float64 attribute bytes for each golden stream,
-# recorded before the order-1 plan stopped building Grams
+# sha256 of decode's float64 attribute bytes for each golden stream.  The
+# six that are not order-1 critical were recorded before the order-1 plan
+# stopped building Grams and held through format v2; the two order-1
+# critical ones were recorded when v2 coded them in closed form
 DECODED = {
     ("sphere200", 1, "overcomplete"):
         "144a7ad8c0d4231bcb09e11265a4f8d39603156892ad49a01f7c2877fc1f9fe9",
     ("sphere200", 1, "critical"):
-        "144a7ad8c0d4231bcb09e11265a4f8d39603156892ad49a01f7c2877fc1f9fe9",
+        "17e243ca0a66ea403cc80c5163afe4f8880d81a4d8fd0015c4c48da3828c89aa",
     ("sphere200", 2, "overcomplete"):
         "e38b227f99ea2498c4b4623d3e7be2e6a64fd0c2d0e2c745431649360ddc1bb5",
     ("sphere200", 2, "critical"):
@@ -55,7 +57,7 @@ DECODED = {
     ("torus3000", 1, "overcomplete"):
         "41914fd100478cfdf4ebcd34d91438e5717a543a05447c47808c2ce3cb7bb8fd",
     ("torus3000", 1, "critical"):
-        "41914fd100478cfdf4ebcd34d91438e5717a543a05447c47808c2ce3cb7bb8fd",
+        "8a4ce5731cc8bbaf033ff9f18b2c387631a29b12e2174e9bc098665799d2e494",
     ("torus3000", 2, "overcomplete"):
         "4e61f3afbd25237674b71b43533e5b9121e5e0e556a63ba1ba92b3524de1eaba",
     ("torus3000", 2, "critical"):
@@ -116,8 +118,8 @@ def test_decode_output_frozen(name, order, mode):
 def test_decode_output_frozen_on_the_held_and_a_rebuilt_geometry(
         monkeypatch, name, order, mode):
     # decoding onto the object just encoded reuses the encode's geometry
-    # and plan; onto an equal new cloud it rebuilds them.  None of these
-    # streams has a critical level, so the first decode reuses
+    # and plan, also for the order-1 critical streams; onto an equal new
+    # cloud it rebuilds them
     cloud = _cloud(name)
     config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
@@ -135,27 +137,49 @@ def test_decode_output_frozen_on_the_held_and_a_rebuilt_geometry(
         assert hashlib.sha256(raw).hexdigest() == DECODED[(name, order, mode)]
 
 
-# the one-voxel builtin cloud's order-2 stream at K=16 and step 1, as the
-# encoder wrote it when order 2 still attempted critical planes: its one
-# level is critical, with a plane of zero rows
-SINGLE_ORDER2_CRITICAL = bytes.fromhex(
+# the one-voxel builtin cloud's order-2 stream at K=16 and step 1, as a
+# format v1 encoder wrote it when order 2 still attempted critical planes:
+# its one level is critical, with a plane of zero rows
+SINGLE_ORDER2_CRITICAL_V1 = bytes.fromhex(
     "524148540102010103006310000000000000000000000000000000f03f00000000"
     "0000f03f000000000000f03f01000000c3f5cc9bd28814a60b000000ffffffffffff"
     "00000080000000000005000000ffffffff000000000003000000ffff0000000000")
 
 
-def test_order2_critical_stream_still_decodes():
+def test_v1_stream_raises_corrupt_stream():
     cloud = builtin_clouds()["single"]
-    head, _ = parse_header(SINGLE_ORDER2_CRITICAL)
-    assert (head["order"], head["k"], head["modes"]) == (2, 16, "c")
-    attrs, _ = decode(SINGLE_ORDER2_CRITICAL, cloud)
-    assert attrs.tolist() == [[128.0, 64.0, 32.0]]
-    # order 2 now codes that level overcomplete when critical is requested
+    with pytest.raises(CorruptStream, match="^unsupported version 1$"):
+        decode(SINGLE_ORDER2_CRITICAL_V1, cloud)
+    # order 2 codes that level overcomplete when critical is requested
     critical = TransformConfig(order=2, residual_mode="critical")
     blob, stats = encode(cloud, critical, 1.0)
     assert stats["modes"] == "o"
     assert blob == encode(cloud, TransformConfig(order=2), 1.0)[0]
     assert decode(blob, cloud)[0].tolist() == [[128.0, 64.0, 32.0]]
+
+
+def _flip_bits(data, rng, nflips):
+    out = bytearray(data)
+    for p in rng.choice(len(out) * 8, nflips, replace=False):
+        out[p >> 3] ^= 0x80 >> (p & 7)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
+def test_fuzzed_v2_streams_raise_only_corrupt_stream(name, order, mode):
+    # the header CRC and one CRC per plane catch every 1-3 bit flip, and a
+    # truncated header never reads past the data
+    cloud = _cloud(name)
+    config = TransformConfig(order=order, residual_mode=mode)
+    blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
+    _, header_end = parse_header(blob)
+    rng = np.random.default_rng(23)
+    cases = [blob[:i] for i in range(header_end)]
+    cases += [_flip_bits(blob, rng, n) for n in (1, 2, 3) * 67][:200]
+    cases.append(blob[:8] + bytes([blob[8] ^ 1]) + blob[9:])   # colorspace
+    for bad in cases:
+        with pytest.raises(CorruptStream):
+            decode(bad, cloud)
 
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
@@ -174,7 +198,7 @@ def test_decoder_reads_frozen_planes(name, order, mode):
     for _ in range(head["channels"]):
         for count in counts:
             (blen,) = struct.unpack_from("<I", blob, off)
-            plane = blob[off + 4:off + 4 + blen]
-            off += 4 + blen
+            plane = blob[off + 8:off + 8 + blen]
+            off += 8 + blen
             assert rlgr_encode(rlgr_decode(plane, count)) == plane
     assert off == len(blob)

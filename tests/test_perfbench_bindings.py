@@ -5,7 +5,9 @@ rebinds in FUNCTION_SPANS; a refactor that renames or removes one breaks
 `perfbench/run.py --trace 1` without any codec test noticing, so every
 binding is checked here.  perfbench/run.py builds one TransformConfig per
 workload through compatibility names (ApproxRoles.uniform, scaling=True),
-so each workload's config is built here too.  The tracer keeps its span
+so each workload's config is built here too, and each one's stream must
+decode onto the cloud just encoded without a rebuild, as the benchmark's
+decode_voxps assumes.  The tracer keeps its span
 stack in one plain list, so every traced binding must run on the thread
 that called the codec.
 """
@@ -50,6 +52,26 @@ def test_every_workload_config_builds(monkeypatch):
         assert config.order == wl.order, name
         assert config.residual_mode == wl.mode, name
         assert config.approx == rahtp.ApproxConfig(order=wl.k), name
+
+
+def test_every_workload_decodes_onto_the_encoded_cloud_without_a_rebuild(
+        monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    run = _load("run")
+    builds = []
+    build = rahtp.codec.build_hierarchy
+    monkeypatch.setattr(rahtp.codec, "build_hierarchy",
+                        lambda *args: builds.append(args) or build(*args))
+    for name, wl in run.WORKLOADS.items():
+        cloud = make_synthetic_cloud(wl.cloud["kind"], count=3000, depth=5,
+                                     seed=3)
+        config = run.Bench(rahtp, name, wl, 1).config
+        blob, _ = rahtp.codec.encode(cloud, config, wl.steps[0],
+                                     colorspace="bt709")
+        encoded = len(builds)
+        rahtp.codec.decode(blob, cloud)
+        assert len(builds) == encoded, name
 
 
 def test_traced_bindings_run_on_the_main_thread(monkeypatch):

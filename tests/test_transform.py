@@ -88,29 +88,75 @@ def test_structural_fallback_to_overcomplete():
     assert np.abs(back - cl.attributes).max() < 1e-9
 
 
-def test_order2_never_attempts_critical_planes(monkeypatch):
-    tried = []
-    critical_ops = TransformPlan.critical_ops
-
-    def spy(self, level):
-        tried.append((self.hierarchy.order, level))
-        return critical_ops(self, level)
-
-    monkeypatch.setattr(TransformPlan, "critical_ops", spy)
+def test_order2_never_attempts_critical_planes():
     cl = random_cloud(42, 100, 3)
     series = ApproxConfig(order=16)
+    coded = {}
     for order in (1, 2):
         h = rahtp.build_hierarchy(cl, order)
-        got = analyze(h, cl.attributes, TransformConfig(
-            order=order, residual_mode="critical", approx=series))
+        critical = TransformConfig(order=order, residual_mode="critical",
+                                   approx=series)
+        got = analyze(h, cl.attributes, critical)
         want = analyze(h, cl.attributes, TransformConfig(
             order=order, residual_mode="overcomplete", approx=series))
-        assert got.modes == want.modes == "ooo"
-        for g, w in zip([got.lowpass, *got.highpass],
-                        [want.lowpass, *want.highpass]):
-            assert g.tobytes() == w.tobytes()
-    # order 1 still tries every level
-    assert tried == [(1, 0), (1, 1), (1, 2)]
+        assert want.modes == "ooo"
+        assert got.lowpass.tobytes() == want.lowpass.tobytes()
+        coded[order] = got.modes
+        if order == 2:
+            assert TransformPlan(h, critical).critical is None
+            for g, w in zip(got.highpass, want.highpass):
+                assert g.tobytes() == w.tobytes()
+    # order 1 codes every level critical, in closed form
+    assert coded == {1: "ccc", 2: "ooo"}
+
+
+def _one_child_per_parent_cloud():
+    """Voxels on even coordinates only: each finest-level parent has one
+    child, so the last critical plane has no rows."""
+    rng = np.random.default_rng(7)
+    pos = 2 * rng.integers(0, 4, (40, 3))
+    return rahtp.voxelize(rahtp.PointCloud(
+        positions=pos, attributes=rng.uniform(0.0, 255.0, (40, 3)),
+        depth=3, channels=3), 3)
+
+
+@pytest.mark.parametrize("name", ["single", "pair", "depth1", "one_child",
+                                  "seed60", "seed61", "seed62"])
+def test_order1_critical_roundtrip(name):
+    if name in ("single", "pair"):
+        cl = builtin_clouds()[name]
+    elif name == "depth1":
+        cl = random_cloud(59, 5, 1)
+    elif name == "one_child":
+        cl = _one_child_per_parent_cloud()
+    else:
+        cl = random_cloud(int(name[4:]), 400, 5)
+    h = rahtp.build_hierarchy(cl, 1)
+    co, err = _roundtrip(cl, 1, "critical", k=16)
+    assert co.modes == "c" * h.depth
+    assert err <= 1e-12, err
+    if name == "one_child":
+        assert len(h.levels[2]) == len(h.levels[3])
+        assert co.highpass[2].shape == (0, 3)
+
+
+@pytest.mark.parametrize("name", ["sphere200", "torus3000", "box-critical"])
+def test_order1_critical_codes_every_level_with_the_complement_rows(name):
+    if name == "sphere200":
+        cl = builtin_clouds()[name]
+    elif name == "torus3000":
+        cl = rahtp.make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    else:
+        # the box-critical benchmark cloud, 49,387 voxels
+        cl = rahtp.make_synthetic_cloud("sphere", count=200000, depth=7,
+                                        seed=5)
+    h = rahtp.build_hierarchy(cl, 1)
+    co = analyze(h, cl.attributes,
+                 TransformConfig(order=1, residual_mode="critical"))
+    assert co.modes == "c" * h.depth
+    assert [len(p) for p in co.highpass] == [
+        len(h.levels[l + 1]) - len(h.levels[l]) for l in range(h.depth)]
+    assert co.total_coeffs() == len(cl.positions)
 
 
 def test_config_rejects_unknown_mode():
