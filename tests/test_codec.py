@@ -531,19 +531,27 @@ def test_decode_rejects_hostile_header_fields(field):
         decode(bad, cl)
 
 
-def test_decode_rejects_a_critical_level_in_an_order2_stream():
-    # order 2 codes no critical planes; the one-voxel cloud has 8 hat
-    # parents over 1 child at level 0, and the random cloud's level 1 has
-    # no injective split
-    one_voxel = rahtp.PointCloud(positions=np.array([[1, 1, 1]]),
-                                 attributes=np.array([[9.0]]), depth=1,
-                                 channels=1)
-    for cl, level in ((one_voxel, 0), (random_cloud(17, 30, 3, channels=1), 1)):
-        blob, _ = encode(cl, _codec_config(order=2), 1.0)
-        bad = _forged(blob, lambda h: _patched(h, "<B", 9 + level, ord("c")))
-        with pytest.raises(CorruptStream,
-                           match="^critical level in an order-2 stream$"):
-            decode(bad, cl)
+@pytest.mark.parametrize("case,why", [("more_parents", "outnumber"),
+                                      ("no_split", "no injective split")])
+def test_decode_rejects_critical_mode_without_a_split(case, why):
+    # order 2 codes no critical planes, so a critical mode byte is refused
+    # in the header whatever the geometry; `why` names the geometry's own
+    # reason it has no split at the patched level
+    if case == "more_parents":
+        # one odd voxel: 8 hat parents over 1 child at level 0
+        cl = rahtp.PointCloud(positions=np.array([[1, 1, 1]]),
+                              attributes=np.array([[9.0]]), depth=1,
+                              channels=1)
+        level = 0
+    else:
+        # 26 parents and 60 children at level 1, but no injective split
+        cl = random_cloud(17, 30, 3, channels=1)
+        level = 1
+    blob, _ = encode(cl, _codec_config(order=2), 1.0)
+    bad = _forged(blob, lambda h: _patched(h, "<B", 9 + level, ord("c")))
+    with pytest.raises(CorruptStream,
+                       match="^critical level in an order-2 stream$"):
+        decode(bad, cl)
 
 
 def test_huge_attributes_roundtrip_within_one_step():
