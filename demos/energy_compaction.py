@@ -18,7 +18,7 @@ def main():
         print("\norder %d" % order)
         print("  %5s  %12s  %8s" % ("level", "coeff_count", "mse_db"))
         for level, (kept, mse_db) in enumerate(
-                compaction_curve(cloud, order, "overcomplete", 1024)):
+                compaction_curve(cloud, order, 1024)):
             print("  %5d  %12d  %8.2f" % (level, kept, mse_db))
 
 

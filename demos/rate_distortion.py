@@ -18,7 +18,7 @@ def main():
     print("\n%6s  %18s  %18s" % ("", "order 1", "order 2"))
     print("%6s  %8s %9s  %8s %9s" % ("step", "bpp", "psnr_yuv", "bpp",
                                      "psnr_yuv"))
-    box, hat = (rd_curve(cloud, order, "overcomplete", 32, STEPS, "bt709")
+    box, hat = (rd_curve(cloud, order, 32, STEPS, "bt709")
                 for order in (1, 2))
     for step, m1, m2 in zip(STEPS, box, hat):
         print("%6.1f  %8.4f %8.2f  %9.4f %8.2f"

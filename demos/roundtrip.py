@@ -1,16 +1,15 @@
 """Round-trip demo: transform a synthetic cloud and reconstruct it.
 
-Runs the analysis/synthesis cascades in both basis orders and both residual
-modes without quantization (errors should sit at numerical noise), then
-pushes a smooth cloud through the full bitstream path with a fine step and
-reports the coded size.
+Runs the analysis/synthesis cascades in both basis orders without
+quantization (errors should sit at numerical noise), then pushes a smooth
+cloud through the full bitstream path with a fine step and reports the
+coded size.
 
-The per-level mode string shows what each level stored: a 'c' is a critical
-plane of N_{l+1} - N_l high-pass rows, order 1's orthonormal RAHT
-coordinates in closed form, so an order-1 critical request codes exactly
-one coefficient per voxel; an 'o' is an overcomplete plane of N_{l+1} rows.
-Order 2 has no critical planes, so an order-2 critical request prints 'o'
-on every level.
+The per-level mode string shows what each level stored, which the basis
+order decides: order 1 prints 'c' on every level, critical planes of
+N_{l+1} - N_l high-pass rows, RAHT's orthonormal coordinates in closed
+form, so it codes exactly one coefficient per voxel; order 2 prints 'o' on
+every level, overcomplete planes of N_{l+1} rows.
 """
 
 import numpy as np
@@ -33,21 +32,18 @@ def main():
     print("\nlossless transform round trips (series K=64, no quantization)")
     for order in (1, 2):
         hierarchy = build_hierarchy(cloud, order)
-        for mode in ("overcomplete", "critical"):
-            config = TransformConfig(order=order, residual_mode=mode,
-                                     approx=ApproxConfig(order=64))
-            coeffs = analyze(hierarchy, cloud.attributes, config)
-            rec = synthesize(hierarchy, coeffs, config)
-            err = np.abs(rec - cloud.attributes).max()
-            print("  order %d  %-12s  modes %s  %4d coeffs  max err %.3e"
-                  % (order, mode, coeffs.modes, coeffs.total_coeffs(), err))
+        config = TransformConfig(order=order, approx=ApproxConfig(order=64))
+        coeffs = analyze(hierarchy, cloud.attributes, config)
+        rec = synthesize(hierarchy, coeffs, config)
+        err = np.abs(rec - cloud.attributes).max()
+        print("  order %d  modes %s  %4d coeffs  max err %.3e"
+              % (order, coeffs.modes, coeffs.total_coeffs(), err))
 
     smooth = make_synthetic_cloud("sphere", count=2000, depth=5, seed=1)
     ns = len(smooth.positions)
     print("\nbitstream round trip, smooth cloud of %d voxels (step 0.25)" % ns)
     for order in (1, 2):
-        config = TransformConfig(order=order, residual_mode="critical",
-                                 approx=ApproxConfig(order=32))
+        config = TransformConfig(order=order, approx=ApproxConfig(order=32))
         blob, stats = encode(smooth, config, 0.25)
         rec, _ = decode(blob, smooth)
         err = np.abs(rec - smooth.attributes).max()

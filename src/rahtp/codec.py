@@ -28,19 +28,20 @@ unpacking only move bits.
 
 Container layout (little endian):
   magic "RAHT" | version u8 | order u8 | depth u8 | channels u8
-  | colorspace u8 | modes (depth bytes, 'c'/'o') | K u16
-  | quant steps (channels x f64) | node_count u32 | geometry digest u64
-  | header CRC32 u32
+  | colorspace u8 | K u16 | quant steps (channels x f64) | node_count u32
+  | geometry digest u64 | header CRC32 u32
   | per channel, per plane (lowpass then each level): u32 length
   + CRC32 u32 of the payload + payload
 
-The header CRC covers every header byte before it.  Only order 1 writes
-'c' levels; an order-2 stream with one is corrupt.
+The header CRC covers every header byte before it.  The planes are a
+function of the order, so the header stores no mode: every level of an
+order-1 stream is critical ('c', N_{l+1} - N_l rows) and every level of an
+order-2 stream overcomplete ('o', N_{l+1} rows).
 
 The hierarchy, the analysis cascade and the geometry digest do not depend
 on the quantization step, so encode keeps its last such result in a
 one-entry memo.  A later encode of the same PointCloud object with the same
-content, order, mode, K and colorspace reuses it and only quantizes and
+content, order, K and colorspace reuses it and only quantizes and
 codes; any other call drops the entry and analyzes afresh.  The entry holds
 a weak reference to the cloud, a sha256 over its positions and depth and
 another over its attributes and the configuration, the geometry's depth,
@@ -52,11 +53,8 @@ decode reads the same entry.  A stream decoded onto the cloud object just
 encoded, with the entry's order and K, and with positions that still hash
 to the entry's, is checked against the held depth, node counts and digest
 and synthesized on the held plan; the hierarchy, digest and plan are not
-rebuilt.  A stream with a critical level needs a plan that holds the
-critical synthesis matrices, so it takes the held plan only after a
-critical encode.
-Any other decode builds them from the cloud it is given, and no decode
-changes the entry.
+rebuilt.  Any other decode builds them from the cloud it is given, and no
+decode changes the entry.
 """
 
 import dataclasses
@@ -83,7 +81,7 @@ Q_CAP = 48
 ESCAPE_BITS = 32
 
 MAGIC = b"RAHT"
-VERSION = 2
+VERSION = 3
 COLORSPACES = {"raw": 0, "bt709": 1}
 COLORSPACE_NAMES = {v: k for k, v in COLORSPACES.items()}
 
@@ -543,9 +541,8 @@ def _content_key(cloud, config, colorspace):
     their dtype and shape) and the configuration."""
     h = hashlib.sha256()
     _hash_array(h, cloud.attributes)
-    h.update(repr((cloud.channels, config.order, config.residual_mode,
-                   config.approx.order, config.approx.tolerance,
-                   colorspace)).encode())
+    h.update(repr((cloud.channels, config.order, config.approx.order,
+                   config.approx.tolerance, colorspace)).encode())
     return h.digest()
 
 
@@ -608,9 +605,8 @@ def _held_geometry(cloud, head):
     decoding a stream with header head, else None.
 
     It may when cloud is the object the entry was encoded from, the
-    stream's order and K are the entry's, the held plan holds the critical
-    matrices if the stream has a critical level, and the positions and depth
-    still hash to the entry's key.  The identity check comes first, so a
+    stream's order and K are the entry's, and the positions and depth still
+    hash to the entry's key.  The identity check comes first, so a
     decode onto any other object hashes nothing.
     """
     with _memo_lock:
@@ -618,7 +614,6 @@ def _held_geometry(cloud, head):
     if (entry is None or entry.cloud() is not cloud
             or entry.plan.config.order != head["order"]
             or entry.plan.config.approx.order != head["k"]
-            or ("c" in head["modes"] and entry.plan.critical is None)
             or _geometry_key(cloud) != entry.geometry_key):
         return None
     return entry
@@ -656,7 +651,6 @@ def encode(cloud, config: TransformConfig, steps, colorspace="raw"):
 
     header = struct.pack("<4sBBBBB", MAGIC, VERSION, config.order,
                          entry.depth, cloud.channels, COLORSPACES[colorspace])
-    header += coeffs.modes.encode("ascii")
     header += struct.pack("<H", config.approx.order)
     header += struct.pack("<%dd" % cloud.channels, *steps)
     header += struct.pack("<IQ", entry.num_points, entry.digest)
@@ -684,9 +678,9 @@ def parse_header(data):
 
     A stream of another version, or whose header fails its CRC, raises
     CorruptStream.  So do fields outside the range an encoder writes
-    (order, colorspace, modes, a critical level of order 2, steps, bt709 on
-    other than 3 channels), which a header with a matching CRC can still
-    hold.
+    (order, colorspace, steps, bt709 on other than 3 channels), which a
+    header with a matching CRC can still hold.  The per-level modes come
+    from the order: 'c' on every level of order 1, 'o' of order 2.
     """
     base = struct.calcsize("<4sBBBBB")
     if len(data) < base:
@@ -697,7 +691,7 @@ def parse_header(data):
         raise CorruptStream("bad magic")
     if version != VERSION:
         raise CorruptStream("unsupported version %d" % version)
-    off = base + depth + 2 + 8 * channels + 12
+    off = base + 2 + 8 * channels + 12
     if len(data) < off + 4:
         raise CorruptStream("stream shorter than its header")
     if zlib.crc32(data[:off]) != struct.unpack_from("<I", data, off)[0]:
@@ -709,19 +703,14 @@ def parse_header(data):
     if COLORSPACE_NAMES[cspace] == "bt709" and channels != 3:
         raise CorruptStream("bt709 colorspace on %d channels, not 3"
                             % channels)
-    modes = data[base:base + depth].decode("ascii", errors="replace")
-    if any(m not in "co" for m in modes):
-        raise CorruptStream("bad per-level mode bytes")
-    if order == 2 and "c" in modes:
-        raise CorruptStream("critical level in an order-2 stream")
-    (k_order,) = struct.unpack_from("<H", data, base + depth)
-    steps = np.array(struct.unpack_from("<%dd" % channels, data,
-                                        base + depth + 2))
+    (k_order,) = struct.unpack_from("<H", data, base)
+    steps = np.array(struct.unpack_from("<%dd" % channels, data, base + 2))
     if not np.all((steps > 0.0) & (steps < np.inf)):
         raise CorruptStream("quantization steps must be finite and positive")
     node_count, digest = struct.unpack_from("<IQ", data, off - 12)
     return {"order": order, "depth": depth, "channels": channels,
-            "colorspace": COLORSPACE_NAMES[cspace], "modes": modes,
+            "colorspace": COLORSPACE_NAMES[cspace],
+            "modes": ("c" if order == 1 else "o") * depth,
             "k": k_order, "steps": steps,
             "node_count": node_count, "digest": digest}, off + 4
 
@@ -756,9 +745,8 @@ def decode(data, cloud):
     if digest != head["digest"]:
         raise CorruptStream("geometry digest mismatch")
 
-    config = TransformConfig(
-        order=head["order"], approx=ApproxConfig(order=head["k"]),
-        residual_mode="critical" if "c" in head["modes"] else "overcomplete")
+    config = TransformConfig(order=head["order"],
+                             approx=ApproxConfig(order=head["k"]))
     # every order-1 parent has a child, so a critical plane has >= 0 rows
     counts = [sizes[0]] + [sizes[l + 1] - (sizes[l] if mode == "c" else 0)
                            for l, mode in enumerate(head["modes"])]

@@ -2,8 +2,8 @@
 
 Subcommands: encode, decode, rd, compaction.  Exit codes: 0 ok, 1 usage
 error, 2 runtime error (bad input or corrupt stream).  With 4 or more
-steps, rd also prints the BD-rate (bd_rate) of each further (order, mode)
-curve against the first.
+steps, rd also prints the BD-rate (bd_rate) of each further order's curve
+against the first.
 """
 
 import argparse
@@ -159,21 +159,19 @@ def _load_voxelized(path, depth):
     return voxelize(cloud, depth)
 
 
-def _config(order, mode, k, tolerance=None):
-    return TransformConfig(order=order, residual_mode=mode,
+def _config(order, k, tolerance=None):
+    return TransformConfig(order=order,
                            approx=ApproxConfig(order=k, tolerance=tolerance))
 
 
 def cmd_encode(args):
     cloud = _load_voxelized(args.input, args.depth)
-    config = _config(args.order, args.mode, args.taylor_k)
+    config = _config(args.order, args.taylor_k)
     t0 = time.perf_counter()
     blob, stats = encode(cloud, config, args.step, colorspace=args.colorspace)
     dt = time.perf_counter() - t0
     with open(args.output, "wb") as fh:
         fh.write(blob)
-    if args.mode == "critical" and args.order == 2:
-        print("warning: order 2 has no critical planes; coded overcomplete")
     print("encoded %d voxels depth %d order %d modes %s: %d payload bytes, "
           "%.4f bpp, %.3f s"
           % (cloud.positions.shape[0], cloud.depth, args.order,
@@ -194,14 +192,14 @@ def cmd_decode(args):
     return 0
 
 
-def rd_curve(cloud, order, mode, k, steps, colorspace):
+def rd_curve(cloud, order, k, steps, colorspace):
     """One Metrics per step: bpp and YUV PSNR of an encode/decode round trip.
 
     Steps run innermost, so encode analyzes the cloud once per curve.
     """
     if cloud.channels != 3:
         raise ValueError("rate-distortion sweep needs 3-channel attributes")
-    config = _config(order, mode, k)
+    config = _config(order, k)
     ref_yuv = rgb_to_bt709(cloud.attributes)
     points = []
     for step in steps:
@@ -213,14 +211,14 @@ def rd_curve(cloud, order, mode, k, steps, colorspace):
     return points
 
 
-def compaction_curve(cloud, order, mode, k):
+def compaction_curve(cloud, order, k):
     """(kept, mse_db) per level: the error of keeping the planes up to it.
 
     Truncated reconstructions are meaningful only with converged
     projections, so the K-term series stops early at term norm 1e-12.  An
     exact reconstruction (MSE below 1e-10) reads -100 dB.
     """
-    config = _config(order, mode, k, tolerance=1e-12)
+    config = _config(order, k, tolerance=1e-12)
     hierarchy = build_hierarchy(cloud, order)
     plan = TransformPlan(hierarchy, config)
     coeffs = analyze(hierarchy, cloud.attributes, config, plan=plan)
@@ -235,23 +233,23 @@ def compaction_curve(cloud, order, mode, k):
 
 def cmd_rd(args):
     cloud = _load_voxelized(args.input, args.depth)
-    curves = {(o, m): rd_curve(cloud, o, m, args.taylor_k, args.steps,
-                               args.colorspace)
-              for o in args.orders for m in args.modes}
-    rows = [[o, m, s, "%.6f" % p.bpp, "%.4f" % p.psnr[0],
+    curves = {o: rd_curve(cloud, o, args.taylor_k, args.steps,
+                          args.colorspace)
+              for o in args.orders}
+    rows = [[o, s, "%.6f" % p.bpp, "%.4f" % p.psnr[0],
              "%.4f" % p.psnr[1], "%.4f" % p.psnr[2],
              "%.4f" % p.psnr_combined]
-            for (o, m), points in curves.items()
+            for o, points in curves.items()
             for s, p in zip(args.steps, points)]
     with open(args.output, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["order", "mode", "step", "bpp",
+        wr.writerow(["order", "step", "bpp",
                      "psnr_y", "psnr_u", "psnr_v", "psnr_yuv"])
         wr.writerows(rows)
     print("wrote %d rate points to %s" % (len(rows), args.output))
     if len(args.steps) >= 4:
         (anchor, a_points), *others = curves.items()
-        for (o, m), points in others:
+        for o, points in others:
             try:
                 pct, (lo, hi) = bd_rate(
                     [p.bpp for p in a_points],
@@ -260,20 +258,20 @@ def cmd_rd(args):
                 result = "%+.2f%% over %.2f-%.2f dB" % (pct, lo, hi)
             except ValueError as exc:
                 result = "n/a (%s)" % exc
-            print("BD-rate order %d %s against order %d %s: %s"
-                  % (o, m, anchor[0], anchor[1], result))
+            print("BD-rate order %d against order %d: %s"
+                  % (o, anchor, result))
     return 0
 
 
 def cmd_compaction(args):
     cloud = _load_voxelized(args.input, args.depth)
-    rows = [[o, m, level, kept, "%.4f" % mse_db]
-            for o in args.orders for m in args.modes
+    rows = [[o, level, kept, "%.4f" % mse_db]
+            for o in args.orders
             for level, (kept, mse_db) in enumerate(
-                compaction_curve(cloud, o, m, args.taylor_k))]
+                compaction_curve(cloud, o, args.taylor_k))]
     with open(args.output, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["order", "mode", "level", "coeff_count", "mse_db"])
+        wr.writerow(["order", "level", "coeff_count", "mse_db"])
         wr.writerows(rows)
     print("wrote %d compaction rows to %s" % (len(rows), args.output))
     return 0
@@ -295,16 +293,10 @@ def _add_common(p, taylor_k):
     p.add_argument("--taylor-k", type=int, default=taylor_k)
 
 
-_MODE_HELP = ("residual planes; critical codes N_child - N_parent rows per "
-              "level for order 1 (RAHT) and overcomplete planes for order 2")
-
-
 def _add_sweep(p):
     """Arguments that rd and compaction both read."""
     p.add_argument("--orders", type=int, nargs="+", choices=(1, 2),
                    default=[1, 2])
-    p.add_argument("--modes", nargs="+", choices=("critical", "overcomplete"),
-                   default=["overcomplete"], help=_MODE_HELP)
 
 
 def build_parser():
@@ -313,9 +305,9 @@ def build_parser():
 
     p = sub.add_parser("encode", help="encode a PLY into a bitstream")
     _add_common(p, taylor_k=16)
-    p.add_argument("--order", type=int, choices=(1, 2), default=1)
-    p.add_argument("--mode", choices=("critical", "overcomplete"),
-                   default="overcomplete", help=_MODE_HELP)
+    p.add_argument("--order", type=int, choices=(1, 2), default=1,
+                   help="basis order: 1 codes critical planes (RAHT), 2 "
+                   "overcomplete planes")
     p.add_argument("--colorspace", choices=("raw", "bt709"), default="raw")
     p.add_argument("--step", type=float, default=1.0)
     p.set_defaults(fn=cmd_encode)

@@ -1,35 +1,38 @@
 """Analysis and synthesis cascades over the level hierarchy.
 
-Encoder and decoder share every normalization operator; the encoder keeps a
-running copy of the decoder state and codes each level's residual against
-it, so series truncation error at one level is folded into the next level's
-residual instead of accumulating.  At the finest level the Gram matrix is
-the identity, which makes the last fold exact and gives machine-precision
-round trips without quantization.
+Encoder and decoder share every normalization operator.  The residual
+planes are a function of the basis order:
+  order 1  critical planes: rows 2..n of each parent's Householder
+           reflector times F                         (N_{l+1}-N_l rows)
+  order 2  overcomplete planes: S_invsqrt(G) G dF    (N_{l+1} rows)
 
-Residual planes come in two flavours per level:
-  overcomplete  store S_invsqrt(G) G dF             (N_{l+1} rows)
-  critical      store rows 2..n of each parent's
-                Householder reflector times F       (N_{l+1}-N_l rows)
-Critical planes exist for order 1 only, where they are RAHT's orthonormal
-transform.  Each parent's row u of the scaled A' is a unit vector over its
-children c_1 < ... < c_n (Morton order), and with v = u + e_1 the reflector
-H = I - v v^T / (1 + u_1) maps u to -e_1, so its rows 2..n are an
-orthonormal basis of u's complement.  Their coefficients are
-x_i - u_i s, i >= 2, with s = (A'x + x_1) / (1 + u_1), and for two
-children the one coefficient is (u_1 x_2 - u_2 x_1), (second - first)/sqrt2
-for equal weights.  With R these rows for every parent, S = [A'^T | R^T]
-is orthogonal, so the planes are orthonormal coordinates and need no
-decoder replica: the encoder codes R F, and the decoder's step is
-state' = S [state; plane], one CSR product per level (_critical_synthesis).
-An order-2 critical request codes overcomplete planes: no closed form
-exists there.
+Order 1 is RAHT's critically sampled orthonormal transform, one coefficient
+per voxel and channel, in closed form.  Each parent's row u of the scaled
+A' is a unit vector over its children c_1 < ... < c_n (Morton order), and
+with v = u + e_1 the reflector H = I - v v^T / (1 + u_1) maps u to -e_1,
+so its rows 2..n are an orthonormal basis of u's complement.  Their
+coefficients are x_i - u_i s, i >= 2, with s = (A'x + x_1) / (1 + u_1),
+and for two children the one coefficient is (u_1 x_2 - u_2 x_1),
+(second - first)/sqrt2 for equal weights.  With R these rows for every
+parent, S = [A'^T | R^T] is orthogonal, so the planes are orthonormal
+coordinates and need no decoder replica.  Per level the encoder's one
+product S^T f gives [A' f; plane], the parents' coefficients and the
+plane, and the decoder's step is state' = S [state; plane], one CSR
+product per level (_critical_synthesis).
 
 Order 1 (box) needs no Gram.  Box supports on one level are disjoint, so
 its Gram is the diagonal of voxel counts, and after the unit-diagonal
-scaling every G is exactly the identity.  Its plan is the scaled A' built
-from the counts, and every h(G) v returns what the series returns on I,
-with no series run.  So the stream's K matters only for order 2.
+scaling every G is exactly the identity.  Its plan is the synthesis
+matrices S, built from the counts, and every h(G) v returns what the
+series returns on I, with no series run.  So the stream's K matters only
+for order 2.
+
+Order 2 has no closed form.  Its encoder keeps a running copy of the
+decoder state and codes each level's residual against it, so series
+truncation error at one level is folded into the next level's residual
+instead of accumulating.  At the finest level the Gram matrix is the
+identity, which makes the last fold exact and gives machine-precision
+round trips without quantization.
 """
 
 import copy
@@ -63,7 +66,9 @@ class TransformConfig:
     series and stay bit-identical.
     """
     order: int = 1
-    residual_mode: str = "overcomplete"   # critical | overcomplete
+    # critical | overcomplete, validated and read by nothing: kept because
+    # perfbench/run.py passes it.  The planes are a function of the order
+    residual_mode: str = "overcomplete"
     approx: ApproxConfig = field(default_factory=ApproxConfig)
     # True only: kept because perfbench/run.py passes scaling=True
     scaling: bool = True
@@ -79,9 +84,9 @@ class TransformConfig:
 class CoeffSet:
     """Transform output: DC block plus one high-pass plane per level step.
 
-    modes[l] is the mode used coding level l -> l+1 ('c' or 'o'): 'o' on
-    every level of order 2, whatever was requested.  All rows follow Morton
-    order of the owning nodes.
+    modes[l] is the plane kind coding level l -> l+1: 'c' (critical) on
+    every level of order 1 and 'o' (overcomplete) on every level of order
+    2.  All rows follow Morton order of the owning nodes.
     """
     order: int
     depth: int
@@ -160,7 +165,9 @@ def _critical_synthesis(a_mats):
     Morton order, so A'.indices is 0..N_child-1.  Row k of S, a child of
     parent p, holds u_k at column p, then at the column of each other child
     i of p (after the N_parent parent columns) H[i, k] = delta_ik - u_i w_k,
-    with w_k = u_k / (1 + u_first) and w = 1 at the first child.
+    with w_k = u_k / (1 + u_first) and w = 1 at the first child.  So entry
+    j of row k sits at sibling i = head_p + j, and every array over the
+    entries comes from two np.repeat calls and two gathers by i.
     """
     mats = []
     for a in a_mats:
@@ -168,20 +175,24 @@ def _critical_synthesis(a_mats):
         head, u = a.indptr[:-1], a.data
         count = np.diff(a.indptr)
         parent = np.repeat(np.arange(n_parent), count)
-        w = u / (1.0 + u[head])[parent]
+        first = head[parent]
+        w = u / (1.0 + u[first])
         w[head] = 1.0
+        n = count[parent]                   # entries per row
         indptr = np.zeros(n_child + 1, dtype=np.int64)
-        np.cumsum(count[parent], out=indptr[1:])
-        # entry j of row k sits in the column of sibling i = head_p + j;
-        # entry 0, at the first sibling, becomes the parent's column below
-        row = np.repeat(np.arange(n_child), count[parent])
-        p = parent[row]
-        i = head[p] + np.arange(indptr[-1]) - indptr[row]
-        cols = i + (n_parent - 1) - p       # child i's plane row is i - p - 1
-        vals = -u[i] * w[row]
-        vals[row == i] += 1.0
-        cols[indptr[:-1]] = parent
-        vals[indptr[:-1]] = u
+        np.cumsum(n, out=indptr[1:])
+        start = indptr[:-1]
+        i = np.repeat(first - start, n)
+        i += np.arange(len(i))
+        vals = np.repeat(w, n)
+        vals *= (-u)[i]
+        vals[start + np.arange(n_child) - first] += 1.0
+        vals[start] = u
+        # S's column of each child: its parent's for a first child, else
+        # the child's plane row after the N_parent parent columns
+        col = np.arange(n_child) + (n_parent - 1) - parent
+        col[head] = np.arange(n_parent)
+        cols = col.astype(np.int32 if n_child < 2 ** 31 else np.int64)[i]
         mats.append(sp.csr_matrix((vals, cols, indptr),
                                   shape=(n_child, n_child)))
     return mats
@@ -192,12 +203,12 @@ class TransformPlan:
 
     Construction is deterministic from (hierarchy, config), so encoder and
     decoder rebuild identical operators from the transmitted geometry; no
-    operator state travels in the bitstream beyond the per-level modes.
-    a_mats holds the scaled A' per level.  Order 2 also holds its scaled
-    Grams, as Operators in grams; order 1 holds none (grams is None), as
-    every scaled box Gram is the identity.  Every h(G') v goes through gram.
-    An order-1 plan built for critical planes also holds critical, the
-    per-level matrices of _critical_synthesis; any other plan holds None.
+    operator state travels in the bitstream.  An order-1 plan holds only
+    critical, the per-level synthesis matrices S of _critical_synthesis:
+    their first N_parent columns are A'^T, and every scaled box Gram is the
+    identity (a_mats and grams are None).  An order-2 plan holds a_mats,
+    the scaled A' per level, and its scaled Grams, as Operators in grams
+    (critical is None).  Every h(G') v goes through gram.
     """
 
     def __init__(self, hierarchy: Hierarchy, config: TransformConfig):
@@ -206,13 +217,11 @@ class TransformPlan:
                              % (config.order, hierarchy.order))
         self.hierarchy = hierarchy
         self.config = config
-        self.critical = None
         if hierarchy.order == 1:
-            self.a_mats = _box_a_matrices(hierarchy)
-            self.grams = None
-            if config.residual_mode == "critical":
-                self.critical = _critical_synthesis(self.a_mats)
+            self.a_mats = self.grams = None
+            self.critical = _critical_synthesis(_box_a_matrices(hierarchy))
             return
+        self.critical = None
         a_mats = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],
                                  hierarchy.order)
                   for l in range(hierarchy.depth)]
@@ -237,21 +246,23 @@ class TransformPlan:
         return v + 0.0
 
     def move_matrices(self, place):
-        """Rebuild every CSR matrix of the plan, each A', each series layer
-        L of order 2 and each critical synthesis matrix, on copies of its
-        arrays.  place(arrays) returns equal copies of a list of arrays,
-        for instance in memory of their own.  The operators and their
-        bounds are unchanged."""
-        mats = list(self.a_mats) + list(self.critical or ())
-        if self.grams is not None:
-            mats += [g.lm for g in self.grams]
+        """Rebuild every CSR matrix of the plan, each S of order 1, each A'
+        and each series layer L of order 2, on copies of its arrays.
+        place(arrays) returns equal copies of a list of arrays, for
+        instance in memory of their own.  The operators and their bounds
+        are unchanged."""
+        if self.grams is None:
+            mats = self.critical
+        else:
+            mats = self.a_mats + [g.lm for g in self.grams]
         parts = place([x for m in mats for x in (m.data, m.indices, m.indptr)])
         moved = [sp.csr_matrix(tuple(parts[3 * i:3 * i + 3]), shape=m.shape)
                  for i, m in enumerate(mats)]
-        self.a_mats, rest = moved[:len(self.a_mats)], moved[len(self.a_mats):]
-        if self.critical is not None:
-            self.critical = rest
-        for g, lm in zip(self.grams or (), rest):
+        if self.grams is None:
+            self.critical = moved
+            return
+        self.a_mats = moved[:len(self.a_mats)]
+        for g, lm in zip(self.grams, moved[len(self.a_mats):]):
             g.lm = lm
 
     def without_geometry(self):
@@ -260,24 +271,6 @@ class TransformPlan:
         plan = copy.copy(self)
         plan.hierarchy = None
         return plan
-
-    # per-plane forward/backward maps; the decoder-side maps are the ones
-    # the encoder feeds back into its state
-
-    def forward_over(self, level, df):
-        # G' df is df itself for order 1
-        x = df if self.grams is None else self.grams[level + 1].matvec(df)
-        return self.gram(level + 1, x, "invsqrt")
-
-    def decode_over(self, level, plane):
-        return self.gram(level + 1, plane, "invsqrt")
-
-    def critical_synthesis(self):
-        """The critical synthesis matrices, built here for a plan that
-        lacks them."""
-        if self.grams is not None:
-            raise ValueError("critical planes exist for order 1 only")
-        return self.critical or _critical_synthesis(self.a_mats)
 
 
 def _as_features(attributes):
@@ -291,8 +284,9 @@ def analyze(hierarchy, attributes, config, plan=None):
     """Full encoder cascade.  Returns a CoeffSet.
 
     Steps: dual low-pass cascade, per-level normalization to ideal primal
-    coefficients and DC orthonormalization.  Order-1 critical planes are
-    then each level's reflector coordinates.  Otherwise, per level, the
+    coefficients and DC orthonormalization.  For order 1 the dual cascade
+    is the critical planes' own: per level, S^T f is [A' f; plane], and
+    the dual coefficients are the ideal ones.  For order 2, per level, the
     residual against the simulated decoder state is coded as an
     overcomplete plane and the state is advanced with the decoded plane.
     Non-finite attributes raise ValueError.
@@ -303,51 +297,55 @@ def analyze(hierarchy, attributes, config, plan=None):
     if len(v) != hierarchy.num_points:
         raise ValueError("attribute rows do not match point count")
     depth = hierarchy.depth
+    order1 = hierarchy.order == 1
 
     f_dual = [None] * (depth + 1)
     f_dual[depth] = v
+    highpass = [None] * depth
     for l in range(depth - 1, -1, -1):
-        f_dual[l] = plan.a_mats[l] @ f_dual[l + 1]
+        if order1:
+            y = plan.critical[l].T @ f_dual[l + 1]
+            n_parent = len(hierarchy.levels[l])
+            f_dual[l], highpass[l] = y[:n_parent], y[n_parent:]
+        else:
+            f_dual[l] = plan.a_mats[l] @ f_dual[l + 1]
     # every A' entry is positive, so a NaN or infinity anywhere reaches the
     # root; order 1 runs no series that would raise on it
     if not np.isfinite(f_dual[0]).all():
         raise ValueError("non-finite attributes, or attributes so large "
                          "that their sums overflow")
+    if order1:
+        lowpass = plan.gram(0, plan.gram(0, f_dual[0], "inv"), "sqrt")
+        return CoeffSet(order=1, depth=depth, channels=v.shape[1],
+                        lowpass=lowpass, highpass=highpass, modes="c" * depth)
+
     f_ideal = [plan.gram(l, f_dual[l], "inv") for l in range(depth + 1)]
     lowpass = plan.gram(0, f_ideal[0], "sqrt")
-
-    if config.residual_mode == "critical" and hierarchy.order == 1:
-        synth = plan.critical_synthesis()
-        highpass = [(synth[l].T @ f_ideal[l + 1])[len(f_ideal[l]):]
-                    for l in range(depth)]
-        modes = "c" * depth
-    else:
-        state = plan.gram(0, lowpass, "invsqrt")
-        highpass = []
-        for l in range(depth):
-            pred = plan.a_mats[l].T @ state
-            plane = plan.forward_over(l, f_ideal[l + 1] - pred)
-            highpass.append(plane)
-            state = pred + plan.decode_over(l, plane)
-        modes = "o" * depth
-    return CoeffSet(order=hierarchy.order, depth=depth, channels=v.shape[1],
-                    lowpass=lowpass, highpass=highpass, modes=modes)
+    state = plan.gram(0, lowpass, "invsqrt")
+    for l in range(depth):
+        pred = plan.a_mats[l].T @ state
+        df = f_ideal[l + 1] - pred
+        plane = plan.gram(l + 1, plan.grams[l + 1].matvec(df), "invsqrt")
+        highpass[l] = plane
+        state = pred + plan.gram(l + 1, plane, "invsqrt")
+    return CoeffSet(order=2, depth=depth, channels=v.shape[1],
+                    lowpass=lowpass, highpass=highpass, modes="o" * depth)
 
 
 def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
     """Decoder cascade: DC renormalization then, per level, the critical
-    step or prediction plus decoded residual, following the modes recorded
-    at encode."""
+    step S [state; plane] of order 1, or the prediction plus decoded
+    residual of order 2."""
     if plan is None:
         plan = TransformPlan(hierarchy, config)
     state = plan.gram(0, _as_features(coeffs.lowpass), "invsqrt")
-    synth = plan.critical_synthesis() if "c" in coeffs.modes else None
-    for l, mode in enumerate(coeffs.modes):
+    for l in range(coeffs.depth):
         plane = _as_features(coeffs.highpass[l])
-        if mode == "c":
-            state = synth[l] @ np.vstack([state, plane])
+        if coeffs.order == 1:
+            state = plan.critical[l] @ np.vstack([state, plane])
         else:
-            state = plan.a_mats[l].T @ state + plan.decode_over(l, plane)
+            state = (plan.a_mats[l].T @ state
+                     + plan.gram(l + 1, plane, "invsqrt"))
     return state
 
 

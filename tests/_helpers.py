@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
 import rahtp
 from rahtp.codec import (ESCAPE_BITS, KP_INIT, KP_MAX, KRP_INIT, KRP_MAX,
@@ -201,3 +202,36 @@ def reference_rlgr_decode(data, count):
         raise CorruptStream("%d bits left after the last symbol" % left)
     u = np.array(out, dtype=np.int64)
     return (u >> 1) ^ -(u & 1)
+
+
+def reference_critical_synthesis(a_mats):
+    """The entry-by-entry builder of the order-1 critical synthesis
+    matrices S = [A'^T | R^T] that transform._critical_synthesis replaced;
+    tests compare the two array for array.
+
+    Row k of S, a child of parent p, holds u_k at column p, then at the
+    column of each other child i of p H[i, k] = delta_ik - u_i w_k, with
+    w_k = u_k / (1 + u_first) and w = 1 at the first child.  Each array
+    here has one entry per entry of S.
+    """
+    mats = []
+    for a in a_mats:
+        n_parent, n_child = a.shape
+        head, u = a.indptr[:-1], a.data
+        count = np.diff(a.indptr)
+        parent = np.repeat(np.arange(n_parent), count)
+        w = u / (1.0 + u[head])[parent]
+        w[head] = 1.0
+        indptr = np.zeros(n_child + 1, dtype=np.int64)
+        np.cumsum(count[parent], out=indptr[1:])
+        row = np.repeat(np.arange(n_child), count[parent])
+        p = parent[row]
+        i = head[p] + np.arange(indptr[-1]) - indptr[row]
+        cols = i + (n_parent - 1) - p
+        vals = -u[i] * w[row]
+        vals[row == i] += 1.0
+        cols[indptr[:-1]] = parent
+        vals[indptr[:-1]] = u
+        mats.append(sp.csr_matrix((vals, cols, indptr),
+                                  shape=(n_child, n_child)))
+    return mats

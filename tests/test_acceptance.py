@@ -304,8 +304,7 @@ def test_criterion6_classical_equivalence():
         dc_ref, energy_ref, total_ref = _butterfly_box(
             cl.positions, cl.attributes, depth)
         h = rahtp.build_hierarchy(cl, 1)
-        cfg = TransformConfig(order=1, residual_mode="overcomplete",
-                              approx=ApproxConfig(order=64))
+        cfg = TransformConfig(order=1, approx=ApproxConfig(order=64))
         co = analyze(h, cl.attributes, cfg)
         worst = max(worst, np.abs(co.lowpass[0] - dc_ref).max())
         for lev in range(depth):
@@ -313,9 +312,13 @@ def test_criterion6_classical_equivalence():
             tot = float((plane ** 2).sum())
             worst = max(worst, abs(tot - total_ref[lev + 1])
                         / max(total_ref[lev + 1], 1.0))
+            # a parent with n children owns the plane's next n - 1 rows
+            parents = h.levels[lev]
+            n = np.bincount(parents.link_parent, minlength=len(parents))
+            owner = np.repeat(np.arange(len(parents)), n - 1)
             cells = {}
-            for i, node in enumerate(h.levels[lev + 1].nodes):
-                cell = tuple(node >> 1)
+            for i, p in enumerate(owner):
+                cell = tuple(parents.nodes[p])
                 cells[cell] = cells.get(cell, 0.0) + float((plane[i] ** 2).sum())
             ref = energy_ref[lev + 1]
             for cell in set(cells) | set(ref):
@@ -347,8 +350,8 @@ def test_criterion8_energy_compaction():
     basis reaches lower distortion than the box basis at every matched
     mid-level coefficient count, by >= 1 dB somewhere."""
     cl = make_synthetic_cloud("sphere", count=10000, depth=6, seed=0)
-    c1 = compaction_curve(cl, 1, "overcomplete", 1024)
-    c2 = compaction_curve(cl, 2, "overcomplete", 1024)
+    c1 = compaction_curve(cl, 1, 1024)
+    c2 = compaction_curve(cl, 2, 1024)
     log_n1 = np.log([n for n, _ in c1])
     db1 = np.array([d for _, d in c1])
     gaps = []

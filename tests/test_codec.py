@@ -483,16 +483,15 @@ def _forged(blob, edit):
     return header + struct.pack("<I", zlib.crc32(header)) + blob[off:]
 
 
-def _steps_at(header):
-    """Offset of the first quantization step: after the mode bytes and K."""
-    return 11 + header[6]
+# offset of the first quantization step: after the colorspace and K
+_STEPS_AT = 11
 
 
 def _with_steps(blob, *steps):
     """blob with its first quantization steps replaced, header resealed."""
     def edit(header):
         for ch, step in enumerate(steps):
-            header = _patched(header, "<d", _steps_at(header) + 8 * ch, step)
+            header = _patched(header, "<d", _STEPS_AT + 8 * ch, step)
         return header
     return _forged(blob, edit)
 
@@ -504,7 +503,7 @@ def _with_steps(blob, *steps):
 def test_decode_rejects_hostile_header_fields(field):
     # each field is forged into a header sealed with a matching CRC.  tau
     # and scaling splice back the reserved slots of format v1, an f64
-    # after K and a byte at offset 7: v2 has neither, so the CRC is read
+    # after K and a byte at offset 7: v3 has neither, so the CRC is read
     # where the fields say the header ends, inside the spliced header
     cl = builtin_clouds()["sphere200"]
     if field.startswith("mono"):
@@ -517,8 +516,8 @@ def test_decode_rejects_hostile_header_fields(field):
     if name == "step":
         bad = _with_steps(blob, float(value))
     elif name == "tau":
-        bad = _forged(blob, lambda h: h[:_steps_at(h)] + struct.pack(
-            "<d", float(value)) + h[_steps_at(h):])
+        bad = _forged(blob, lambda h: h[:_STEPS_AT] + struct.pack(
+            "<d", float(value)) + h[_STEPS_AT:])
     elif name == "order":
         bad = _forged(blob, lambda h: _patched(h, "<B", 5, int(value)))
     elif name == "scaling":
@@ -528,29 +527,6 @@ def test_decode_rejects_hostile_header_fields(field):
     else:
         bad = blob + b"\x00"
     with pytest.raises(CorruptStream):
-        decode(bad, cl)
-
-
-@pytest.mark.parametrize("case,why", [("more_parents", "outnumber"),
-                                      ("no_split", "no injective split")])
-def test_decode_rejects_critical_mode_without_a_split(case, why):
-    # order 2 codes no critical planes, so a critical mode byte is refused
-    # in the header whatever the geometry; `why` names the geometry's own
-    # reason it has no split at the patched level
-    if case == "more_parents":
-        # one odd voxel: 8 hat parents over 1 child at level 0
-        cl = rahtp.PointCloud(positions=np.array([[1, 1, 1]]),
-                              attributes=np.array([[9.0]]), depth=1,
-                              channels=1)
-        level = 0
-    else:
-        # 26 parents and 60 children at level 1, but no injective split
-        cl = random_cloud(17, 30, 3, channels=1)
-        level = 1
-    blob, _ = encode(cl, _codec_config(order=2), 1.0)
-    bad = _forged(blob, lambda h: _patched(h, "<B", 9 + level, ord("c")))
-    with pytest.raises(CorruptStream,
-                       match="^critical level in an order-2 stream$"):
         decode(bad, cl)
 
 
@@ -691,7 +667,7 @@ def _shift_last_voxel(cl):
 
 @pytest.mark.parametrize("change", [
     "attributes in place", "positions in place", "equal new object", "K",
-    "mode", "colorspace"])
+    "colorspace"])
 def test_encode_reanalyzes_after_any_change(monkeypatch, change):
     cl = builtin_clouds()["sphere200"]
     config, colorspace = _codec_config(), "bt709"
@@ -704,8 +680,6 @@ def test_encode_reanalyzes_after_any_change(monkeypatch, change):
         cl = _copy(cl)
     elif change == "K":
         config = _codec_config(k=8)
-    elif change == "mode":
-        config = _codec_config(mode="critical")
     else:
         colorspace = "raw"
     calls = _count_calls(monkeypatch, "analyze")
@@ -714,6 +688,19 @@ def test_encode_reanalyzes_after_any_change(monkeypatch, change):
     want, _ = encode(_copy(cl), config, 2.0, colorspace=colorspace)
     assert got == want
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_requested_mode_does_not_change_the_bytes(monkeypatch, order):
+    # the planes are a function of the order, so a request for the other
+    # mode writes the same blob and hits the memo
+    cl = builtin_clouds()["sphere200"]
+    first, stats = encode(cl, _codec_config(order, "overcomplete"), 1.0)
+    calls = _count_calls(monkeypatch, "analyze", "build_hierarchy")
+    second, _ = encode(cl, _codec_config(order, "critical"), 1.0)
+    assert second == first
+    assert calls == []
+    assert stats["modes"] == ("c" if order == 1 else "o") * 3
 
 
 def test_memo_hit_keeps_every_check():
@@ -794,15 +781,20 @@ def test_decode_onto_the_encoded_cloud_rebuilds_no_geometry(monkeypatch,
 
 def test_memo_holds_the_plan_in_a_mapping_without_the_hierarchy():
     cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
-    for order, mode in ((2, "critical"), (1, "critical")):
-        encode(cl, TransformConfig(order=order, residual_mode=mode), 1.0)
+    for order in (2, 1):
+        encode(cl, TransformConfig(order=order), 1.0)
         plan = codec._memo.plan
         assert plan.hierarchy is None
-        # order 2: each A' and each series layer L; order 1 critical: each
-        # A' and each critical synthesis matrix
-        mats = plan.a_mats + [g.lm for g in plan.grams or ()]
-        mats += plan.critical or []
-        assert len(mats) == 2 * codec._memo.depth + (order == 2)
+        # order 2: each A' and each series layer L; order 1: only each
+        # critical synthesis matrix, which synthesize alone reads
+        if order == 2:
+            mats = plan.a_mats + [g.lm for g in plan.grams]
+            assert plan.critical is None
+        else:
+            mats = plan.critical
+            assert plan.a_mats is None and plan.grams is None
+        depth = codec._memo.depth
+        assert len(mats) == (2 * depth + 1 if order == 2 else depth)
         for part in (x for m in mats for x in (m.data, m.indices, m.indptr)):
             while isinstance(part, np.ndarray):
                 part = part.base
@@ -824,16 +816,16 @@ def test_decode_after_positions_change_in_place_sees_the_new_geometry():
     ("sphere200", 2, "overcomplete", 16), ("pair", 1, "critical", 16)])
 def test_decode_of_another_stream_onto_the_encoded_cloud(monkeypatch, name,
                                                          order, mode, k):
-    # the memo holds the cloud at order 1, K=16, overcomplete; a stream
-    # with another K or order, or with a critical level, whose arrays the
-    # held plan lacks, decodes as onto a cold geometry
+    # the memo holds the cloud at order 1, K=16, requested overcomplete; a
+    # stream with another K or order decodes as onto a cold geometry, and
+    # one that differs only in the requested mode takes the held plan
     cl = builtin_clouds()[name]
     other, stats = encode(_copy(cl), _codec_config(order, mode, k), 2.0)
-    assert ("c" in stats["modes"]) == (mode == "critical")
+    assert stats["modes"] == ("c" if order == 1 else "o") * cl.depth
     encode(cl, _codec_config(), 1.0)
     calls = _count_calls(monkeypatch, "build_hierarchy")
     got, head = decode(other, cl)
-    assert calls == ["build_hierarchy"]
+    assert calls == ([] if (order, k) == (1, 16) else ["build_hierarchy"])
     want, _ = decode(other, _copy(cl))
     assert (head["order"], head["k"]) == (order, k)
     assert got.tobytes() == want.tobytes()

@@ -23,7 +23,7 @@ def test_roundtrip_demo(capsys):
     _load("roundtrip").main()
     out = capsys.readouterr().out
     errs = [float(e) for e in re.findall(r"coeffs  max err (\S+)", out)]
-    assert len(errs) == 4
+    assert len(errs) == 2
     assert max(errs) < 1e-6
     assert out.count("payload bytes") == 2
 

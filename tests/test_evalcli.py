@@ -61,7 +61,7 @@ def test_cli_encode_decode_roundtrip(tmp_path):
     bitstream = tmp_path / "out.bin"
     recon = tmp_path / "recon.ply"
     assert main(["encode", str(path), str(bitstream),
-                 "--order", "2", "--mode", "critical", "--step", "0.25",
+                 "--order", "2", "--step", "0.25",
                  "--taylor-k", "32"]) == 0
     assert bitstream.stat().st_size > 0
     assert main(["decode", str(bitstream), str(path), str(recon)]) == 0
@@ -75,12 +75,11 @@ def test_cli_rd_csv(tmp_path):
     path, _ = _write_cloud(tmp_path)
     out = tmp_path / "rd.csv"
     code = main(["rd", str(path), str(out), "--steps", "2.0", "8.0",
-                 "--orders", "1", "--modes", "overcomplete",
-                 "--taylor-k", "16"])
+                 "--orders", "1", "--taylor-k", "16"])
     assert code == 0
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 2
-    assert {"order", "mode", "step", "bpp", "psnr_y", "psnr_u", "psnr_v",
+    assert {"order", "step", "bpp", "psnr_y", "psnr_u", "psnr_v",
             "psnr_yuv"} <= set(rows[0])
     # coarser quantization cannot increase the rate
     assert float(rows[1]["bpp"]) <= float(rows[0]["bpp"])
@@ -126,21 +125,20 @@ def test_cli_rd_prints_bd_rate_against_the_first_curve(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines()
              if l.startswith("BD-rate")]
     assert len(lines) == 1
-    assert lines[0].startswith("BD-rate order 2 overcomplete against "
-                               "order 1 overcomplete: ")
+    assert lines[0].startswith("BD-rate order 2 against order 1: ")
     assert len(list(csv.DictReader(open(out)))) == 8
     # fewer than 4 steps: no BD line
     assert main(["rd", str(path), str(out), "--steps", "2", "8"]) == 0
     assert "BD-rate" not in capsys.readouterr().out
 
 
-def test_cli_rd_defaults_to_overcomplete(tmp_path):
+def test_cli_rd_defaults_to_both_orders(tmp_path):
     path, _ = _write_cloud(tmp_path)
     out = tmp_path / "rd.csv"
     assert main(["rd", str(path), str(out), "--steps", "2.0"]) == 0
     rows = list(csv.DictReader(open(out)))
-    assert [(r["order"], r["mode"]) for r in rows] == [
-        ("1", "overcomplete"), ("2", "overcomplete")]
+    assert [r["order"] for r in rows] == ["1", "2"]
+    assert "mode" not in rows[0]
 
 
 def test_cli_rd_reads_order_as_orders(tmp_path):
@@ -148,9 +146,9 @@ def test_cli_rd_reads_order_as_orders(tmp_path):
     path, _ = _write_cloud(tmp_path)
     out = tmp_path / "rd.csv"
     assert main(["rd", str(path), str(out), "--order", "1",
-                 "--modes", "overcomplete", "--steps", "2.0"]) == 0
+                 "--steps", "2.0"]) == 0
     rows = list(csv.DictReader(open(out)))
-    assert [(r["order"], r["mode"]) for r in rows] == [("1", "overcomplete")]
+    assert [r["order"] for r in rows] == ["1"]
 
 
 def test_cli_compaction_rejects_colorspace(tmp_path):
@@ -166,7 +164,7 @@ def test_cli_compaction_csv(tmp_path):
     out = tmp_path / "comp.csv"
     assert main(["compaction", str(path), str(out), "--orders", "1", "2"]) == 0
     rows = list(csv.DictReader(open(out)))
-    assert {"order", "mode", "level", "coeff_count", "mse_db"} <= set(rows[0])
+    assert {"order", "level", "coeff_count", "mse_db"} <= set(rows[0])
     for order in ("1", "2"):
         sub = [r for r in rows if r["order"] == order]
         counts = [int(r["coeff_count"]) for r in sub]

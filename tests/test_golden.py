@@ -1,8 +1,10 @@
 """Frozen encode output: any change to the bytes of a stream shows here.
 
-The digests pin the streams of format VERSION 2.  A change that is meant to
+The digests pin the streams of format VERSION 3.  A change that is meant to
 alter the bytes must bump VERSION and record the digests again.  DECODED
-pins what decode returns for each of these streams.
+pins what decode returns for each of these streams.  The mode in each key
+is the requested residual_mode, which no longer changes the bytes: order 1
+codes critical planes and order 2 overcomplete planes either way.
 """
 
 import hashlib
@@ -19,35 +21,36 @@ from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.geometry import build_hierarchy
 from rahtp.kernels import build_a_matrix, gram_levels
 from rahtp.transform import (TransformConfig, TransformPlan,
-                             apply_basis_scaling)
+                             _box_a_matrices, apply_basis_scaling)
 
 GOLDEN = {
     ("sphere200", 1, "overcomplete"):
-        "928f3d88756955431a44bd652f9b2625c91c15db22d471bd887a1c399a1657ae",
+        "d0250d32ffe70dc57ef700a7492f68ce77a9e910a5d03e71b3fc2616c4631ee6",
     ("sphere200", 1, "critical"):
-        "e8441e1030779adebbb10422d6d15d69ba2be4ce287e80e2c6284b78905ae587",
+        "d0250d32ffe70dc57ef700a7492f68ce77a9e910a5d03e71b3fc2616c4631ee6",
     ("sphere200", 2, "overcomplete"):
-        "59e24a4ca0f92da265c1baf6c1aa1c10bb6c6c973cbb56148d39c22bd0997db6",
+        "8e0a4da7d6919594f33061131323bda23ac260f0f1343238931580f4f4633e07",
     ("sphere200", 2, "critical"):
-        "59e24a4ca0f92da265c1baf6c1aa1c10bb6c6c973cbb56148d39c22bd0997db6",
+        "8e0a4da7d6919594f33061131323bda23ac260f0f1343238931580f4f4633e07",
     ("torus3000", 1, "overcomplete"):
-        "870edcc67e785718ab0c16cce87c627b2e0794b972ee83ea6183d48924aa42c3",
+        "11fc6c176917edf1e4b478e94ffbb0e1b2f8bf70a19858f95ec14e4f783fb7c5",
     ("torus3000", 1, "critical"):
-        "76502841aee374124f80bd71085a3bd901b0afdb529859b0cca3c9b9be40a7af",
+        "11fc6c176917edf1e4b478e94ffbb0e1b2f8bf70a19858f95ec14e4f783fb7c5",
     ("torus3000", 2, "overcomplete"):
-        "7bed18b148437f625c04f9aeac6e2a38302a5bae278cf89c0ab135f6ec6c48d8",
+        "7040c4d9c540f02e8c58e96c413a01cfae7829b92c165be18a3b8f488566a8b4",
     ("torus3000", 2, "critical"):
-        "7bed18b148437f625c04f9aeac6e2a38302a5bae278cf89c0ab135f6ec6c48d8",
+        "7040c4d9c540f02e8c58e96c413a01cfae7829b92c165be18a3b8f488566a8b4",
 }
 
 
 # sha256 of decode's float64 attribute bytes for each golden stream.  The
-# six that are not order-1 critical were recorded before the order-1 plan
-# stopped building Grams and held through format v2; the two order-1
-# critical ones were recorded when v2 coded them in closed form
+# four order-2 ones were recorded before the order-1 plan stopped building
+# Grams and the two order-1 critical ones when format v2 coded them in
+# closed form; both held through format v3.  Since v3 the order-1
+# overcomplete requests decode to their critical twins
 DECODED = {
     ("sphere200", 1, "overcomplete"):
-        "144a7ad8c0d4231bcb09e11265a4f8d39603156892ad49a01f7c2877fc1f9fe9",
+        "17e243ca0a66ea403cc80c5163afe4f8880d81a4d8fd0015c4c48da3828c89aa",
     ("sphere200", 1, "critical"):
         "17e243ca0a66ea403cc80c5163afe4f8880d81a4d8fd0015c4c48da3828c89aa",
     ("sphere200", 2, "overcomplete"):
@@ -55,7 +58,7 @@ DECODED = {
     ("sphere200", 2, "critical"):
         "e38b227f99ea2498c4b4623d3e7be2e6a64fd0c2d0e2c745431649360ddc1bb5",
     ("torus3000", 1, "overcomplete"):
-        "41914fd100478cfdf4ebcd34d91438e5717a543a05447c47808c2ce3cb7bb8fd",
+        "8a4ce5731cc8bbaf033ff9f18b2c387631a29b12e2174e9bc098665799d2e494",
     ("torus3000", 1, "critical"):
         "8a4ce5731cc8bbaf033ff9f18b2c387631a29b12e2174e9bc098665799d2e494",
     ("torus3000", 2, "overcomplete"):
@@ -84,17 +87,19 @@ def test_encode_bytes_frozen(name, order, mode):
 
 @pytest.mark.parametrize("name", ["sphere200", "torus3000", "noisy_sphere"])
 def test_order1_plan_from_counts_matches_generic_scaling(name):
-    # the order-1 plan builds A' from voxel counts and no Gram, which holds
-    # only because the generic path gives the same A' to the bit and a
-    # scaled Gram that is exactly the identity on every level
+    # the order-1 plan builds its synthesis matrices from an A' of voxel
+    # counts and no Gram, which holds only because the generic path gives
+    # the same A' to the bit and a scaled Gram that is exactly the identity
+    # on every level
     h = build_hierarchy(_cloud(name), 1)
     a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], 1)
               for l in range(h.depth)]
     scaled_a, scaled_g = apply_basis_scaling(gram_levels(h, a_mats), a_mats)
     plan = TransformPlan(h, TransformConfig(order=1))
-    assert plan.grams is None
-    assert len(plan.a_mats) == len(scaled_a) == h.depth
-    for generic, counted in zip(scaled_a, plan.a_mats):
+    assert plan.grams is None and plan.a_mats is None
+    counted_a = _box_a_matrices(h)
+    assert len(counted_a) == len(scaled_a) == len(plan.critical) == h.depth
+    for generic, counted in zip(scaled_a, counted_a):
         assert generic.shape == counted.shape
         for part in ("indptr", "indices", "data"):
             g, c = getattr(generic, part), getattr(counted, part)
@@ -158,6 +163,31 @@ def test_v1_stream_raises_corrupt_stream():
     assert decode(blob, cloud)[0].tolist() == [[128.0, 64.0, 32.0]]
 
 
+# the one-voxel builtin cloud's order-1 critical stream at K=16 and step 1,
+# as a format v2 encoder wrote it: one 'c' mode byte after the colorspace
+SINGLE_ORDER1_CRITICAL_V2 = bytes.fromhex(
+    "524148540201010300631000000000000000f03f000000000000f03f00000000"
+    "0000f03f01000000c3f5cc9bd28814a6023efc840b00000048868eb2ffffffff"
+    "ffff0000008000000000000000000005000000ffffffffffffffff0000000000"
+    "00000000030000008d10fdd2ffff000000000000000000")
+
+
+def test_v2_stream_raises_corrupt_stream():
+    cloud = builtin_clouds()["single"]
+    with pytest.raises(CorruptStream, match="^unsupported version 2$"):
+        decode(SINGLE_ORDER1_CRITICAL_V2, cloud)
+    # the v3 stream of the same request is the v2 stream without its mode
+    # byte, under another version and header CRC
+    blob, stats = encode(cloud, TransformConfig(order=1), 1.0)
+    assert stats["modes"] == "c"
+    _, off = parse_header(blob)
+    v2 = SINGLE_ORDER1_CRITICAL_V2
+    assert blob[4] == 3 and v2[9:10] == b"c"
+    assert blob[5:off - 4] == v2[5:9] + v2[10:off - 3]
+    assert blob[off:] == v2[off + 1:]
+    assert decode(blob, cloud)[0].tolist() == [[128.0, 64.0, 32.0]]
+
+
 def _flip_bits(data, rng, nflips):
     out = bytearray(data)
     for p in rng.choice(len(out) * 8, nflips, replace=False):
@@ -167,6 +197,7 @@ def _flip_bits(data, rng, nflips):
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
 def test_fuzzed_v2_streams_raise_only_corrupt_stream(name, order, mode):
+    # on the streams of the current format (v3; the name dates from v2):
     # the header CRC and one CRC per plane catch every 1-3 bit flip, and a
     # truncated header never reads past the data
     cloud = _cloud(name)

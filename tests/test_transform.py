@@ -6,10 +6,11 @@ from rahtp.evalcli import builtin_clouds
 from rahtp.kernels import build_a_matrix, gram_levels
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import (ApproxRoles, TransformConfig, TransformPlan,
-                             analyze, apply_basis_scaling, synthesize,
+                             _box_a_matrices, _critical_synthesis, analyze,
+                             apply_basis_scaling, synthesize,
                              truncate_to_level)
 
-from _helpers import pair_cloud, random_cloud
+from _helpers import pair_cloud, random_cloud, reference_critical_synthesis
 
 
 def _roundtrip(cloud, order, mode, k=32):
@@ -56,10 +57,9 @@ def test_two_point_classical_values():
         # detail sign convention: (second - first) in Morton order
         energy = float((co.highpass[0] ** 2).sum())
         assert energy == pytest.approx(32.0, abs=1e-9)
-        if mode == "critical":
-            assert co.modes == "c"
-            assert co.highpass[0][0, 0] == pytest.approx(8.0 / np.sqrt(2),
-                                                         abs=1e-12)
+        assert co.modes == "c"
+        assert co.highpass[0][0, 0] == pytest.approx(8.0 / np.sqrt(2),
+                                                     abs=1e-12)
 
 
 def test_constant_field_concentrates_in_dc():
@@ -89,6 +89,8 @@ def test_structural_fallback_to_overcomplete():
 
 
 def test_order2_never_attempts_critical_planes():
+    # the requested mode changes nothing: order 1 codes every level
+    # critical, in closed form, and order 2 every level overcomplete
     cl = random_cloud(42, 100, 3)
     series = ApproxConfig(order=16)
     coded = {}
@@ -99,15 +101,27 @@ def test_order2_never_attempts_critical_planes():
         got = analyze(h, cl.attributes, critical)
         want = analyze(h, cl.attributes, TransformConfig(
             order=order, residual_mode="overcomplete", approx=series))
-        assert want.modes == "ooo"
+        assert got.modes == want.modes
         assert got.lowpass.tobytes() == want.lowpass.tobytes()
+        for g, w in zip(got.highpass, want.highpass):
+            assert g.tobytes() == w.tobytes()
         coded[order] = got.modes
         if order == 2:
             assert TransformPlan(h, critical).critical is None
-            for g, w in zip(got.highpass, want.highpass):
-                assert g.tobytes() == w.tobytes()
-    # order 1 codes every level critical, in closed form
     assert coded == {1: "ccc", 2: "ooo"}
+
+
+@pytest.mark.parametrize("name", ["sphere200", "seed63", "pair", "single"])
+def test_order1_codes_one_coefficient_per_voxel(name):
+    # RAHT is critically sampled: one coefficient per voxel and channel,
+    # in the transform and in what encode reports
+    cl = (builtin_clouds()[name] if name in ("sphere200", "pair", "single")
+          else random_cloud(63, 400, 5))
+    for mode in ("critical", "overcomplete"):
+        config = TransformConfig(order=1, residual_mode=mode)
+        co = analyze(rahtp.build_hierarchy(cl, 1), cl.attributes, config)
+        _, stats = rahtp.encode(cl, config, 1.0)
+        assert co.total_coeffs() == stats["coeff_count"] == len(cl.positions)
 
 
 def _one_child_per_parent_cloud():
@@ -157,6 +171,31 @@ def test_order1_critical_codes_every_level_with_the_complement_rows(name):
     assert [len(p) for p in co.highpass] == [
         len(h.levels[l + 1]) - len(h.levels[l]) for l in range(h.depth)]
     assert co.total_coeffs() == len(cl.positions)
+
+
+@pytest.mark.parametrize("name", ["sphere200", "torus3000", "box-fresh-hirate",
+                                  "box-critical"])
+def test_critical_synthesis_matches_the_reference_builder(name):
+    # the benchmark clouds at seed 11: 149,275 and 49,312 voxels
+    if name == "sphere200":
+        cl = builtin_clouds()[name]
+    elif name == "torus3000":
+        cl = rahtp.make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    elif name == "box-fresh-hirate":
+        cl = rahtp.make_synthetic_cloud("sphere", count=300000, depth=8,
+                                        seed=11, noise=8.0)
+    else:
+        cl = rahtp.make_synthetic_cloud("sphere", count=200000, depth=7,
+                                        seed=11)
+    a_mats = _box_a_matrices(rahtp.build_hierarchy(cl, 1))
+    want = reference_critical_synthesis(a_mats)
+    got = _critical_synthesis(a_mats)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        for part in ("data", "indices", "indptr"):
+            x, y = getattr(g, part), getattr(w, part)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
 
 
 def test_config_rejects_unknown_mode():
