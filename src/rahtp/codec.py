@@ -45,16 +45,16 @@ content, order, K and colorspace reuses it and only quantizes and
 codes; any other call drops the entry and analyzes afresh.  The entry holds
 a weak reference to the cloud, a sha256 over its positions and depth and
 another over its attributes and the configuration, the geometry's depth,
-node count per level and digest, the TransformPlan without its hierarchy
-and the coefficient planes.  The plan's arrays and the planes each sit
-in an anonymous mapping of their own.
+node count per level and digest, the TransformPlan (which holds neither
+the hierarchy nor K) and the coefficient planes.  The plan's arrays and
+the planes each sit in an anonymous mapping of their own.
 
 decode reads the same entry.  A stream decoded onto the cloud object just
-encoded, with the entry's order and K, and with positions that still hash
-to the entry's, is checked against the held depth, node counts and digest
-and synthesized on the held plan; the hierarchy, digest and plan are not
-rebuilt.  Any other decode builds them from the cloud it is given, and no
-decode changes the entry.
+encoded, with the entry's order and any K, and with positions that still
+hash to the entry's, is checked against the held depth, node counts and
+digest and synthesized on the held plan at the stream's K; the
+hierarchy, digest and plan are not rebuilt.  Any other decode builds them
+from the cloud it is given, and no decode changes the entry.
 """
 
 import dataclasses
@@ -503,7 +503,7 @@ class _Analysis:
     key: bytes              # _content_key of that cloud and configuration
     sizes: tuple            # node count per level, coarsest first
     digest: int             # geometry_digest, as the header stores it
-    plan: TransformPlan     # without_geometry; matrices in one mapping
+    plan: TransformPlan     # matrices in one mapping
     coeffs: CoeffSet        # planes in one mapping
 
     @property
@@ -538,11 +538,12 @@ def _geometry_key(cloud):
 
 def _content_key(cloud, config, colorspace):
     """sha256 over the rest of what analyze reads: the attributes (with
-    their dtype and shape) and the configuration."""
+    their dtype and shape) and the configuration.  encode refuses any
+    series tolerance but None before it gets here."""
     h = hashlib.sha256()
     _hash_array(h, cloud.attributes)
     h.update(repr((cloud.channels, config.order, config.approx.order,
-                   config.approx.tolerance, colorspace)).encode())
+                   colorspace)).encode())
     return h.digest()
 
 
@@ -592,7 +593,7 @@ def _analysis(cloud, config, colorspace):
                       key=key,
                       sizes=tuple(len(level) for level in hierarchy.levels),
                       digest=geometry_digest(hierarchy),
-                      plan=plan.without_geometry(),
+                      plan=plan,
                       coeffs=dataclasses.replace(coeffs, lowpass=lowpass,
                                                  highpass=highpass))
     with _memo_lock:
@@ -605,15 +606,15 @@ def _held_geometry(cloud, head):
     decoding a stream with header head, else None.
 
     It may when cloud is the object the entry was encoded from, the
-    stream's order and K are the entry's, and the positions and depth still
-    hash to the entry's key.  The identity check comes first, so a
-    decode onto any other object hashes nothing.
+    stream's order is the entry's, and the positions and depth still hash
+    to the entry's key.  The plan holds no K, so a stream of any K may.
+    The identity check comes first, so a decode onto any other object
+    hashes nothing.
     """
     with _memo_lock:
         entry = _memo
     if (entry is None or entry.cloud() is not cloud
-            or entry.plan.config.order != head["order"]
-            or entry.plan.config.approx.order != head["k"]
+            or entry.plan.order != head["order"]
             or _geometry_key(cloud) != entry.geometry_key):
         return None
     return entry
@@ -748,8 +749,9 @@ def decode(data, cloud):
     config = TransformConfig(order=head["order"],
                              approx=ApproxConfig(order=head["k"]))
     # every order-1 parent has a child, so a critical plane has >= 0 rows
-    counts = [sizes[0]] + [sizes[l + 1] - (sizes[l] if mode == "c" else 0)
-                           for l, mode in enumerate(head["modes"])]
+    critical = head["order"] == 1
+    counts = [sizes[0]] + [sizes[l + 1] - (sizes[l] if critical else 0)
+                           for l in range(depth)]
 
     nch = head["channels"]
     planes = [np.zeros((c, nch)) for c in counts]
@@ -783,8 +785,7 @@ def decode(data, cloud):
                             % (len(data) - off))
 
     coeffs = CoeffSet(order=head["order"], depth=head["depth"], channels=nch,
-                      lowpass=planes[0], highpass=planes[1:],
-                      modes=head["modes"])
+                      lowpass=planes[0], highpass=planes[1:])
     try:
         attrs = synthesize(hierarchy, coeffs, config, plan)
     except SeriesDivergence as exc:

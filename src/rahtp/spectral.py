@@ -10,10 +10,10 @@ iteration matrix L has spectrum in [0, 1) on the range of X and the partial
 sums converge geometrically at rate 1 - tau*lambda_min.
 
 Every X is an Operator: an explicit matrix (the scaled Grams, the lifting
-product M) that keeps only its fixed Gershgorin bound and its series layer
-L = I - X/bound in CSR, both built once.  apply_series reads the step from
-op.bound.  eigen_bound, a power-iteration bound, is kept as a compatibility
-name for perfbench/spans.py; no operator uses it.
+product M) that keeps only its Gershgorin bound, read-only, and its series
+layer L = I - X/bound in CSR, both built once.  apply_series reads the step
+from op.bound.  eigen_bound, a power-iteration bound, is kept as a
+compatibility name for perfbench/spans.py; no operator uses it.
 
 A series term is one layer of the paper's feedforward network: one CSR
 product, L @ term.
@@ -92,24 +92,29 @@ class Operator:
 
     The matrix (ndarray or any scipy sparse format) is read once as CSR,
     and the operator keeps only its bound, the max absolute row sum of
-    that CSR, and the series layer lm = I - X/bound.  That bound is fixed.
+    that CSR, and the series layer lm = I - X/bound.
     """
 
     def __init__(self, source):
         x = sp.csr_matrix(source, dtype=np.float64)
         self.dim = x.shape[0]
-        self.bound = self._lm_bound = float(
-            np.asarray(abs(x).sum(axis=1)).max())
-        tau = 1.0 / self.bound if self.bound > 0.0 else 0.0   # X = 0: L = I
+        self._bound = float(np.asarray(abs(x).sum(axis=1)).max())
+        tau = 1.0 / self._bound if self._bound > 0.0 else 0.0  # X = 0: L = I
         self.lm = (sp.identity(self.dim, format="csr")
                    - x.multiply(tau)).tocsr()
+
+    @property
+    def bound(self):
+        """The bound lm was built at.  It is read-only, since a series at
+        any other step would run a stale lm."""
+        return self._bound
 
     def __len__(self):
         return self.dim
 
     def matvec(self, x):
         x = np.asarray(x)
-        return (x - self.lm @ x) * self._lm_bound
+        return (x - self.lm @ x) * self._bound
 
 
 def _sumsq(term):
@@ -163,11 +168,6 @@ def apply_series(op, v, h, cfg):
     """
     v = np.asarray(v, dtype=np.float64)
     bound = op.bound
-    # by identity, so any reassignment counts, also of a NaN bound
-    if bound is not op._lm_bound:
-        raise ValueError("an explicit operator's bound is fixed: its L was "
-                         "built at %r, and op.bound was reassigned to %r"
-                         % (op._lm_bound, bound))
     if bound <= 0.0:
         if np.all(v == 0.0):
             return v.copy()

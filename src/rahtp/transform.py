@@ -23,9 +23,12 @@ product per level (_critical_synthesis).
 Order 1 (box) needs no Gram.  Box supports on one level are disjoint, so
 its Gram is the diagonal of voxel counts, and after the unit-diagonal
 scaling every G is exactly the identity.  Its plan is the synthesis
-matrices S, built from the counts, and every h(G) v returns what the
-series returns on I, with no series run.  So the stream's K matters only
-for order 2.
+matrices S, built from the counts, and it runs no normalization: the DC
+is A'f at the root.  So the stream's K matters only for order 2.
+
+A TransformPlan holds only what the geometry and the order determine.
+The series depth K reaches order 2's normalizations through the config
+argument of analyze and synthesize alone, so one plan serves every K.
 
 Order 2 has no closed form.  Its encoder keeps a running copy of the
 decoder state and codes each level's residual against it, so series
@@ -35,7 +38,6 @@ identity, which makes the last fold exact and gives machine-precision
 round trips without quantization.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,16 +86,19 @@ class TransformConfig:
 class CoeffSet:
     """Transform output: DC block plus one high-pass plane per level step.
 
-    modes[l] is the plane kind coding level l -> l+1: 'c' (critical) on
-    every level of order 1 and 'o' (overcomplete) on every level of order
-    2.  All rows follow Morton order of the owning nodes.
+    All rows follow Morton order of the owning nodes.
     """
     order: int
     depth: int
     channels: int
     lowpass: np.ndarray
     highpass: list
-    modes: str
+
+    @property
+    def modes(self):
+        """The plane kind coding each level l -> l+1: 'c' (critical) on
+        every level of order 1 and 'o' (overcomplete) of order 2."""
+        return ("c" if self.order == 1 else "o") * self.depth
 
     def total_coeffs(self):
         return len(self.lowpass) + sum(len(h) for h in self.highpass)
@@ -201,22 +206,22 @@ def _critical_synthesis(a_mats):
 class TransformPlan:
     """Geometry-derived operators shared by analyze and synthesize.
 
-    Construction is deterministic from (hierarchy, config), so encoder and
-    decoder rebuild identical operators from the transmitted geometry; no
-    operator state travels in the bitstream.  An order-1 plan holds only
-    critical, the per-level synthesis matrices S of _critical_synthesis:
-    their first N_parent columns are A'^T, and every scaled box Gram is the
-    identity (a_mats and grams are None).  An order-2 plan holds a_mats,
-    the scaled A' per level, and its scaled Grams, as Operators in grams
-    (critical is None).  Every h(G') v goes through gram.
+    Construction is deterministic from the hierarchy and the order, so
+    encoder and decoder rebuild identical operators from the transmitted
+    geometry; no operator state travels in the bitstream, and the plan
+    holds neither the hierarchy nor the series depth K.  An order-1 plan
+    holds only critical, the per-level synthesis matrices S of
+    _critical_synthesis: their first N_parent columns are A'^T, and every
+    scaled box Gram is the identity (a_mats and grams are None).  An
+    order-2 plan holds a_mats, the scaled A' per level, and its scaled
+    Grams, as Operators in grams (critical is None).
     """
 
     def __init__(self, hierarchy: Hierarchy, config: TransformConfig):
         if config.order != hierarchy.order:
             raise ValueError("config order %d != hierarchy order %d"
                              % (config.order, hierarchy.order))
-        self.hierarchy = hierarchy
-        self.config = config
+        self.order = hierarchy.order
         if hierarchy.order == 1:
             self.a_mats = self.grams = None
             self.critical = _critical_synthesis(_box_a_matrices(hierarchy))
@@ -229,21 +234,6 @@ class TransformPlan:
             gram_levels(hierarchy, a_mats), a_mats)
         # each Operator keeps only its series layer L, not the scaled Gram
         self.grams = [Operator(g) for g in grams]
-
-    def gram(self, level, v, h):
-        """h(G') v on one level, h one of inv, invsqrt and sqrt: the K-term
-        series on the scaled Gram.
-
-        Order 1 runs no series and returns that series' exact output on
-        G' = I: its first term is zero times b_1, which adds +0.0 for inv
-        and invsqrt (so -0.0 becomes +0.0) and -0.0 for sqrt (b_1 < 0, so
-        every zero keeps its sign); K = 0 has no such term.
-        """
-        if self.grams is not None:
-            return apply_series(self.grams[level], v, h, self.config.approx)
-        if h == "sqrt" or self.config.approx.order == 0:
-            return v * 1.0
-        return v + 0.0
 
     def move_matrices(self, place):
         """Rebuild every CSR matrix of the plan, each S of order 1, each A'
@@ -264,13 +254,6 @@ class TransformPlan:
         self.a_mats = moved[:len(self.a_mats)]
         for g, lm in zip(self.grams, moved[len(self.a_mats):]):
             g.lm = lm
-
-    def without_geometry(self):
-        """A copy of the plan that shares its arrays but not the hierarchy:
-        enough to synthesize, at a fraction of the memory."""
-        plan = copy.copy(self)
-        plan.hierarchy = None
-        return plan
 
 
 def _as_features(attributes):
@@ -315,37 +298,47 @@ def analyze(hierarchy, attributes, config, plan=None):
         raise ValueError("non-finite attributes, or attributes so large "
                          "that their sums overflow")
     if order1:
-        lowpass = plan.gram(0, plan.gram(0, f_dual[0], "inv"), "sqrt")
+        # RAHT needs no normalization: the DC is A'f at the root, a fresh
+        # array also when the root is the voxel level
         return CoeffSet(order=1, depth=depth, channels=v.shape[1],
-                        lowpass=lowpass, highpass=highpass, modes="c" * depth)
+                        lowpass=f_dual[0].copy(), highpass=highpass)
 
-    f_ideal = [plan.gram(l, f_dual[l], "inv") for l in range(depth + 1)]
-    lowpass = plan.gram(0, f_ideal[0], "sqrt")
-    state = plan.gram(0, lowpass, "invsqrt")
+    grams, approx = plan.grams, config.approx
+    f_ideal = [apply_series(grams[l], f_dual[l], "inv", approx)
+               for l in range(depth + 1)]
+    lowpass = apply_series(grams[0], f_ideal[0], "sqrt", approx)
+    state = apply_series(grams[0], lowpass, "invsqrt", approx)
     for l in range(depth):
+        g = grams[l + 1]
         pred = plan.a_mats[l].T @ state
         df = f_ideal[l + 1] - pred
-        plane = plan.gram(l + 1, plan.grams[l + 1].matvec(df), "invsqrt")
+        plane = apply_series(g, g.matvec(df), "invsqrt", approx)
         highpass[l] = plane
-        state = pred + plan.gram(l + 1, plane, "invsqrt")
+        state = pred + apply_series(g, plane, "invsqrt", approx)
     return CoeffSet(order=2, depth=depth, channels=v.shape[1],
-                    lowpass=lowpass, highpass=highpass, modes="o" * depth)
+                    lowpass=lowpass, highpass=highpass)
 
 
 def synthesize(hierarchy, coeffs: CoeffSet, config, plan=None):
-    """Decoder cascade: DC renormalization then, per level, the critical
-    step S [state; plane] of order 1, or the prediction plus decoded
-    residual of order 2."""
+    """Decoder cascade: per level, the critical step S [state; plane] of
+    order 1, starting from the decoded DC, or, after the DC's
+    renormalization, the prediction plus decoded residual of order 2.
+    The series depth K is config's."""
     if plan is None:
         plan = TransformPlan(hierarchy, config)
-    state = plan.gram(0, _as_features(coeffs.lowpass), "invsqrt")
+    state = _as_features(coeffs.lowpass)
+    if coeffs.order == 1:
+        state = state.copy()        # a fresh array also at depth 0
+        for l in range(coeffs.depth):
+            plane = _as_features(coeffs.highpass[l])
+            state = plan.critical[l] @ np.vstack([state, plane])
+        return state
+    grams, approx = plan.grams, config.approx
+    state = apply_series(grams[0], state, "invsqrt", approx)
     for l in range(coeffs.depth):
         plane = _as_features(coeffs.highpass[l])
-        if coeffs.order == 1:
-            state = plan.critical[l] @ np.vstack([state, plane])
-        else:
-            state = (plan.a_mats[l].T @ state
-                     + plan.gram(l + 1, plane, "invsqrt"))
+        state = (plan.a_mats[l].T @ state
+                 + apply_series(grams[l + 1], plane, "invsqrt", approx))
     return state
 
 
@@ -367,5 +360,5 @@ def truncate_to_level(coeffs: CoeffSet, level):
             planes.append(np.zeros_like(h))
     out = CoeffSet(order=coeffs.order, depth=coeffs.depth,
                    channels=coeffs.channels, lowpass=coeffs.lowpass.copy(),
-                   highpass=planes, modes=coeffs.modes)
+                   highpass=planes)
     return out, kept

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import mmap
 import struct
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 import weakref
 import zlib
@@ -18,6 +20,7 @@ from rahtp.codec import (CorruptStream, bt709_to_rgb, decode, dequantize,
                          encode, parse_header, quantize, rgb_to_bt709,
                          rlgr_decode, rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
+from rahtp.geometry import Hierarchy
 from rahtp.spectral import ApproxConfig
 from rahtp.transform import TransformConfig, TransformPlan
 
@@ -779,12 +782,26 @@ def test_decode_onto_the_encoded_cloud_rebuilds_no_geometry(monkeypatch,
     assert got.tobytes() == want.tobytes()
 
 
+def _reachable(obj):
+    """Every object reachable from obj by references, not entering types,
+    modules or functions."""
+    seen, stack = set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType,
+                                           types.FunctionType)):
+            continue
+        seen.add(id(o))
+        yield o
+        stack.extend(gc.get_referents(o))
+
+
 def test_memo_holds_the_plan_in_a_mapping_without_the_hierarchy():
     cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
     for order in (2, 1):
         encode(cl, TransformConfig(order=order), 1.0)
         plan = codec._memo.plan
-        assert plan.hierarchy is None
+        assert not any(isinstance(o, Hierarchy) for o in _reachable(plan))
         # order 2: each A' and each series layer L; order 1: only each
         # critical synthesis matrix, which synthesize alone reads
         if order == 2:
@@ -817,17 +834,30 @@ def test_decode_after_positions_change_in_place_sees_the_new_geometry():
 def test_decode_of_another_stream_onto_the_encoded_cloud(monkeypatch, name,
                                                          order, mode, k):
     # the memo holds the cloud at order 1, K=16, requested overcomplete; a
-    # stream with another K or order decodes as onto a cold geometry, and
-    # one that differs only in the requested mode takes the held plan
+    # stream of order 2 decodes as onto a cold geometry, and an order-1
+    # stream of any K or requested mode takes the held plan
     cl = builtin_clouds()[name]
     other, stats = encode(_copy(cl), _codec_config(order, mode, k), 2.0)
     assert stats["modes"] == ("c" if order == 1 else "o") * cl.depth
     encode(cl, _codec_config(), 1.0)
     calls = _count_calls(monkeypatch, "build_hierarchy")
     got, head = decode(other, cl)
-    assert calls == ([] if (order, k) == (1, 16) else ["build_hierarchy"])
+    assert calls == ([] if order == 1 else ["build_hierarchy"])
     want, _ = decode(other, _copy(cl))
     assert (head["order"], head["k"]) == (order, k)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_decode_of_another_k_takes_the_held_plan(monkeypatch, order):
+    cl = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    other, _ = encode(_copy(cl), _codec_config(order, k=8), 2.0)
+    encode(cl, _codec_config(order, k=16), 1.0)
+    calls = _count_calls(monkeypatch, "build_hierarchy")
+    _spy_plans(monkeypatch, calls)
+    got, head = decode(other, cl)
+    assert head["k"] == 8 and calls == []
+    want, _ = decode(other, _copy(cl))
     assert got.tobytes() == want.tobytes()
 
 

@@ -276,3 +276,35 @@ def test_analyze_rejects_non_finite_attributes(order, bad):
     h = rahtp.build_hierarchy(cl, order)
     with pytest.raises(ValueError, match="non-finite attributes"):
         analyze(h, attrs, TransformConfig(order=order))
+
+
+def test_one_order2_plan_serves_every_k():
+    # the plan holds no K: the series depth comes from the config alone
+    cl = random_cloud(49, 100, 3)
+    h = rahtp.build_hierarchy(cl, 2)
+    plan = TransformPlan(h, TransformConfig(order=2,
+                                            approx=ApproxConfig(order=16)))
+    cfg = TransformConfig(order=2, approx=ApproxConfig(order=64))
+    got = analyze(h, cl.attributes, cfg, plan=plan)
+    want = analyze(h, cl.attributes, cfg)
+    for g, w in zip([got.lowpass, *got.highpass],
+                    [want.lowpass, *want.highpass]):
+        assert g.tobytes() == w.tobytes()
+    assert (synthesize(h, got, cfg, plan=plan).tobytes()
+            == synthesize(h, want, cfg).tobytes())
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_depth0_outputs_are_fresh_arrays(order):
+    cl = rahtp.PointCloud(positions=np.zeros((1, 3), dtype=np.int64),
+                          attributes=np.array([[128.0, 64.0, 32.0]]),
+                          depth=0, channels=3)
+    h = rahtp.build_hierarchy(cl, order)
+    assert h.depth == 0
+    cfg = TransformConfig(order=order)
+    co = analyze(h, cl.attributes, cfg)
+    for out in (co.lowpass, *co.highpass):
+        assert not np.shares_memory(out, cl.attributes)
+    back = synthesize(h, co, cfg)
+    assert not np.shares_memory(back, co.lowpass)
+    assert np.abs(back - cl.attributes).max() < 1e-12
