@@ -20,10 +20,12 @@ and a numpy pass over a fixed number of positions at a time.  The
 encoder's scan walks the values and records each codeword's k and the
 sparse run-mode prefixes; its pack then lays out the bits.  The decoder's
 scan walks the codeword boundaries, reading a quotient and whether a
-value is 0 from run tables over the bits, and records each codeword's
-start bit and k; its unpack then reads the values.  It decodes the sparse
-run-mode prefixes, the codewords after them and escapes itself.  The two
-scans are the format and must stay in step with each other; packing and
+value is 0 from one run table over the bits, and records each codeword's
+k and q (after a run-mode prefix, also the prefix bits before it); its
+unpack then sums those into start bits and reads the values.  It decodes
+the sparse run-mode prefixes and the escapes itself.  Both scans run each
+stretch of regular-mode positions as one tight inner loop.  The two scans
+are the format and must stay in step with each other; packing and
 unpacking only move bits.
 
 Container layout (little endian):
@@ -64,7 +66,6 @@ import struct
 import threading
 import weakref
 import zlib
-from array import array
 
 import numpy as np
 
@@ -118,9 +119,12 @@ def _rlgr_scan(us):
     swallowed by a run.  prefixes lists the run-mode prefixes in stream
     order as (position, value, width): (p, 0, 1) for the 0 bit of a full
     run starting at p, and (p, (1 << kr) | run, 1 + kr) for the 1 flag and
-    the run length in front of the codeword at p, which codes u - 1.  The
-    loop is fully inlined: per-symbol helper calls double the runtime on
-    million-coefficient planes.
+    the run length in front of the codeword at p, which codes u - 1.
+    Regular mode (krp < 16, kr = 0), which holds nearly all of a dense
+    plane, runs as an inner for loop over its stretch of positions; a zero
+    that lifts krp to 16 ends the stretch.  The loops are fully inlined:
+    per-symbol helper calls double the runtime on million-coefficient
+    planes.
     """
     n = len(us)
     ks = bytearray(b"\xff") * n
@@ -130,34 +134,59 @@ def _rlgr_scan(us):
     while pos < n:
         k = kp >> 4
         if krp < 16:                    # kr = 0: regular mode, no prefix
-            u = us[pos]
-            if u == 0:
-                krp += 4                # krp < 16 here, far below KRP_MAX
+            for pos in range(pos, n):
+                ks[pos] = k
+                u = us[pos]
+                if u == 0:              # q = 0
+                    kp = kp - 2 if kp > 2 else 0
+                    krp += 4            # krp < 16 here, far below KRP_MAX
+                    if krp > 15:
+                        break
+                    k = kp >> 4
+                    continue
+                if krp:
+                    krp = krp - 5 if krp > 5 else 0
+                q = u >> k
+                if q == 0:
+                    kp = kp - 2 if kp > 2 else 0
+                elif q > 1:
+                    if q >= Q_CAP:
+                        if u >> ESCAPE_BITS:
+                            raise ValueError(
+                                "coefficient magnitude exceeds escape range")
+                        q = Q_CAP
+                    kp += q + 1
+                    if kp > KP_MAX:
+                        kp = KP_MAX
+                else:
+                    continue            # q = 1: kp stays
+                k = kp >> 4
             else:
-                krp = krp - 5 if krp > 5 else 0
-        else:
-            kr = krp >> 4
-            run_cap = 1 << kr
-            stop = pos + run_cap
-            if stop > n:
-                stop = n
-            p = pos
-            while p < stop and us[p] == 0:
-                p += 1
-            if p - pos == run_cap or p >= n:
-                # full run, or trailing zeros shorter than one: the decoder
-                # clamps runs at the known plane length, so a full-run bit
-                # is unambiguous at the tail
-                prefixes.append((pos, 0, 1))
-                krp = krp + 4
-                if krp > KRP_MAX:
-                    krp = KRP_MAX
-                pos = p
-                continue
-            prefixes.append((p, run_cap | (p - pos), 1 + kr))
-            u = us[p] - 1
-            krp = krp - 6 if krp > 6 else 0
+                break
+            pos += 1                    # run mode from the next position
+            continue
+        kr = krp >> 4
+        run_cap = 1 << kr
+        stop = pos + run_cap
+        if stop > n:
+            stop = n
+        p = pos
+        while p < stop and us[p] == 0:
+            p += 1
+        if p - pos == run_cap or p >= n:
+            # full run, or trailing zeros shorter than one: the decoder
+            # clamps runs at the known plane length, so a full-run bit is
+            # unambiguous at the tail
+            prefixes.append((pos, 0, 1))
+            krp = krp + 4
+            if krp > KRP_MAX:
+                krp = KRP_MAX
             pos = p
+            continue
+        prefixes.append((p, run_cap | (p - pos), 1 + kr))
+        u = us[p] - 1
+        krp = krp - 6 if krp > 6 else 0
+        pos = p
         ks[pos] = k
         q = u >> k
         if q == 0:
@@ -262,111 +291,176 @@ def _rlgr_pack(u, ks, prefixes):
     return b"".join(out)
 
 
-# _bit_tables builds its run tables over this many bits at a time, which
-# bounds its int64 temporaries; the tables do not depend on it
+# _bit_tables builds its run table over this many bits at a time, which
+# bounds its int32 temporaries; the table does not depend on it
 TABLE_CHUNK = 1 << 16
+
+# rlgr_decode records k + 1 for each codeword it locates, at most
+# (KP_MAX >> 4) + 1 = 25, plus AFTER_RUN for one after a run-mode prefix,
+# which codes u - 1
+AFTER_RUN = 32
 
 
 def _bit_tables(data):
-    """Lookup tables over the payload bits of one plane.
+    """Lookup tables over the payload bits of one plane; returns (runs, win).
 
-    ones and zeros are bytearrays: ones[p] is the length of the run of
-    one-bits starting at bit p, and zeros[p] that of zero-bits, each capped
-    at 255 and 0 at p = bits_total.  A codeword of a valid stream starts on
-    a run of at most Q_CAP ones, so only a corrupt stream reaches the cap,
-    and _run_of_ones reads such a run exactly.  win is a read-only numpy
-    view: win[b] is the 64-bit big-endian window starting at byte b of the
-    data followed by 8 zero bytes, so any read of up to ESCAPE_BITS bits
-    from an offset of at most 7 bits fits in one window.
+    runs is a bytearray with one byte per bit: runs[p] is the length of the
+    run of equal bits starting at bit p, capped at 127, plus 128 when bit p
+    is 0.  So a codeword that starts at p has q = runs[p] when that is
+    below 128 and q = 0 otherwise, and it codes u = 0 exactly when
+    runs[p] > 128 + k.  A codeword of a valid stream starts on a run of at
+    most Q_CAP ones, so only a corrupt stream reaches the cap, and
+    _run_of_ones reads such a run exactly.  runs[bits_total] is 128, an
+    empty run of zeros.  Then come 73 pad entries of Q_CAP, which the
+    decoder reads as an escape that runs past the last bit: a codeword of
+    q < Q_CAP is at most (Q_CAP - 1) + 1 + 24 = 72 bits, so the read after
+    one that runs past the last bit lands on the empty run or in the pad,
+    and no pad entry is 127, the cap _run_of_ones walks on.
+
+    win is a read-only numpy view: win[b] is the 64-bit big-endian window
+    starting at byte b of the data followed by 8 zero bytes, so any read of
+    up to ESCAPE_BITS bits from an offset of at most 7 bits fits in one
+    window.
     """
-    raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    padded = data + bytes(8)
+    raw = np.frombuffer(padded, dtype=np.uint8)
     bits_total = len(data) << 3
-    ones = bytearray(bits_total + 1)
-    zeros = bytearray(bits_total + 1)
-    # per chunk, at[i] is the end of the run through bit a + i: the first
-    # bit after it that differs from it, or bits_total.  nxt and first are
-    # at[0] and the first bit of the chunk after; for the last chunk, built
-    # first, nxt = b = bits_total, so first may be anything
-    nxt, first = bits_total, 0
+    pad = Q_CAP + (KP_MAX >> 4) + 1
+    runs = bytearray(bits_total) + bytes([128]) + bytes([Q_CAP]) * pad
+    # per chunk of n bits from bit a, at[i] is the end of the run through
+    # bit a + i, relative to a: the first bit after it that differs from
+    # it, or bits_total, but at most n + 127, past which every run of the
+    # chunk is capped anyway.  end and first are the end of the run
+    # through the first bit of the chunk after, and that bit; for the last
+    # chunk, built first, end = bits_total, so first may be anything
+    end, first = bits_total, 0
     for a in reversed(range(0, bits_total, TABLE_CHUNK)):
-        b = min(a + TABLE_CHUNK, bits_total)
-        seg = np.unpackbits(raw[a >> 3:b >> 3])
-        at = np.full(b - a, nxt if seg[-1] == first else b, dtype=np.int64)
+        n = min(TABLE_CHUNK, bits_total - a)
+        seg = np.unpackbits(raw[a >> 3:(a + n) >> 3])
+        at = np.full(n, min(end - a, n + 127) if seg[-1] == first else n,
+                     dtype=np.int32)
         change = np.flatnonzero(seg[1:] != seg[:-1])
-        at[change] = change + (a + 1)
+        at[change] = change + 1
         at = np.minimum.accumulate(at[::-1])[::-1]
-        nxt, first = int(at[0]), seg[0]
-        run = np.minimum(at - np.arange(a, b), 255).astype(np.uint8)
-        one = run * seg
-        ones[a:b] = one.tobytes()
-        zeros[a:b] = (run - one).tobytes()
-    win = np.lib.stride_tricks.sliding_window_view(raw, 8).view(">u8")[:, 0]
-    return ones, zeros, win
+        end, first = a + int(at[0]), seg[0]
+        run = np.minimum(at - np.arange(n, dtype=np.int32), 127)
+        runs[a:a + n] = (run.astype(np.uint8) | ((seg ^ 1) << 7)).data
+    win = np.ndarray((len(data) + 1,), dtype=">u8", buffer=padded,
+                     strides=(1,))
+    return runs, win
 
 
-def _run_of_ones(ones, bit):
+def _run_of_ones(runs, bit):
     """The exact length of the run of one-bits at bit, where the table
-    ones caps it at 255: a run of 255 or more is 255 plus the run that
-    starts 255 bits on."""
+    runs caps it at 127: a run of 127 or more is 127 plus the run that
+    starts 127 bits on.  The walk stops at the empty run at bits_total at
+    the latest, as no pad entry is 127."""
     run = 0
-    while ones[bit + run] == 255:
-        run += 255
-    return run + ones[bit + run]
+    while runs[bit + run] == 127:
+        run += 127
+    t = runs[bit + run]
+    return run + t if t < 128 else run
+
+
+def _escape(runs, window, bit, bits_total):
+    """(u, the bit after it) of the escape whose unary run starts at bit:
+    Q_CAP or more ones, a 0 and ESCAPE_BITS bits of u.  An over-long unary
+    run reads as an escape too, as it did in the per-symbol decoder."""
+    bit += _run_of_ones(runs, bit) + 1
+    end = bit + ESCAPE_BITS
+    if end > bits_total:
+        raise CorruptStream("bitstream truncated")
+    return ((window(bit >> 3) >> (64 - ESCAPE_BITS - (bit & 7)))
+            & ((1 << ESCAPE_BITS) - 1)), end
 
 
 def rlgr_decode(data, count):
     """Decode exactly count signed integers from bytes.
 
     Two passes, mirroring the encoder.  The scan walks the codeword
-    boundaries in Python, carrying kp/krp over the symbols.  A unary
-    quotient is one lookup in the run-of-ones table, and whether a
-    regular-mode codeword codes u = 0, which is all krp needs, is one
-    lookup in the run-of-zeros table (see _bit_tables).  So a regular-mode
-    codeword with q < Q_CAP is only located: the scan records its start bit
-    and its k, and the unpack reads all their values at once in numpy,
-    PACK_CHUNK positions at a time.  The rare rest, run-mode prefixes with
-    the codeword after them and escapes, is decoded in the scan from the
-    64-bit windows.  Any read past the last bit, a run-mode value past the
-    plane end, 8 or more bits left after the last symbol, or a padding bit
-    of 1 raises CorruptStream: the encoder writes none of them.
+    boundaries in Python, carrying kp/krp over the symbols.  One read of
+    the run table at a codeword's start bit gives its quotient q and
+    whether it codes u = 0, which is all kp and krp need (see _bit_tables).
+    So a codeword with q < Q_CAP is only located: the scan records its k
+    and q, and the unpack reads all their values at once in numpy,
+    PACK_CHUNK positions at a time.  Regular mode runs as an inner for
+    loop over its stretch of positions, one table read per codeword; a zero
+    that lifts krp to 16 ends the stretch, and an escape leaves it.  Run
+    mode decodes each prefix from the 64-bit windows and locates the
+    codeword after a 1 flag like a regular one, recording also the gap of
+    prefix bits since the codeword before (a head when it is 256 or more).
+    Escapes are decoded in the scan, and after each one the scan records a
+    head: a position and the bit from which the gaps of the codewords at
+    and after it count.  So each located codeword starts at the last head,
+    plus the lengths and gaps since.
+
+    Any read past the last bit, a run-mode value past the plane end, 8 or
+    more bits left after the last symbol, or a padding bit of 1 raises
+    CorruptStream: the encoder writes none of them.  The stretch does not
+    test each codeword against the last bit: the read after one that runs
+    past it lands on the empty run or the pad, which _escape rejects, and
+    one test after the scan covers the last codeword.
     """
     data = bytes(data)
     bits_total = len(data) << 3
-    ones, zeros, win = _bit_tables(data)
+    runs, win = _bit_tables(data)
     window = win.item               # win[b] as a Python int
-    ks = bytearray(b"\xff") * count     # k per position, 255: no codeword
-    starts = array("q", [0]) * count
-    at, vals = [], []               # where the scan decoded a value, and
-    bit = 0                         # its u (u + 1 after a run)
+    ks = bytearray(count)           # k + 1 per located codeword, else 0
+    qs = bytearray(count)           # q per located codeword
+    gaps = bytearray(count)         # prefix bits before one after a run
+    heads = []                      # position, start bit, position, ...
+    at, vals = [], []               # escapes: position, u (u + 1 after a run)
+    bit = 0
+    last = 0                        # where the last codeword or escape ends
     kp, krp = KP_INIT, KRP_INIT
     pos = 0
     while pos < count:
-        k = kp >> 4
         if krp < 16:
-            q = ones[bit]
-            if q < Q_CAP:
-                # regular mode: the unpack reads the value
-                end = bit + q + 1 + k
-                if end > bits_total:
-                    raise CorruptStream("bitstream truncated")
-                ks[pos] = k
-                starts[pos] = bit
-                if zeros[bit] > k:      # q = 0 and k zero bits: u = 0
-                    krp += 4            # krp < 16 here, far below KRP_MAX
-                else:
-                    krp = krp - 5 if krp > 5 else 0
-                if q == 0:
+            # regular mode: kr = 0, no prefix
+            k1 = (kp >> 4) + 1          # k + 1, the length when q = 0
+            for pos in range(pos, count):
+                t = runs[bit]
+                if t > 127:             # q = 0
+                    ks[pos] = k1
+                    bit += k1
                     kp = kp - 2 if kp > 2 else 0
-                elif q > 1:
-                    kp = kp + q + 1
-                    if kp > KP_MAX:
-                        kp = KP_MAX
-                bit = end
-                pos += 1
+                    if t > k1 + 127:    # and k zero bits: u = 0
+                        krp += 4        # far below KRP_MAX
+                        if krp > 15:
+                            break
+                    elif krp:
+                        krp = krp - 5 if krp > 5 else 0
+                    k1 = (kp >> 4) + 1
+                elif t < Q_CAP:         # q = t
+                    ks[pos] = k1
+                    qs[pos] = t
+                    bit += t + k1
+                    if krp:
+                        krp = krp - 5 if krp > 5 else 0
+                    if t > 1:
+                        kp += t + 1
+                        if kp > KP_MAX:
+                            kp = KP_MAX
+                        k1 = (kp >> 4) + 1
+                else:
+                    break               # an escape, or the pad
+            else:
+                break
+            if krp > 15:
+                last = bit
+                pos += 1                # run mode from the next position
                 continue
-        kr = krp >> 4
-        if kr:
-            if ones[bit] == 0:
+            u, bit = _escape(runs, window, bit, bits_total)
+            at.append(pos)
+            vals.append(u)
+            if u == 0:
+                krp += 4                # krp < 16 here, far below KRP_MAX
+            else:
+                krp = krp - 5 if krp > 5 else 0
+        else:
+            # run mode: kr = krp >> 4 > 0
+            kr = krp >> 4
+            if runs[bit] > 127:
                 # flag 0: a full run of zeros, clamped at the plane end
                 if bit >= bits_total:
                     raise CorruptStream("bitstream truncated")
@@ -388,80 +482,107 @@ def rlgr_decode(data, count):
             bit = end
             if pos >= count:
                 raise CorruptStream("run-mode value past plane end")
-        q = ones[bit]
-        if q < Q_CAP:
-            bit += q + 1
-            end = bit + k
-            if end > bits_total:
-                raise CorruptStream("bitstream truncated")
-            u = (q << k) | ((window(bit >> 3) >> (64 - (bit & 7) - k))
-                            & ((1 << k) - 1))
-        else:
-            # an over-long unary run reads as an escape too
-            if q == 255:
-                q = _run_of_ones(ones, bit)
-            bit += q + 1
-            end = bit + ESCAPE_BITS
-            if end > bits_total:
-                raise CorruptStream("bitstream truncated")
-            u = ((window(bit >> 3) >> (64 - ESCAPE_BITS - (bit & 7)))
-                 & ((1 << ESCAPE_BITS) - 1))
-            q = Q_CAP
-        bit = end
-        at.append(pos)
-        if kr:
-            vals.append(u + 1)
             krp = krp - 6 if krp > 6 else 0
-        else:
-            vals.append(u)
-            if u == 0:
-                krp += 4                # krp < 16 here, far below KRP_MAX
-            else:
-                krp = krp - 5 if krp > 5 else 0
-        if q == 0:
-            kp = kp - 2 if kp > 2 else 0
-        elif q > 1:
-            kp = kp + q + 1
-            if kp > KP_MAX:
-                kp = KP_MAX
+            t = runs[bit]
+            if t < Q_CAP or t > 127:
+                # located, and the unpack adds the 1
+                q = t if t < 128 else 0
+                k1 = (kp >> 4) + 1
+                end = bit + q + k1
+                if end > bits_total:
+                    raise CorruptStream("bitstream truncated")
+                ks[pos] = k1 + AFTER_RUN
+                qs[pos] = q
+                gap = bit - last
+                if gap < 256:
+                    gaps[pos] = gap
+                else:
+                    heads += pos, bit
+                bit = last = end
+                if q == 0:
+                    kp = kp - 2 if kp > 2 else 0
+                elif q > 1:
+                    kp = kp + q + 1
+                    if kp > KP_MAX:
+                        kp = KP_MAX
+                pos += 1
+                continue
+            u, bit = _escape(runs, window, bit, bits_total)
+            at.append(pos)
+            vals.append(u + 1)
+        # after an escape
+        heads += pos + 1, bit
+        last = bit
+        kp = kp + Q_CAP + 1
+        if kp > KP_MAX:
+            kp = KP_MAX
         pos += 1
+    if bit > bits_total:
+        raise CorruptStream("bitstream truncated")
     left = bits_total - bit
     if left >= 8 or (left and (window(bit >> 3) >> (64 - (bit & 7) - left))
                      & ((1 << left) - 1)):
         raise CorruptStream("%d bits left after the last symbol" % left)
-    del zeros                       # the unpack does not read it
-    return _rlgr_unpack(ones, win, ks, starts, at, vals)
+    del runs                        # the unpack does not read it
+    return _rlgr_unpack(win, ks, qs, gaps, heads, at, vals)
 
 
-def _rlgr_unpack(ones, win, ks, starts, at, vals):
+def _rlgr_unpack(win, ks, qs, gaps, heads, at, vals):
     """The signed values of a scanned plane, as an int64 array.
 
-    Per chunk of positions, each codeword that the scan located (ks[p] !=
-    255) gets its q from the run-of-ones table at its start bit and its k
-    remainder bits from the window of the byte they start in; u is q << k
-    | remainder.  The values the scan decoded are in place before, and
-    positions with neither stay 0.  Each chunk undoes its zigzag in place,
-    so the temporaries stay at chunk size.
+    A codeword that the scan located (ks[p] != 0) is q + 1 + k bits long
+    and starts gaps[p] bits after the end of the one located before it, or
+    of the last head's bit when a head lies between them; before the first
+    head, the first codeword starts at bit 0.  Per chunk of positions,
+    numpy sums the gaps and lengths for every start, reads each codeword's
+    k remainder bits from the window of the byte they start in and forms
+    u = q << k | remainder, plus 1 after a run-mode prefix (ks[p] >
+    AFTER_RUN).  The escapes are the scan's values, and the other positions
+    stay 0.
     """
     count = len(ks)
-    ones = np.frombuffer(ones, dtype=np.uint8)
-    starts = np.frombuffer(starts, dtype=np.int64)
+    heads = np.array(heads, dtype=np.int64).reshape(-1, 2)
+    head_pos, head_bits = heads[:, 0], heads[:, 1]
+    cuts = np.searchsorted(head_pos,
+                           np.arange(0, count + PACK_CHUNK, PACK_CHUNK))
     out = np.zeros(count, dtype=np.int64)
-    out[at] = vals
-    for a in range(0, count, PACK_CHUNK):
-        kk = np.frombuffer(ks, dtype=np.uint8,
-                           count=min(PACK_CHUNK, count - a), offset=a)
-        cw = np.flatnonzero(kk != 255)
-        k = kk[cw].astype(np.int64)
-        s = starts[a + cw]
-        q = ones[s].astype(np.int64)
-        r = s + q + 1                   # the first remainder bit
+    nxt = 0                         # the bit the chunk's first gap counts from
+    for c, a in enumerate(range(0, count, PACK_CHUNK)):
+        m = min(PACK_CHUNK, count - a)
+        kk = np.frombuffer(ks, dtype=np.uint8, count=m, offset=a)
+        cw = np.flatnonzero(kk)
+        kk = kk[cw]
+        q = np.frombuffer(qs, dtype=np.uint8, count=m, offset=a)[cw]
+        q = q.astype(np.int64)
+        k = (kk & (AFTER_RUN - 1)).astype(np.int64) - 1
+        # r: the first remainder bit, from the end of the codeword before
+        r = np.frombuffer(gaps, dtype=np.uint8, count=m, offset=a)[cw]
+        r = r + q + 1
+        before = np.zeros(len(cw) + 1, dtype=np.int64)
+        np.cumsum(r + k, out=before[1:])
+        r += before[:-1]
+        if cuts[c] == cuts[c + 1]:
+            r += nxt
+            nxt += int(before[-1])
+        else:
+            # a segment from each head to the next, by index into cw, and
+            # one before them that continues from the chunk before; of
+            # heads at one index, the last counts, as the others' segments
+            # are empty
+            hi = np.searchsorted(cw, head_pos[cuts[c]:cuts[c + 1]] - a)
+            base = np.concatenate(([nxt], head_bits[cuts[c]:cuts[c + 1]]
+                                   - before[hi]))
+            r += np.repeat(base, np.diff(hi, prepend=0, append=len(cw)))
+            nxt = int(base[-1] + before[-1])
         # the window wraps to int64; k + (r & 7) <= 31, so the shift and
         # mask never reach its sign
         w = win[r >> 3].astype(np.int64)
-        u = out[a:a + PACK_CHUNK]
-        u[cw] = (q << k) | ((w >> (64 - (r & 7) - k)) & ((1 << k) - 1))
-        u[:] = (u >> 1) ^ -(u & 1)
+        u = (q << k) | ((w >> (64 - (r & 7) - k)) & ((1 << k) - 1))
+        u += kk > AFTER_RUN
+        out[a + cw] = (u >> 1) ^ -(u & 1)
+    if at:
+        u = np.array(vals, dtype=np.int64)
+        out[at] = (u >> 1) ^ -(u & 1)
     return out
 
 

@@ -102,6 +102,69 @@ def reference_rlgr_encode(values):
     return bytes(buf)
 
 
+def reference_rlgr_scan(us):
+    """The per-symbol adaptation pass that codec._rlgr_scan replaced.
+
+    Returns (ks, prefixes) for the zigzag values us (a list of ints):
+    ks[p] is the k of the codeword coded at position p, or 255 for a zero
+    swallowed by a run, and prefixes lists the run-mode prefixes as
+    (position, value, width).  One iteration per symbol, regular and run
+    mode alike.  Tests compare _rlgr_scan's regular-mode stretches against
+    it.
+    """
+    n = len(us)
+    ks = bytearray(b"\xff") * n
+    prefixes = []
+    kp, krp = KP_INIT, KRP_INIT
+    pos = 0
+    while pos < n:
+        k = kp >> 4
+        if krp < 16:                    # kr = 0: regular mode, no prefix
+            u = us[pos]
+            if u == 0:
+                krp += 4                # krp < 16 here, far below KRP_MAX
+            else:
+                krp = krp - 5 if krp > 5 else 0
+        else:
+            kr = krp >> 4
+            run_cap = 1 << kr
+            stop = pos + run_cap
+            if stop > n:
+                stop = n
+            p = pos
+            while p < stop and us[p] == 0:
+                p += 1
+            if p - pos == run_cap or p >= n:
+                # full run, or trailing zeros shorter than one: the decoder
+                # clamps runs at the known plane length, so a full-run bit
+                # is unambiguous at the tail
+                prefixes.append((pos, 0, 1))
+                krp = krp + 4
+                if krp > KRP_MAX:
+                    krp = KRP_MAX
+                pos = p
+                continue
+            prefixes.append((p, run_cap | (p - pos), 1 + kr))
+            u = us[p] - 1
+            krp = krp - 6 if krp > 6 else 0
+            pos = p
+        ks[pos] = k
+        q = u >> k
+        if q == 0:
+            kp = kp - 2 if kp > 2 else 0
+        elif q > 1:
+            if q >= Q_CAP:
+                if u >> ESCAPE_BITS:
+                    raise ValueError(
+                        "coefficient magnitude exceeds escape range")
+                q = Q_CAP
+            kp = kp + q + 1
+            if kp > KP_MAX:
+                kp = KP_MAX
+        pos += 1
+    return ks, prefixes
+
+
 def _reference_bit_tables(data):
     """(ones, win) for reference_rlgr_decode: ones[p] is the run of one-bits
     starting at bit p, capped at 255, with ones[bits_total] = 0, and win is

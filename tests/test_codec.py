@@ -25,7 +25,7 @@ from rahtp.spectral import ApproxConfig
 from rahtp.transform import TransformConfig, TransformPlan
 
 from _helpers import (random_cloud, reference_rlgr_decode,
-                      reference_rlgr_encode)
+                      reference_rlgr_encode, reference_rlgr_scan)
 from test_golden import GOLDEN
 
 
@@ -138,6 +138,25 @@ def _differential_planes():
         [[esc, -esc], np.tile([big, -big], 6), np.zeros(40000, dtype=np.int64),
          [esc], np.zeros(100, dtype=np.int64), [-esc],
          np.arange(200) % 7 - 3]).astype(np.int64)
+    # the edges of regular-mode stretches: zero runs of 1-20 between values
+    # whose magnitudes climb to 2**28 and back, so that k spans 0..24
+    vals = []
+    for e in list(range(28)) + list(range(27, -1, -1)):
+        for _ in range(6):
+            vals += [0] * int(rng.integers(1, 21))
+            vals.append(int(rng.integers(1 << e, 2 << e))
+                        * int(rng.choice([-1, 1])))
+    yield "zero runs", np.array(vals, dtype=np.int64)
+    # krp reaches 16 on the last position: the fourth zero of a stretch
+    yield "krp 16 at the end", np.array([7] * 10 + [0] * 4, dtype=np.int64)
+    yield "krp 16 at the end after runs", np.array(
+        vals[:300] + [5, -9, 2] * 12 + [0] * 4, dtype=np.int64)
+    # an escape as the first value, right after a run and right after the
+    # zero that ends a stretch
+    yield "escape first", np.array([esc, 2, -3] + [0] * 30 + [-esc, 0, 5],
+                                   dtype=np.int64)
+    yield "escape after a stretch", np.array([3, 0, 0, 0, 0, esc, 1],
+                                             dtype=np.int64)
     # out of range: both encoders must raise
     for bad in ((1 << 31) + 1, -(1 << 31) - 1, 1 << 62, -(1 << 63)):
         vals = np.round(rng.laplace(0.0, 3.0, chunk + 50)).astype(np.int64)
@@ -166,6 +185,29 @@ def test_rlgr_encode_matches_per_symbol_reference(monkeypatch, chunk):
         assert (want is ValueError) == name.startswith("out of range"), name
         if want is not ValueError:
             assert np.array_equal(rlgr_decode(got, len(vals)), vals), name
+
+
+def _scan_or_error(scan, us):
+    try:
+        return scan(us)
+    except ValueError:
+        return ValueError
+
+
+def test_rlgr_scan_matches_per_symbol_reference():
+    # the stretch loops record the per-symbol scan's k per position and
+    # run-mode prefixes, or raise where it raises.  The zigzag is
+    # rlgr_encode's, which wraps for |v| >= 2**62 where rlgr_encode has
+    # already refused the plane
+    raised = []
+    for name, vals in _differential_planes():
+        us = ((vals << 1) ^ (vals >> 63)).tolist()
+        want = _scan_or_error(reference_rlgr_scan, us)
+        assert _scan_or_error(codec._rlgr_scan, us) == want, name
+        if want is ValueError:
+            raised.append(name)
+    assert raised == ["out of range %d" % (1 << 31 | 1),
+                      "out of range %d" % (-(1 << 31) - 1)]
 
 
 def _decode_or_error(decoder, data, count):
@@ -209,6 +251,70 @@ def test_rlgr_decode_matches_per_symbol_reference(monkeypatch):
                 assert isinstance(got, np.ndarray), (name, got)
                 assert got.dtype == np.int64, name
                 assert np.array_equal(got, want), name
+
+
+def _stream_bits(data, count):
+    """The bits that the count symbols of the valid stream data take,
+    without its zero padding: the bits the per-symbol decoder reports left
+    after the last symbol once a zero byte is appended."""
+    msg = _decode_or_error(reference_rlgr_decode, data + b"\x00", count)
+    left = int(msg.split()[1])          # "CorruptStream: <n> bits left ..."
+    return 8 * len(data) + 8 - left
+
+
+@pytest.mark.parametrize("after_run", [False, True])
+@pytest.mark.parametrize("over", [1, 8, 25, 72])
+def test_rlgr_decode_last_codeword_past_the_payload(over, after_run):
+    # The last codeword codes q = 47 at k = 24, 72 bits, in a regular-mode
+    # stretch or after a run-mode prefix, and the payload is cut over bits
+    # before its end.  Cut 1 or 8 bits short, the decoder reads the same q
+    # and the codeword runs past the last bit; 25 bits short, its unary
+    # run ends at the last bit; 72 bits short, it starts on the empty run
+    # at bits_total.  The stretch finds none of these at once, but the
+    # result must be the per-symbol decoder's message.  A filler value
+    # before it sets the stream length mod 8, so the cut falls on a byte.
+    esc, r = 1 << 30, 0x5A5A5A
+    lead = [esc] * 8                    # kp reaches KP_MAX: k = 24
+    if after_run:
+        lead += [0] * 30 + [esc]        # run mode from the fourth zero on
+    for fill in range(1, 48):
+        u_last = (47 << 24 | r) + after_run     # after a run, u - 1 is coded
+        vals = np.array(lead + [fill << 23, u_last >> 1], dtype=np.int64)
+        data = rlgr_encode(vals)
+        end = _stream_bits(data, len(vals))
+        if (end - over) % 8 == 0:
+            break
+    ks, prefixes = reference_rlgr_scan(((vals << 1) ^ (vals >> 63)).tolist())
+    assert ks[-1] == 24
+    assert (prefixes[-1][0] if prefixes else None) == (
+        len(vals) - 1 if after_run else None)
+    cut = data[:(end - over) >> 3]
+    want = _decode_or_error(reference_rlgr_decode, cut, len(vals))
+    assert want == "CorruptStream: bitstream truncated"
+    assert _decode_or_error(rlgr_decode, cut, len(vals)) == want
+    # and whole, with a padding byte, or asked for one value more, which
+    # after a run is a zero from a full-run bit in the padding
+    assert np.array_equal(rlgr_decode(data, len(vals)), vals)
+    for case, count in ((data + b"\x00", len(vals)), (data, len(vals) + 1)):
+        want = _decode_or_error(reference_rlgr_decode, case, count)
+        got = _decode_or_error(rlgr_decode, case, count)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want) and want[-1] == 0
+
+
+@pytest.mark.parametrize("zeros", [202, 203])
+def test_rlgr_decode_codeword_after_the_longest_gaps(zeros):
+    # zeros << 12 zeros put 255 or 256 bits of run-mode prefixes between
+    # the first value and the second, the most and one more than the
+    # decoder's byte per codeword holds.  The second codes q = 47 at k = 1
+    vals = np.array([3] + [0] * (zeros << 12) + [48, 0, -5, 9 << 10, 7],
+                    dtype=np.int64)
+    data = rlgr_encode(vals)
+    assert data == reference_rlgr_encode(vals)
+    assert np.array_equal(rlgr_decode(data, len(vals)), vals)
+    assert np.array_equal(reference_rlgr_decode(data, len(vals)), vals)
 
 
 def test_rlgr_decode_memory_does_not_rise():
@@ -331,38 +437,61 @@ def test_rlgr_decode_fuzz_only_corrupt_stream():
 
 
 def test_bit_tables_hold_one_capped_byte_per_bit(monkeypatch):
+    # one table: the run of equal bits at each bit, capped at 127, plus 128
+    # on a 0 bit; then the empty zero run at bits_total and the pad
     data = b"\xff" * 40 + b"\x7f\x00" + b"\xff" * 3
-    ones, zeros, win = codec._bit_tables(data)
-    assert isinstance(ones, bytearray) and len(ones) == 8 * len(data) + 1
-    assert ones[0] == ones[320 - 255] == 255
-    assert ones[320 - 254] == 254 and ones[320] == 0 and ones[321] == 7
-    assert ones[-1] == 0 and ones[-2] == 1 and ones[-25] == 24
-    assert [codec._run_of_ones(ones, b) for b in (0, 1, 65, 300)] == [
+    bits_total = 8 * len(data)
+    runs, win = codec._bit_tables(data)
+    assert isinstance(runs, bytearray) and len(runs) >= bits_total + 1 + 73
+    # capped runs of ones
+    assert runs[0] == runs[320 - 127] == 127
+    assert runs[320 - 126] == 126 and runs[321] == 7
+    assert runs[bits_total - 1] == 1 and runs[bits_total - 24] == 24
+    assert [codec._run_of_ones(runs, b) for b in (0, 1, 65, 300)] == [
         320, 319, 255, 20]
-    assert isinstance(zeros, bytearray) and len(zeros) == len(ones)
-    assert zeros[320] == 1 and zeros[328] == 8 and zeros[335] == 1
-    assert zeros[0] == zeros[321] == zeros[336] == zeros[-1] == 0
-    # the zero runs of the inverted bits are the one runs above, capped alike
-    _, flipped_zeros, _ = codec._bit_tables(bytes(b ^ 0xFF for b in data))
-    assert flipped_zeros == ones
+    # runs of zeros: bit 320 alone, then byte 41
+    assert runs[320] == 128 + 1 and runs[328] == 128 + 8
+    assert runs[335] == 128 + 1
+    assert max(runs[0], runs[321], runs[336], runs[bits_total - 1]) < 128
+    # the empty zero run at bits_total, then the pad, which _escape reads
+    # as an escape and _run_of_ones never walks into
+    assert runs[bits_total] == 128
+    pad = runs[bits_total + 1:]
+    assert len(pad) >= 73
+    assert all(codec.Q_CAP <= t < 127 for t in pad)
+    # _run_of_ones at the cap: runs of 127, 128 and 254 ones before a 0,
+    # and runs of 127 and 254 that end at bits_total
+    for n in (127, 128, 254):
+        bits = np.array([1] * n + [0] * (-n % 8 or 8), dtype=np.uint8)
+        ones, _ = codec._bit_tables(np.packbits(bits).tobytes())
+        assert codec._run_of_ones(ones, 0) == n
+    for n in (127, 254):
+        lead = -n % 8 or 8
+        bits = np.array([0] * lead + [1] * n, dtype=np.uint8)
+        ones, _ = codec._bit_tables(np.packbits(bits).tobytes())
+        assert codec._run_of_ones(ones, lead) == n
+    # the inverted bits have the same runs, with the 0-bit flag flipped
+    flipped, _ = codec._bit_tables(bytes(b ^ 0xFF for b in data))
+    assert flipped[bits_total:] == runs[bits_total:]
+    assert all(f == r ^ 128 for f, r in zip(flipped[:bits_total],
+                                            runs[:bits_total]))
     assert len(win) == len(data) + 1
-    # runs across the chunks the tables are built in: against a per-bit count
+    # runs across the chunks the table is built in: against a per-bit count
     rng = np.random.default_rng(9)
     bits = np.repeat(np.arange(60) % 2, rng.integers(1, 300, 60))
     data = np.packbits(bits[:len(bits) // 8 * 8]).tobytes()
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
-    runs = [0] * (len(bits) + 1)
+    counts = [0] * (len(bits) + 1)
     for i in reversed(range(len(bits))):
         same = i + 1 < len(bits) and bits[i + 1] == bits[i]
-        runs[i] = runs[i + 1] + 1 if same else 1
-    want_ones = bytes(min(r, 255) if b else 0
-                      for r, b in zip(runs, bits + [0]))
-    want_zeros = bytes(0 if b else min(r, 255)
-                       for r, b in zip(runs, bits + [1]))
+        counts[i] = counts[i + 1] + 1 if same else 1
+    want = bytes(min(r, 127) + (0 if b else 128)
+                 for r, b in zip(counts, bits)) + bytes([128])
     for chunk in (8, 64, 1 << 16):
         monkeypatch.setattr(codec, "TABLE_CHUNK", chunk)
-        ones, zeros, _ = codec._bit_tables(data)
-        assert ones == want_ones and zeros == want_zeros, chunk
+        runs, _ = codec._bit_tables(data)
+        assert runs[:len(bits) + 1] == want, chunk
+        assert runs[len(bits) + 1:] == pad[:len(runs) - len(bits) - 1], chunk
 
 
 def test_quantize_rounds_half_away_from_zero():

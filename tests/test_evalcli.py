@@ -77,7 +77,8 @@ def test_cli_rd_csv(tmp_path):
     code = main(["rd", str(path), str(out), "--steps", "2.0", "8.0",
                  "--orders", "1", "--taylor-k", "16"])
     assert code == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert {"order", "step", "bpp", "psnr_y", "psnr_u", "psnr_v",
             "psnr_yuv"} <= set(rows[0])
@@ -126,7 +127,8 @@ def test_cli_rd_prints_bd_rate_against_the_first_curve(tmp_path, capsys):
              if l.startswith("BD-rate")]
     assert len(lines) == 1
     assert lines[0].startswith("BD-rate order 2 against order 1: ")
-    assert len(list(csv.DictReader(open(out)))) == 8
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == 8
     # fewer than 4 steps: no BD line
     assert main(["rd", str(path), str(out), "--steps", "2", "8"]) == 0
     assert "BD-rate" not in capsys.readouterr().out
@@ -136,7 +138,8 @@ def test_cli_rd_defaults_to_both_orders(tmp_path):
     path, _ = _write_cloud(tmp_path)
     out = tmp_path / "rd.csv"
     assert main(["rd", str(path), str(out), "--steps", "2.0"]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["order"] for r in rows] == ["1", "2"]
     assert "mode" not in rows[0]
 
@@ -147,7 +150,8 @@ def test_cli_rd_reads_order_as_orders(tmp_path):
     out = tmp_path / "rd.csv"
     assert main(["rd", str(path), str(out), "--order", "1",
                  "--steps", "2.0"]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["order"] for r in rows] == ["1"]
 
 
@@ -163,7 +167,8 @@ def test_cli_compaction_csv(tmp_path):
     path, _ = _write_cloud(tmp_path)
     out = tmp_path / "comp.csv"
     assert main(["compaction", str(path), str(out), "--orders", "1", "2"]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     assert {"order", "level", "coeff_count", "mse_db"} <= set(rows[0])
     for order in ("1", "2"):
         sub = [r for r in rows if r["order"] == order]
