@@ -16,7 +16,8 @@ from op.bound.  eigen_bound, a power-iteration bound, is kept as a
 compatibility name for perfbench/spans.py; no operator uses it.
 
 A series term is one layer of the paper's feedforward network: one CSR
-product, L @ term.
+product, L @ term, over the channels that carry data.  A channel whose
+input is all +0.0 has a +0.0 output and never enters a product.
 """
 
 from dataclasses import dataclass
@@ -165,8 +166,20 @@ def apply_series(op, v, h, cfg):
     tau = 1/op.bound, with op.bound an upper bound on the spectrum of X.  A
     zero operator bound is only consistent with v = 0 for the inverse-like
     functions.
+
+    Only the columns of v that hold a nonzero bit run the series (a 1-D v
+    is one column).  Every other column is all +0.0, and so is its output:
+    that is what the series computes for it, since b_0 = 1, every term is
+    +0.0 and c > 0.  A column holding -0.0 or NaN runs, because the series
+    can return -0.0 for -0.0.  Each element of a column that runs is what
+    it would be if every column ran, bit for bit, since each term's
+    product and sum are per column.  The exact-zero stop is unchanged, as a
+    sum of squares is 0 exactly when every square is; the divergence and
+    tolerance thresholds read that sum without the skipped zeros, which
+    changes only its rounding.  encode and decode set no tolerance.
     """
     v = np.asarray(v, dtype=np.float64)
+    b = series_coefficients(h, cfg.order)
     bound = op.bound
     if bound <= 0.0:
         if np.all(v == 0.0):
@@ -174,8 +187,18 @@ def apply_series(op, v, h, cfg):
         if h == "sqrt":
             return np.zeros_like(v)
         raise SeriesDivergence("zero operator bound with nonzero input")
+    live = v.view(np.uint64).any(axis=0)     # a nonzero bit, so not +0.0
+    if live.all():
+        return _series(op.lm, v, h, b, bound, cfg)
+    out = np.zeros_like(v)
+    if live.any():
+        out[:, live] = _series(op.lm, v[:, live], h, b, bound, cfg)
+    return out
+
+
+def _series(lmat, v, h, b, bound, cfg):
+    # lmat = I - tau X; the loop of apply_series, on the columns it keeps
     tau = 1.0 / bound
-    b = series_coefficients(h, cfg.order)
     c = _series_scale(h, tau)
     term = v.copy()
     acc = b[0] * term
@@ -187,7 +210,6 @@ def apply_series(op, v, h, cfg):
     if cfg.tolerance is not None:
         stop = cfg.tolerance * (1.0 + scale0)
         stop2 = stop * stop
-    lmat = op.lm            # L = I - tau X
     tmp = np.empty_like(term)
     for k in range(1, cfg.order + 1):
         term = lmat @ term

@@ -4,6 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import rahtp
+from rahtp import spectral
 from rahtp.codec import (ESCAPE_BITS, KP_INIT, KP_MAX, KRP_INIT, KRP_MAX,
                          Q_CAP, CorruptStream)
 
@@ -298,3 +299,46 @@ def reference_critical_synthesis(a_mats):
         mats.append(sp.csr_matrix((vals, cols, indptr),
                                   shape=(n_child, n_child)))
     return mats
+
+
+def reference_apply_series(op, v, h, cfg):
+    """spectral.apply_series as it ran before it skipped all-+0.0 columns:
+    every column of v goes through every term's product, and the stop
+    tests read the sum of squares over all of them.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    bound = op.bound
+    if bound <= 0.0:
+        if np.all(v == 0.0):
+            return v.copy()
+        if h == "sqrt":
+            return np.zeros_like(v)
+        raise spectral.SeriesDivergence(
+            "zero operator bound with nonzero input")
+    tau = 1.0 / bound
+    b = spectral.series_coefficients(h, cfg.order)
+    c = spectral._series_scale(h, tau)
+    term = v.copy()
+    acc = b[0] * term
+    scale0 = float(np.sqrt(spectral._sumsq(v)))
+    blow = 1e9 * (1.0 + scale0)
+    blow2 = blow * blow
+    stop2 = None
+    if cfg.tolerance is not None:
+        stop = cfg.tolerance * (1.0 + scale0)
+        stop2 = stop * stop
+    lmat = op.lm
+    tmp = np.empty_like(term)
+    for k in range(1, cfg.order + 1):
+        term = lmat @ term
+        n2 = spectral._add_term(acc, term, b[k], tmp)
+        if not (n2 <= blow2):
+            raise spectral.SeriesDivergence(
+                "series term %d/%d diverged (|term|=%.3e); operator is "
+                "not a contraction at step tau=%.3e"
+                % (k, cfg.order, np.sqrt(n2), tau))
+        if n2 == 0.0:
+            break
+        if stop2 is not None and n2 <= stop2:
+            break
+    return np.multiply(acc, c, out=acc)

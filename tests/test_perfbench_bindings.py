@@ -9,12 +9,17 @@ so each workload's config is built here too, and each one's stream must
 decode onto the cloud just encoded without a rebuild, as the benchmark's
 decode_voxps assumes.  The tracer keeps its span
 stack in one plain list, so every traced binding must run on the thread
-that called the codec.
+that called the codec.  It counts apply_series rows from each call's
+result, so a series that skips all-+0.0 columns must still return the
+full rows x channels output.
 """
 
+import dataclasses
 import importlib.util
 import threading
 from pathlib import Path
+
+import numpy as np
 
 import rahtp
 from rahtp.evalcli import make_synthetic_cloud
@@ -95,3 +100,31 @@ def test_traced_bindings_run_on_the_main_thread(monkeypatch):
     rahtp.codec.decode(blob, cloud)
     assert "spectral.apply_series" in calls
     assert off_main == []
+
+
+def test_tracer_counts_one_full_span_per_series(monkeypatch):
+    spans = _load("spans")
+    calls = []
+    series = rahtp.transform.apply_series
+
+    def counted(op, v, h, cfg):
+        out = series(op, v, h, cfg)
+        calls.append((len(op), v.shape, out.shape,
+                      not v.view(np.uint64).any(axis=0).all()))
+        return out
+
+    monkeypatch.setattr(rahtp.transform, "apply_series", counted)
+    cloud = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    attrs = np.zeros_like(cloud.attributes)
+    attrs[:, 0] = cloud.attributes[:, 0]        # zero chroma
+    cloud = dataclasses.replace(cloud, attributes=attrs)
+    with spans.Tracer() as tracer:
+        blob, _ = rahtp.codec.encode(cloud, TransformConfig(order=2), 4.0)
+        rahtp.codec.decode(blob, cloud)
+    traced = [s for s in tracer.spans if s[0] == "spectral.apply_series"]
+    assert calls and len(traced) == len(calls)
+    assert any(skipped for *_, skipped in calls)
+    for n, v_shape, out_shape, _ in calls:
+        assert out_shape == v_shape == (n, 3)
+    assert (tracer.counts[None]["spectral.apply_series.rows"]
+            == sum(n * 3 for n, *_ in calls))

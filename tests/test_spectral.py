@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import threading
 
@@ -6,13 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 import rahtp
-from rahtp import spectral
+from rahtp import codec, spectral, transform
+from rahtp.evalcli import compaction_curve, make_synthetic_cloud
 from rahtp.kernels import gram_levels
 from rahtp.spectral import (ApproxConfig, Operator, SeriesDivergence,
                             apply_series, eigen_bound, series_coefficients)
 
 import _oracle as oracle
-from _helpers import random_cloud
+from _helpers import random_cloud, reference_apply_series
 
 
 def test_coefficients_frozen_values():
@@ -30,6 +32,17 @@ def test_coefficients_cache_is_immutable():
 def test_unknown_function_rejected():
     with pytest.raises(ValueError):
         series_coefficients("exp", 4)
+
+
+def test_apply_series_rejects_an_unknown_function_for_every_input():
+    # h is checked before the zero-bound and all-+0.0 shortcuts, so no
+    # input returns early or raises anything but ValueError
+    cfg = ApproxConfig(order=4)
+    for op in (Operator(np.zeros((2, 2))), Operator(np.diag([2.0, 4.0]))):
+        for v in (np.zeros((2, 1)), np.ones((2, 1)), np.zeros(2),
+                  np.zeros((2, 0)), np.array([[0.0, 1.0], [0.0, 2.0]])):
+            with pytest.raises(ValueError, match="h must be one of"):
+                apply_series(op, v, "bogus", cfg)
 
 
 def test_inverse_series_diag_example_exact():
@@ -255,3 +268,135 @@ def test_one_cpu_runs_one_block_and_starts_no_thread(monkeypatch):
     assert np.array_equal(out, _reference_series(op.lm, v, "inv", 8,
                                                  1.0 / op.bound))
     assert set(threading.enumerate()) <= before
+
+
+def _skip_inputs(n):
+    # one 1-D v and 2-D ones with +0.0, -0.0 and NaN columns
+    rng = np.random.default_rng(9)
+    full = rng.standard_normal((n, 3))
+    one = full.copy()
+    one[:, 1] = 0.0
+    two = full.copy()
+    two[:, [0, 2]] = 0.0
+    neg = one.copy()
+    neg[:, 1] = -0.0
+    lone_neg = two.copy()
+    lone_neg[5, 2] = -0.0
+    nan = two.copy()
+    nan[3, 0] = np.nan
+    return {"1-D": full[:, 0].copy(), "1-D +0.0": np.zeros(n),
+            "no +0.0 column": full, "one +0.0 column": one,
+            "two +0.0 columns": two, "all +0.0": np.zeros((n, 3)),
+            "-0.0 column": neg, "one -0.0 in a +0.0 column": lone_neg,
+            "NaN in a +0.0 column": nan, "no columns": np.empty((n, 0))}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SeriesDivergence, ValueError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "zero"])
+def test_apply_series_matches_the_every_column_series(kind):
+    # skipping all-+0.0 columns changes no bit of the output, no sign of a
+    # zero and no exception, for each h, K and tolerance
+    mat = {"spd": _banded_spd(), "indefinite": _banded_sym(),
+           "zero": sp.csr_matrix((700, 700))}[kind]
+    op = Operator(mat)
+    # the indefinite series diverges within 400 terms
+    orders = (0, 1, 40) + ((400,) if kind == "indefinite" else ())
+    for name, v in _skip_inputs(len(op)).items():
+        for h in ("inv", "invsqrt", "sqrt"):
+            for order in orders:
+                for tol in (None, 1e-12):
+                    cfg = ApproxConfig(order=order, tolerance=tol)
+                    case = (name, h, order, tol)
+                    out = _outcome(apply_series, op, v, h, cfg)
+                    ref = _outcome(reference_apply_series, op, v, h, cfg)
+                    assert type(out) is type(ref), case
+                    if isinstance(ref, Exception):
+                        assert str(out) == str(ref), case
+                        continue
+                    assert out.shape == ref.shape, case
+                    assert np.array_equal(out, ref, equal_nan=True), case
+                    assert np.array_equal(np.signbit(out),
+                                          np.signbit(ref)), case
+
+
+class _ProductSpy:
+    """Stands in for op.lm and records the column count of each product."""
+
+    def __init__(self, lm):
+        self.lm, self.columns, self.first = lm, [], None
+
+    def __matmul__(self, term):
+        if self.first is None:
+            self.first = term.copy()
+        self.columns.append(term.shape[1])
+        return self.lm @ term
+
+
+def test_a_plus_zero_column_never_reaches_a_product(monkeypatch):
+    op = Operator(_banded_spd())
+    spy = _ProductSpy(op.lm)
+    monkeypatch.setattr(op, "lm", spy)
+    v = np.random.default_rng(10).standard_normal((len(op), 3))
+    v[:, 1] = 0.0
+    cfg = ApproxConfig(order=8)
+    out = apply_series(op, v, "invsqrt", cfg)
+    assert spy.columns == [2] * 8
+    assert np.array_equal(spy.first, v[:, [0, 2]])
+    assert np.array_equal(out, reference_apply_series(
+        Operator(_banded_spd()), v, "invsqrt", cfg))
+
+    spy.columns.clear()
+    out = apply_series(op, np.zeros((len(op), 3)), "sqrt", cfg)
+    assert spy.columns == []
+    assert out.shape == (len(op), 3)
+    assert not out.view(np.uint64).any()
+
+
+def _torus3000(gray):
+    # a new object per call, so encode's memo never serves another call
+    cloud = make_synthetic_cloud("torus", count=3000, depth=5, seed=3)
+    if not gray:
+        return cloud, "bt709"
+    attrs = np.zeros_like(cloud.attributes)
+    attrs[:, 0] = cloud.attributes.mean(axis=1)
+    return dataclasses.replace(cloud, attributes=attrs), "raw"
+
+
+@pytest.mark.parametrize("gray", [True, False])
+def test_order2_codec_matches_the_every_column_series(monkeypatch, gray):
+    skipped = []
+    series = transform.apply_series
+
+    def watched(op, v, h, cfg):
+        skipped.append(not v.view(np.uint64).any(axis=0).all())
+        return series(op, v, h, cfg)
+
+    def round_trip():
+        cloud, colorspace = _torus3000(gray)
+        blob, _ = codec.encode(cloud, transform.TransformConfig(order=2),
+                               4.0, colorspace=colorspace)
+        out, _ = codec.decode(blob, cloud)
+        return blob, out
+
+    monkeypatch.setattr(transform, "apply_series", watched)
+    blob, out = round_trip()
+    assert any(skipped)
+    monkeypatch.setattr(transform, "apply_series", reference_apply_series)
+    ref_blob, ref_out = round_trip()
+    assert blob == ref_blob
+    assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+
+
+@pytest.mark.parametrize("gray", [True, False])
+def test_compaction_curve_matches_the_every_column_series(monkeypatch, gray):
+    # its series stop at term norm 1e-12 and its truncated planes are +0.0
+    cloud, _ = _torus3000(gray)
+    curve = compaction_curve(cloud, 2, 256)
+    monkeypatch.setattr(transform, "apply_series", reference_apply_series)
+    assert compaction_curve(cloud, 2, 256) == curve
