@@ -103,18 +103,22 @@ class PointCloud:
 class LevelGeometry:
     """The nodes of one level in Morton order, and their links to level+1.
 
-    The link arrays are None at the finest level.
+    The link arrays are None at the finest level; link_offsets derives
+    the links' stencil offsets.
     """
     level: int
     nodes: np.ndarray        # (N,3) int64, Morton-sorted
     keys: np.ndarray         # (N,) uint64 Morton keys of nodes, strictly increasing
-    # flat parent->child link arrays (one row per (parent, child, d) triple)
+    # flat parent->child link arrays (one row per (parent, child) pair)
     link_parent: np.ndarray = field(default=None)  # (E,) int64 indices into this level
     link_child: np.ndarray = field(default=None)   # (E,) int64 indices into level+1
-    link_d: np.ndarray = field(default=None)       # (E,3) int64, d = m - 2n
 
     def __len__(self):
         return len(self.nodes)
+
+    def link_offsets(self, child):
+        """(E,3) int64 offsets d = m - 2n of the links to level+1, `child`."""
+        return child.nodes[self.link_child] - 2 * self.nodes[self.link_parent]
 
 
 @dataclass
@@ -292,6 +296,8 @@ def voxelize(cloud, depth):
     if not 1 <= depth <= 21:   # a morton key holds 3 x 21 bits
         raise ValueError("depth must be in 1..21, got %d" % depth)
     pos = np.asarray(cloud.positions, dtype=np.float64)
+    if len(pos) == 0:
+        raise ValueError("empty point cloud")
     if not np.isfinite(pos).all():
         raise ValueError("non-finite coordinates")
     size = 2 ** depth
@@ -324,10 +330,11 @@ def _coarsen(child, order):
     """Parent level of `child` under stencil(order), with its links.
 
     Per axis a child coordinate c has the parent candidates c>>1 and, for
-    order 2 and odd c, (c+1)>>1.  Every valid candidate is a link; the
-    candidates' keys, laid out child-major and stably sorted, come out
-    grouped by parent in Morton order with children ascending inside each
-    group, which is the canonical link order.
+    order 2 and odd c, (c+1)>>1.  Every valid candidate is a link, in the
+    canonical order: grouped by parent in Morton order, children ascending
+    inside each group.  Order 1's candidates, one per child, come so, as
+    strictly increasing child keys give non-decreasing keys >> 3; order
+    2's, laid out child-major, are stably sorted.
     """
     n = len(child)
     lo = child.keys >> np.uint64(3)          # key of (c >> 1) on every axis
@@ -346,14 +353,13 @@ def _coarsen(child, order):
             valid[:, j] = np.all(odd | ~np.array(up, dtype=bool), axis=1)
         keys = cand[valid]
         link_child = np.nonzero(valid)[0]
-    perm = np.argsort(keys, kind="stable")
-    keys, link_child = keys[perm], link_child[perm]
+        perm = np.argsort(keys, kind="stable")
+        keys, link_child = keys[perm], link_child[perm]
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
     parent = LevelGeometry(level=child.level - 1, nodes=morton_decode(keys[first]),
                            keys=keys[first])
     parent.link_parent = np.cumsum(first) - 1
     parent.link_child = link_child
-    parent.link_d = child.nodes[link_child] - 2 * parent.nodes[parent.link_parent]
     return parent
 
 
@@ -362,8 +368,8 @@ def build_hierarchy(cloud, order):
 
     Level L holds the voxels, which must be distinct and in Morton order;
     each coarser level is the child-closure of the one below it, and every
-    level but the finest carries its parent-child links with their stencil
-    offsets.  Only the positions are read and checked.
+    level but the finest carries its parent-child links.  Only the
+    positions are read and checked.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")

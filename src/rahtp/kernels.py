@@ -13,7 +13,7 @@ in each other's {-1,0,1}^3 neighborhood, so each row has at most 27
 entries.  The series never run on these unscaled Grams; the transform
 scales them to unit diagonal and wraps them in spectral.Operator.  It builds
 them for order 2 only: the order-1 Gram is the diagonal of voxel counts, so
-its scaled form is the identity and the transform takes A' from the counts.
+its scaled form is the identity and the transform builds S from the counts.
 """
 
 import numpy as np
@@ -57,7 +57,7 @@ def gram_downsample(gram, parent_geom, a):
 
 def build_a_matrix(parent_geom, child_geom, order):
     """Two-scale operator A_ell as a CSR matrix (parents x children)."""
-    w = kernel_weights(order, parent_geom.link_d)
+    w = kernel_weights(order, parent_geom.link_offsets(child_geom))
     if np.any(w <= 0):
         raise AssertionError("parent link with zero kernel weight")
     return sp.csr_matrix(

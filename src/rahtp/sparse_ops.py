@@ -91,7 +91,8 @@ def build_split(parent_geom, child_geom, order):
                          % (parent_geom.level, n_parent, n_child))
     link_p = parent_geom.link_parent
     link_c = parent_geom.link_child
-    pr = _priority_table(order)[_offset_codes(parent_geom.link_d, order)]
+    d = parent_geom.link_offsets(child_geom)
+    pr = _priority_table(order)[_offset_codes(d, order)]
     order_ix = np.lexsort((pr, link_p))
     link_p = link_p[order_ix]
     link_c = link_c[order_ix]

@@ -23,8 +23,8 @@ product per level (_critical_synthesis).
 Order 1 (box) needs no Gram.  Box supports on one level are disjoint, so
 its Gram is the diagonal of voxel counts, and after the unit-diagonal
 scaling every G is exactly the identity.  Its plan is the synthesis
-matrices S, built from the counts, and it runs no normalization: the DC
-is A'f at the root.  So the stream's K matters only for order 2.
+matrices S, built from the links and counts, and it runs no normalization:
+the DC is A'f at the root.  So the stream's K matters only for order 2.
 
 A TransformPlan holds only what the geometry and the order determine.
 The series depth K reaches order 2's normalizations through the config
@@ -135,51 +135,36 @@ def apply_basis_scaling(grams, a_mats):
     return scaled_a, scaled_g
 
 
-def _box_a_matrices(hierarchy):
-    """The scaled order-1 A' list, from voxel counts alone.
-
-    The box Gram is diagonal and holds each node's voxel count w, so the
-    scaling of apply_basis_scaling gives A'[p, c] = sqrt(w_c) / sqrt(w_p).
-    One pass per level, finest to coarsest, sums the children's counts into
-    their parents (w = 1 at the voxels).  The links come grouped by parent
-    with children ascending, which is CSR order.  The result equals
-    apply_basis_scaling's A', array for array.
-    """
-    levels = hierarchy.levels
-    w = np.ones(len(levels[-1]))
-    a_mats = [None] * hierarchy.depth
-    for l in range(hierarchy.depth - 1, -1, -1):
-        geom = levels[l]
-        parent, child = geom.link_parent, geom.link_child
-        w_parent = np.bincount(parent, weights=w[child], minlength=len(geom))
-        data = (1.0 / np.sqrt(w_parent))[parent] * np.sqrt(w)[child]
-        indptr = np.searchsorted(parent, np.arange(len(geom) + 1))
-        a_mats[l] = sp.csr_matrix((data, child, indptr),
-                                  shape=(len(geom), len(levels[l + 1])))
-        w = w_parent
-    return a_mats
-
-
-def _critical_synthesis(a_mats):
+def _critical_synthesis(hierarchy):
     """Per level, the order-1 critical synthesis matrix S = [A'^T | R^T]
     in CSR, with R the reflector rows 2..n of every parent, one per plane
     row.  S is orthogonal: S^T f is [A' f; plane], and S [state; plane] is
     the next level's state.
 
-    Each A' row holds one parent's children, which follow one another in
-    Morton order, so A'.indices is 0..N_child-1.  Row k of S, a child of
-    parent p, holds u_k at column p, then at the column of each other child
-    i of p (after the N_parent parent columns) H[i, k] = delta_ik - u_i w_k,
-    with w_k = u_k / (1 + u_first) and w = 1 at the first child.  So entry
-    j of row k sits at sibling i = head_p + j, and every array over the
-    entries comes from two np.repeat calls and two gathers by i.
+    The box Gram is diagonal and holds the voxel counts, so A' =
+    D^-1/2 A D^1/2 of apply_basis_scaling has A'[p, k] = u_k =
+    sqrt(wc_k) / sqrt(wp_p), with wc the children's counts and wp the
+    parents', summed level by level from wc = 1 at the voxels.  Order 1
+    links each child k to one parent link_parent[k], non-decreasing in k,
+    so each parent's children follow one another in Morton order from its
+    head, the exclusive cumsum of the children counts.  Row k of S, a child
+    of parent p, holds u_k at column p, then at the column of each other
+    child i of p (after the N_parent parent columns) H[i, k] = delta_ik -
+    u_i w_k, with w_k = u_k / (1 + u_first) and w = 1 at the first child.
+    So entry j of row k sits at sibling i = head_p + j, and every array
+    over the entries comes from two np.repeat calls and two gathers by i.
     """
-    mats = []
-    for a in a_mats:
-        n_parent, n_child = a.shape
-        head, u = a.indptr[:-1], a.data
-        count = np.diff(a.indptr)
-        parent = np.repeat(np.arange(n_parent), count)
+    levels = hierarchy.levels
+    wc = np.ones(len(levels[-1]))           # the children's voxel counts
+    mats = [None] * hierarchy.depth
+    for l in range(hierarchy.depth - 1, -1, -1):
+        parent = levels[l].link_parent
+        n_parent, n_child = len(levels[l]), len(levels[l + 1])
+        wp = np.bincount(parent, weights=wc, minlength=n_parent)
+        u = (1.0 / np.sqrt(wp))[parent] * np.sqrt(wc)
+        count = np.bincount(parent, minlength=n_parent)
+        head = np.zeros(n_parent, dtype=np.int64)
+        np.cumsum(count[:-1], out=head[1:])
         first = head[parent]
         w = u / (1.0 + u[first])
         w[head] = 1.0
@@ -198,8 +183,9 @@ def _critical_synthesis(a_mats):
         col = np.arange(n_child) + (n_parent - 1) - parent
         col[head] = np.arange(n_parent)
         cols = col.astype(np.int32 if n_child < 2 ** 31 else np.int64)[i]
-        mats.append(sp.csr_matrix((vals, cols, indptr),
-                                  shape=(n_child, n_child)))
+        mats[l] = sp.csr_matrix((vals, cols, indptr),
+                                shape=(n_child, n_child))
+        wc = wp
     return mats
 
 
@@ -224,7 +210,7 @@ class TransformPlan:
         self.order = hierarchy.order
         if hierarchy.order == 1:
             self.a_mats = self.grams = None
-            self.critical = _critical_synthesis(_box_a_matrices(hierarchy))
+            self.critical = _critical_synthesis(hierarchy)
             return
         self.critical = None
         a_mats = [build_a_matrix(hierarchy.levels[l], hierarchy.levels[l + 1],

@@ -270,8 +270,9 @@ def reference_rlgr_decode(data, count):
 
 def reference_critical_synthesis(a_mats):
     """The entry-by-entry builder of the order-1 critical synthesis
-    matrices S = [A'^T | R^T] that transform._critical_synthesis replaced;
-    tests compare the two array for array.
+    matrices S = [A'^T | R^T] from a list of scaled A' matrices, which
+    transform._critical_synthesis replaced; tests compare the two array for
+    array.
 
     Row k of S, a child of parent p, holds u_k at column p, then at the
     column of each other child i of p H[i, k] = delta_ik - u_i w_k, with

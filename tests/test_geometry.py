@@ -73,6 +73,15 @@ def test_voxelize_already_integer_grid_keeps_voxels():
     assert np.allclose(cl.attributes, again.attributes)
 
 
+def test_voxelize_rejects_an_empty_cloud():
+    raw = rahtp.PointCloud(positions=np.zeros((0, 3)),
+                           attributes=np.zeros((0, 3)), depth=0, channels=3)
+    for make in (lambda: rahtp.voxelize(raw, 4),
+                 lambda: rahtp.make_synthetic_cloud(count=0)):
+        with pytest.raises(ValueError, match="empty point cloud"):
+            make()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_voxelize_rejects_non_finite_coordinates(bad):
     # one such point used to collapse the whole cloud into one voxel
@@ -209,6 +218,13 @@ def test_hierarchy_levels_cover_children_both_orders():
         for lev in range(h.depth):
             parents = h.levels[lev].nodes
             children = h.levels[lev + 1].nodes
+            if order == 1:
+                # one link per child, parents never decreasing: the layout
+                # the order-1 plan reads S's rows from, with no sort or CSR
+                link_parent = h.levels[lev].link_parent
+                assert np.array_equal(h.levels[lev].link_child,
+                                      np.arange(len(children)))
+                assert np.all(np.diff(link_parent) >= 0)
             pidx = {tuple(p): i for i, p in enumerate(parents)}
             lo = 0 if order == 1 else -1
             hi = 1

@@ -12,16 +12,13 @@ import struct
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from rahtp import codec
 from rahtp.codec import (CorruptStream, decode, encode, parse_header,
                          rlgr_decode, rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.geometry import build_hierarchy
-from rahtp.kernels import build_a_matrix, gram_levels
-from rahtp.transform import (TransformConfig, TransformPlan,
-                             _box_a_matrices, apply_basis_scaling)
+from rahtp.transform import TransformConfig
 
 GOLDEN = {
     ("sphere200", 1, "overcomplete"):
@@ -83,29 +80,6 @@ def test_encode_bytes_frozen(name, order, mode):
     config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
-
-
-@pytest.mark.parametrize("name", ["sphere200", "torus3000", "noisy_sphere"])
-def test_order1_plan_from_counts_matches_generic_scaling(name):
-    # the order-1 plan builds its synthesis matrices from an A' of voxel
-    # counts and no Gram, which holds only because the generic path gives
-    # the same A' to the bit and a scaled Gram that is exactly the identity
-    # on every level
-    h = build_hierarchy(_cloud(name), 1)
-    a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], 1)
-              for l in range(h.depth)]
-    scaled_a, scaled_g = apply_basis_scaling(gram_levels(h, a_mats), a_mats)
-    plan = TransformPlan(h, TransformConfig(order=1))
-    assert plan.grams is None and plan.a_mats is None
-    counted_a = _box_a_matrices(h)
-    assert len(counted_a) == len(scaled_a) == len(plan.critical) == h.depth
-    for generic, counted in zip(scaled_a, counted_a):
-        assert generic.shape == counted.shape
-        for part in ("indptr", "indices", "data"):
-            g, c = getattr(generic, part), getattr(counted, part)
-            assert g.dtype == c.dtype and g.tobytes() == c.tobytes(), part
-    for g in scaled_g:
-        assert (g != sp.identity(g.shape[0], format="csr")).nnz == 0
 
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
