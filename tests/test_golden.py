@@ -12,13 +12,16 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rahtp import codec
 from rahtp.codec import (CorruptStream, decode, encode, parse_header,
                          rlgr_decode, rlgr_encode)
 from rahtp.evalcli import builtin_clouds, make_synthetic_cloud
 from rahtp.geometry import build_hierarchy
-from rahtp.transform import TransformConfig
+from rahtp.kernels import build_a_matrix, gram_levels
+from rahtp.transform import (TransformConfig, TransformPlan,
+                             apply_basis_scaling)
 
 GOLDEN = {
     ("sphere200", 1, "overcomplete"):
@@ -80,6 +83,32 @@ def test_encode_bytes_frozen(name, order, mode):
     config = TransformConfig(order=order, residual_mode=mode)
     blob, _ = encode(cloud, config, 1.0, colorspace="bt709")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(name, order, mode)]
+
+
+@pytest.mark.parametrize("name", ["sphere200", "torus3000", "noisy_sphere"])
+def test_order1_plan_from_counts_matches_generic_scaling(name):
+    # the order-1 plan builds its synthesis matrices from the links and
+    # voxel counts and no Gram, which holds only because the generic path
+    # gives a scaled Gram that is exactly the identity on every level and
+    # the same A' to the bit as the A'^T block of each S
+    h = build_hierarchy(_cloud(name), 1)
+    a_mats = [build_a_matrix(h.levels[l], h.levels[l + 1], 1)
+              for l in range(h.depth)]
+    scaled_a, scaled_g = apply_basis_scaling(gram_levels(h, a_mats), a_mats)
+    plan = TransformPlan(h, TransformConfig(order=1))
+    assert plan.grams is None and plan.a_mats is None
+    assert len(scaled_a) == len(plan.critical) == h.depth
+    for generic, s in zip(scaled_a, plan.critical):
+        counted = sp.csr_matrix(s[:, :generic.shape[0]].T)
+        counted.sort_indices()
+        assert generic.has_sorted_indices
+        assert generic.shape == counted.shape and generic.nnz == counted.nnz
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(generic, part),
+                                  getattr(counted, part)), part
+        assert generic.data.tobytes() == counted.data.tobytes()
+    for g in scaled_g:
+        assert (g != sp.identity(g.shape[0], format="csr")).nnz == 0
 
 
 @pytest.mark.parametrize("name,order,mode", sorted(GOLDEN))
